@@ -334,18 +334,13 @@ def lambda2_lower_certificate(h: Hypergraph, k: int | None = None) -> Certificat
                        bound_kind="lambda2_lower", metadata=meta)
 
 
-def _double_bfs_endpoint(h: Hypergraph) -> int:
-    d0 = distances_from(h, 0)
-    return int(np.argmax(d0.dist))
-
-
 def _greedy_far_centers(h: Hypergraph, count: int):
     """Farthest-point selection of ``count`` vertices, lowest id on ties.
 
     Returns the chosen ids, their distance maps, and the minimum pairwise
     distance achieved.
     """
-    start = _double_bfs_endpoint(h)
+    start = int(np.argmax(distances_from(h, 0).dist))
     chosen = [start]
     dist_maps = [distances_from(h, start)]
     min_dist = dist_maps[0].dist.copy()

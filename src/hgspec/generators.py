@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationFailed, InfeasibleParams, SizeOverflow
-from .hypergraph import UNREACHABLE, Hypergraph, distances_from
+from .hypergraph import Hypergraph
 
 #: default cap on generated vertex / edge counts
 DEFAULT_SIZE_CAP = 2_000_000
@@ -134,7 +134,7 @@ def random_regular_linear(t: int, k: int, n: int, seed: int,
             continue
         h = Hypergraph(n, t, accepted)
         assert h.m == m
-        if np.all(distances_from(h, 0).dist != UNREACHABLE):
+        if h.is_connected:
             return h
     raise GenerationFailed(
         f"no connected k-regular linear instance for t={t}, k={k}, n={n} "

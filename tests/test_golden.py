@@ -1,0 +1,81 @@
+"""CLI stdout compared byte for byte with recorded outputs in tests/golden/.
+
+Each case runs ``hgspec`` commands in-process from a scratch directory,
+so the file paths echoed in the reports are the bare names below.  The
+recorded outputs come from the same command lines run on the code before
+the per-source BFS loops were replaced by the bit-parallel search; a
+change that alters any byte of them (a different center, diameter path,
+certificate or solver trajectory) fails here.  To record a new golden
+set on purpose, run ``PYTHONPATH=src python tests/test_golden.py`` from
+the root of a checkout.
+"""
+
+import io
+from pathlib import Path
+
+import pytest
+
+from hgspec.cli import run_command
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+#: (golden file name, argv); the gen commands write the inputs the
+#: verify commands read
+CASES = [
+    (f"gen_rr300_s{s}.json",
+     ["gen", "random-regular", "--t", "3", "--k", "3", "--n", "300",
+      "--seed", str(s), "-o", f"rr300_s{s}.txt"])
+    for s in (1, 2, 3)
+] + [
+    (f"verify_{check}_rr300_s{s}.json",
+     ["verify", f"rr300_s{s}.txt", "--check", check])
+    for s in (1, 2) for check in ("alon-boppana", "radial")
+] + [
+    # the lowest-id center of this instance is vertex 1, not 0
+    ("verify_radial_rr300_s3.json",
+     ["verify", "rr300_s3.txt", "--check", "radial"]),
+    ("sweep_hypertree_t3_k3_r1-6.csv",
+     ["sweep", "hypertree", "--t", "3", "--k", "3", "--radii", "1:6"]),
+]
+
+
+def _run(argv):
+    out = io.StringIO()
+    code = run_command(argv, out=out)
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Run every case once, in order, from one scratch directory."""
+    mp = pytest.MonkeyPatch()
+    mp.delenv("HGSPEC_SEED", raising=False)
+    mp.chdir(tmp_path_factory.mktemp("golden"))
+    try:
+        return {name: _run(argv) for name, argv in CASES}
+    finally:
+        mp.undo()
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CASES])
+def test_stdout_matches_golden(outputs, name):
+    code, text = outputs[name]
+    assert code == 0
+    expected = (GOLDEN / name).read_text(encoding="utf-8")
+    assert text == expected
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    os.environ.pop("HGSPEC_SEED", None)
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        for name, argv in CASES:
+            code, text = _run(argv)
+            if code != 0:
+                raise SystemExit(f"{name}: exit {code}")
+            (GOLDEN / name).write_text(text, encoding="utf-8", newline="\n")
+            print(f"wrote {GOLDEN / name}")

@@ -213,6 +213,18 @@ def test_min_eccentricity_vertex():
     assert min_eccentricity_vertex(hypertree_ball(3, 3, 2)) == 0
 
 
+def test_min_eccentricity_vertex_disconnected_raises():
+    with pytest.raises(DisconnectedError):
+        min_eccentricity_vertex(Hypergraph(5, 2, [(0, 1), (1, 2)]))
+
+
+def test_distances_from_isolated_vertex():
+    # vertex 2 lies in no edge: an empty CSR row between two full ones
+    h = Hypergraph(5, 2, [(0, 1), (3, 4)])
+    assert distances_from(h, 2).dist.tolist() == [-1, -1, 0, -1, -1]
+    assert distances_from(h, 0).dist.tolist() == [0, 1, -1, -1, -1]
+
+
 def test_permutation_relabel_preserves_structure():
     rng = np.random.default_rng(0)
     h = random_regular_linear(3, 3, 18, 2)
