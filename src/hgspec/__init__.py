@@ -20,15 +20,13 @@ from .constructions import (Certificate, RadialCheckResult,
                             rho_lower_certificate, verify_radial_inequality)
 from .eigensolver import (EigenResult, SolverConfig, lambda2_estimate,
                           spectral_radius)
-from .errors import (CertificateError, DiameterTooSmall, DisconnectedError,
-                     DomainError, Error, GenerationFailed, InfeasibleParams,
+from .errors import (CertificateError, DiameterTooSmall, DomainError,
+                     EdgeError, Error, GenerationFailed, InfeasibleParams,
                      NoConvergence, NotConnectedError, NotRegularError,
                      ParseError, SizeOverflow)
-from .forms import (FormValue, adjacency_form, apply_adjacency,
-                    edge_contributions, form_breakdown, shifted_form, t_norm,
-                    t_norm_pow)
-from .generators import (GenSpec, complete_uniform, hypertree_ball,
-                         random_regular_linear)
+from .forms import (adjacency_form, apply_adjacency, edge_contributions,
+                    shifted_form, t_norm, t_norm_pow)
+from .generators import complete_uniform, hypertree_ball, random_regular_linear
 from .hypergraph import (UNREACHABLE, DistanceMap, Hypergraph,
                          degree_sequence, diameter_and_path, distances_from,
                          is_acyclic, is_linear, min_eccentricity_vertex,
@@ -39,16 +37,15 @@ from .reports import SpectralReport, dumps_json, emit_sweep_csv
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundParams", "Certificate", "DiameterTooSmall", "DisconnectedError",
-    "DistanceMap", "DomainError", "EigenResult", "Error", "FormValue",
-    "GenSpec", "GenerationFailed", "Hypergraph", "InfeasibleParams",
-    "NoConvergence", "NotConnectedError", "NotRegularError", "ParseError",
-    "RadialCheckResult", "SizeOverflow", "SolverConfig", "SpectralReport",
-    "StrongOrthogonalSet", "UNREACHABLE", "CertificateError",
-    "adjacency_form", "apply_adjacency", "build_strong_orthogonal_family",
-    "complete_uniform", "degree_sequence", "diameter_and_path",
-    "distances_from", "dumps_json", "edge_contributions", "emit_hypergraph",
-    "emit_sweep_csv", "form_breakdown", "friedman_alternate", "g_hat_value",
+    "BoundParams", "Certificate", "DiameterTooSmall", "DistanceMap",
+    "DomainError", "EdgeError", "EigenResult", "Error", "GenerationFailed",
+    "Hypergraph", "InfeasibleParams", "NoConvergence", "NotConnectedError",
+    "NotRegularError", "ParseError", "RadialCheckResult", "SizeOverflow",
+    "SolverConfig", "SpectralReport", "StrongOrthogonalSet", "UNREACHABLE",
+    "CertificateError", "adjacency_form", "apply_adjacency",
+    "build_strong_orthogonal_family", "complete_uniform", "degree_sequence",
+    "diameter_and_path", "distances_from", "dumps_json", "edge_contributions",
+    "emit_hypergraph", "emit_sweep_csv", "friedman_alternate", "g_hat_value",
     "g_value", "hypertree_ball", "is_acyclic", "is_linear",
     "lambda2_estimate", "lambda2_lower_certificate",
     "min_eccentricity_vertex", "mu_lower_certificate", "multi_center_vector",

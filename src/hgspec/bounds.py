@@ -54,18 +54,6 @@ class BoundParams:
         if not isinstance(self.k, int) or self.k < 1:
             raise DomainError(f"degree k must be an integer >= 1, got {self.k}")
 
-    def threshold(self) -> float:
-        return threshold(self.t, self.k)
-
-    def friedman_alternate(self) -> float:
-        return friedman_alternate(self.t, self.k)
-
-    def g(self, n: int) -> float:
-        return g_value(self.t, self.k, n)
-
-    def g_hat(self, n: int) -> float:
-        return g_hat_value(self.t, self.k, n)
-
 
 def threshold(t: int, k: int) -> float:
     """The hypertree spectral radius (t/(t-1)) * ((t-1)(k-1))^(1/t).

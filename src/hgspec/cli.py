@@ -89,34 +89,28 @@ def _solver_stanza(cfg: SolverConfig, result) -> dict:
     }
 
 
-def cmd_radius(args, out) -> int:
+def _solve(args, out, solver, field: str) -> int:
+    """Run ``solver`` on the input file and report its value as ``field``."""
     h, descriptor = _load_file(args.file)
     cfg = _solver_config(args)
     start = time.perf_counter()
-    result = spectral_radius(h, cfg)
+    result = solver(h, cfg)
     elapsed = time.perf_counter() - start
     report = _base_report(h, descriptor)
-    report.rho = result.value
+    setattr(report, field, result.value)
     report.solver = _solver_stanza(cfg, result)
     if args.timings:
         report.wall_time_seconds = elapsed
     out.write(report.to_json())
     return 0
+
+
+def cmd_radius(args, out) -> int:
+    return _solve(args, out, spectral_radius, "rho")
 
 
 def cmd_lambda2(args, out) -> int:
-    h, descriptor = _load_file(args.file)
-    cfg = _solver_config(args)
-    start = time.perf_counter()
-    result = lambda2_estimate(h, cfg)
-    elapsed = time.perf_counter() - start
-    report = _base_report(h, descriptor)
-    report.lambda2_estimate = result.value
-    report.solver = _solver_stanza(cfg, result)
-    if args.timings:
-        report.wall_time_seconds = elapsed
-    out.write(report.to_json())
-    return 0
+    return _solve(args, out, lambda2_estimate, "lambda2_estimate")
 
 
 def cmd_bounds(args, out) -> int:
@@ -141,7 +135,7 @@ def cmd_bounds(args, out) -> int:
     return 0
 
 
-def _check_radial(h, args) -> dict:
+def _check_radial(h, args, cfg) -> dict:
     origin = args.origin if args.origin is not None else \
         min_eccentricity_vertex(h)
     res = verify_radial_inequality(h, origin)
@@ -154,7 +148,7 @@ def _check_radial(h, args) -> dict:
     }
 
 
-def _check_g_monotone(h, args) -> dict:
+def _check_g_monotone(h, args, cfg) -> dict:
     k = regular_degree(h)
     if k is None:
         return {"check": "g-monotone", "passed": False,
@@ -213,36 +207,36 @@ def cmd_verify(args, out) -> int:
         print("hgspec: --check mu requires --j", file=sys.stderr)
         return 2
     h, descriptor = _load_file(args.file)
-    cfg = _solver_config(args)
-    if args.check == "radial":
-        payload = _check_radial(h, args)
-    elif args.check == "g-monotone":
-        payload = _check_g_monotone(h, args)
-    elif args.check == "acyclic-bound":
-        payload = _check_acyclic_bound(h, args, cfg)
-    elif args.check == "alon-boppana":
-        payload = _check_alon_boppana(h, args, cfg)
-    else:
-        payload = _check_mu(h, args, cfg)
+    check = {"radial": _check_radial, "g-monotone": _check_g_monotone,
+             "acyclic-bound": _check_acyclic_bound,
+             "alon-boppana": _check_alon_boppana, "mu": _check_mu}[args.check]
+    payload = check(h, args, _solver_config(args))
     payload["input"] = descriptor
     out.write(dumps_json(payload))
     return 0 if payload["passed"] else 1
 
 
+def _generate(args, size: int, seed: int) -> Hypergraph:
+    """The ``args.family`` instance of the given radius or vertex count."""
+    if args.family == "hypertree":
+        return hypertree_ball(args.t, args.k, size)
+    if args.family == "complete":
+        return complete_uniform(size, args.t)
+    return random_regular_linear(args.t, args.k, size, seed,
+                                 args.max_attempts)
+
+
 def cmd_gen(args, out) -> int:
     seed = _resolve_seed(args)
-    if args.family == "hypertree":
-        h = hypertree_ball(args.t, args.k, args.radius)
-        params = {"family": "hypertree", "t": args.t, "k": args.k,
-                  "radius": args.radius}
-    elif args.family == "complete":
-        h = complete_uniform(args.n, args.t)
-        params = {"family": "complete", "t": args.t, "n": args.n}
-    else:
-        h = random_regular_linear(args.t, args.k, args.n, seed,
-                                  args.max_attempts)
-        params = {"family": "random-regular", "t": args.t, "k": args.k,
-                  "n": args.n, "seed": seed}
+    size_key = "radius" if args.family == "hypertree" else "n"
+    size = getattr(args, size_key)
+    h = _generate(args, size, seed)
+    params = {"family": args.family, "t": args.t}
+    if args.family != "complete":
+        params["k"] = args.k
+    params[size_key] = size
+    if args.family == "random-regular":
+        params["seed"] = seed
     text = emit_hypergraph(h)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -275,51 +269,36 @@ def _parse_range(spec: str) -> list[int]:
     raise Error(f"bad range {spec!r}; expected A:B, A:B:S, or A:B:*S")
 
 
-def _sweep_row(family, t, k, param, h, cfg, timings) -> dict:
+def _sweep_row(args, size: int, cfg) -> dict:
+    h = _generate(args, size, cfg.seed)
+    k = regular_degree(h) if args.family == "complete" else args.k
     start = time.perf_counter()
     rho = spectral_radius(h, cfg).value
-    thr = bounds_mod.threshold(t, k) if k is not None else None
+    thr = bounds_mod.threshold(args.t, k) if k is not None else None
     try:
         cert = multi_center_vector(h, k=k).quotient
     except Error:
         cert = None
     elapsed = time.perf_counter() - start
     return {
-        "family": family,
-        "t": t,
+        "family": args.family,
+        "t": args.t,
         "k": k if k is not None else "",
-        "param": param,
+        "param": size,
         "n": h.n,
         "m": h.m,
         "rho": rho,
         "threshold": thr,
         "gap": (thr - rho) if thr is not None else None,
         "lambda2_cert": cert,
-        "seconds": elapsed if timings else 0,
+        "seconds": elapsed if args.timings else 0,
     }
 
 
 def cmd_sweep(args, out) -> int:
     cfg = _solver_config(args)
-    rows = []
-    if args.family == "hypertree":
-        for radius in _parse_range(args.radii):
-            h = hypertree_ball(args.t, args.k, radius)
-            rows.append(_sweep_row("hypertree", args.t, args.k, radius, h,
-                                   cfg, args.timings))
-    elif args.family == "complete":
-        for n in _parse_range(args.ns):
-            h = complete_uniform(n, args.t)
-            rows.append(_sweep_row("complete", args.t, regular_degree(h), n,
-                                   h, cfg, args.timings))
-    else:
-        seed = _resolve_seed(args)
-        for n in _parse_range(args.ns):
-            h = random_regular_linear(args.t, args.k, n, seed,
-                                      args.max_attempts)
-            rows.append(_sweep_row("random-regular", args.t, args.k, n, h,
-                                   cfg, args.timings))
-    out.write(emit_sweep_csv(rows))
+    sizes = _parse_range(args.radii if args.family == "hypertree" else args.ns)
+    out.write(emit_sweep_csv([_sweep_row(args, size, cfg) for size in sizes]))
     return 0
 
 
@@ -334,6 +313,26 @@ def _add_solver_flags(parser, restarts_default=32):
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock timing in the output "
                              "(breaks byte-for-byte determinism)")
+
+
+def _add_families(sub, func, radius_flag, n_flag) -> list:
+    """The three generator family parsers under ``sub``.
+
+    Each size flag is a (name, argparse keywords) pair.
+    """
+    parsers = []
+    for family in ("hypertree", "complete", "random-regular"):
+        sp = sub.add_parser(family)
+        sp.add_argument("--t", type=int, required=True)
+        if family != "complete":
+            sp.add_argument("--k", type=int, required=True)
+        name, kwargs = radius_flag if family == "hypertree" else n_flag
+        sp.add_argument(name, required=True, **kwargs)
+        if family == "random-regular":
+            sp.add_argument("--max-attempts", type=int, default=10_000)
+        sp.set_defaults(func=func)
+        parsers.append(sp)
+    return parsers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,40 +378,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate an instance")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
-    g_tree = gen_sub.add_parser("hypertree")
-    g_tree.add_argument("--t", type=int, required=True)
-    g_tree.add_argument("--k", type=int, required=True)
-    g_tree.add_argument("--radius", type=int, required=True)
-    g_comp = gen_sub.add_parser("complete")
-    g_comp.add_argument("--t", type=int, required=True)
-    g_comp.add_argument("--n", type=int, required=True)
-    g_rand = gen_sub.add_parser("random-regular")
-    g_rand.add_argument("--t", type=int, required=True)
-    g_rand.add_argument("--k", type=int, required=True)
-    g_rand.add_argument("--n", type=int, required=True)
-    g_rand.add_argument("--max-attempts", type=int, default=10_000)
-    for sp in (g_tree, g_comp, g_rand):
+    for sp in _add_families(gen_sub, cmd_gen, ("--radius", {"type": int}),
+                            ("--n", {"type": int})):
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("-o", "--output", default=None)
-        sp.set_defaults(func=cmd_gen)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over a family")
     sweep_sub = p_sweep.add_subparsers(dest="family", required=True)
-    s_tree = sweep_sub.add_parser("hypertree")
-    s_tree.add_argument("--t", type=int, required=True)
-    s_tree.add_argument("--k", type=int, required=True)
-    s_tree.add_argument("--radii", required=True, help="range A:B")
-    s_comp = sweep_sub.add_parser("complete")
-    s_comp.add_argument("--t", type=int, required=True)
-    s_comp.add_argument("--ns", required=True, help="range A:B[:S|:*S]")
-    s_rand = sweep_sub.add_parser("random-regular")
-    s_rand.add_argument("--t", type=int, required=True)
-    s_rand.add_argument("--k", type=int, required=True)
-    s_rand.add_argument("--ns", required=True, help="range A:B[:S|:*S]")
-    s_rand.add_argument("--max-attempts", type=int, default=10_000)
-    for sp in (s_tree, s_comp, s_rand):
+    for sp in _add_families(sweep_sub, cmd_sweep,
+                            ("--radii", {"help": "range A:B"}),
+                            ("--ns", {"help": "range A:B[:S|:*S]"})):
         _add_solver_flags(sp)
-        sp.set_defaults(func=cmd_sweep)
 
     return parser
 

@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import g_value, threshold
-from .errors import (CertificateError, DiameterTooSmall, NotConnectedError,
-                     NotRegularError)
+from .errors import CertificateError, DiameterTooSmall, NotRegularError
 from .forms import adjacency_form, apply_adjacency, as_vector, t_norm, t_norm_pow
-from .hypergraph import (DistanceMap, Hypergraph, diameter_and_path,
-                         distances_from)
+from .hypergraph import (DistanceMap, Hypergraph, _require_connected,
+                         diameter_and_path, distances_from)
 
 #: absolute slack for componentwise and quotient-vs-floor checks
 SLACK_TOL = 1e-9
@@ -64,12 +63,6 @@ class RadialCheckResult:
     passed: bool
     min_slack: float
     worst_vertex: int
-
-
-def _require_connected(h: Hypergraph) -> None:
-    if not h.is_connected:
-        raise NotConnectedError("certificate constructions require a "
-                                "connected hypergraph")
 
 
 def _resolve_degree(h: Hypergraph, k: int | None,
@@ -107,7 +100,7 @@ def radial_vector(h: Hypergraph, o: int, radius: int | None = None) -> np.ndarra
     Requires constant degree k on the ball of the given radius around o
     (on all of h when untruncated); k is inferred from the degrees.
     """
-    _require_connected(h)
+    _require_connected(h, "certificate constructions")
     dm = distances_from(h, o)
     horizon = dm.eccentricity if radius is None else radius
     if horizon < 0:
@@ -149,7 +142,7 @@ def rho_lower_certificate(h: Hypergraph, o: int, radius: int,
 
     which converges up to the threshold as the radius grows.
     """
-    _require_connected(h)
+    _require_connected(h, "certificate constructions")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     dm = distances_from(h, o)
@@ -259,7 +252,7 @@ def multi_center_vector(h: Hypergraph, k: int | None = None) -> Certificate:
         When D < 2s-2 (no nonnegative d exists) or the chosen centers
         end up closer than 2d+2.
     """
-    _require_connected(h)
+    _require_connected(h, "certificate constructions")
     t = h.t
     s = _smallest_prime_factor(t)
     if k is None:
@@ -376,7 +369,7 @@ def build_strong_orthogonal_family(h: Hypergraph, j: int,
     inner product is exactly zero (integer support disjointness, not a
     tolerance test).
     """
-    _require_connected(h)
+    _require_connected(h, "certificate constructions")
     if j < 1:
         raise ValueError(f"family size j must be >= 1, got {j}")
     t = h.t

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotConnectedError
-from .forms import _accumulate, _full_products, _partial_products, \
-    _scatter_columns, t_norm
-from .hypergraph import Hypergraph
+from .errors import NoConvergence
+from .forms import _apply, _shifted, _shifted_grad, t_norm
+from .hypergraph import Hypergraph, _require_connected
 
 #: step size below which ascent is treated as stagnated at a local optimum
 _STEP_FLOOR = 1e-17
@@ -65,12 +64,6 @@ class EigenResult:
     residual: float
 
 
-def _require_connected(h: Hypergraph) -> None:
-    if not h.is_connected:
-        raise NotConnectedError("spectral operations require a connected "
-                                "hypergraph")
-
-
 def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResult:
     """Largest eigenvalue of the adjacency tensor, with its Perron vector.
 
@@ -79,18 +72,14 @@ def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     additive shift cancels from both sides).
     """
     cfg = cfg or SolverConfig()
-    _require_connected(h)
-    t, n = h.t, h.n
-    edges = h.edge_array
+    _require_connected(h, "spectral operations")
+    t = h.t
     rng = np.random.default_rng(cfg.seed)
-    x = 1.0 + 0.01 * rng.random(n)
+    x = 1.0 + 0.01 * rng.random(h.n)
     x /= t_norm(x, t)
     residual = np.inf
     for it in range(1, cfg.max_iters + 1):
-        if h.m:
-            ax = _scatter_columns(n, edges, _partial_products(x[edges]))
-        else:
-            ax = np.zeros(n)
+        ax = _apply(h, x)
         lam = float(np.dot(x, ax))
         xt1 = x ** (t - 1)
         residual = float(np.max(np.abs(
@@ -105,32 +94,6 @@ def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     raise NoConvergence(cfg.max_iters, residual)
 
 
-def _shifted_value(x: np.ndarray, edges: np.ndarray, t: int, c: float):
-    """Form value of the J-shifted map at x (complex-safe)."""
-    total = _accumulate(x)
-    if edges.shape[0]:
-        form = t * _accumulate(_full_products(x[edges]))
-    else:
-        form = 0.0
-    return form - c * total ** t
-
-
-def _shifted_value_grad(x: np.ndarray, edges: np.ndarray, t: int, c: float,
-                        n: int):
-    """Form value and holomorphic gradient t * (A x - c (sum x)^(t-1))."""
-    total = _accumulate(x)
-    if edges.shape[0]:
-        vals = x[edges]
-        partial = _partial_products(vals)
-        form = t * _accumulate(partial[:, 0] * vals[:, 0])
-        ax = _scatter_columns(n, edges, partial)
-    else:
-        form = 0.0
-        ax = np.zeros_like(x)
-    grad = t * (ax - c * total ** (t - 1))
-    return form - c * total ** t, grad
-
-
 def _sphere_residual(x, f_abs, sigma_grad, t):
     """KKT defect of |form| on the t-norm sphere at unit-norm x."""
     if np.iscomplexobj(x):
@@ -140,26 +103,19 @@ def _sphere_residual(x, f_abs, sigma_grad, t):
     return float(np.max(np.abs(sigma_grad / t - f_abs * psi)))
 
 
-@dataclass
-class _Restart:
-    value: float
-    vector: np.ndarray
-    iterations: int
-    residual: float
-    converged: bool
-
-
-def _ascend(x0: np.ndarray, edges: np.ndarray, t: int, c: float, n: int,
-            cfg: SolverConfig) -> _Restart:
+def _ascend(h: Hypergraph, x0: np.ndarray,
+            cfg: SolverConfig) -> tuple[EigenResult, bool]:
     """Projected gradient ascent on |shifted form| over the t-norm sphere.
 
-    Counts every objective evaluation against ``cfg.max_iters``.  A
-    restart is converged when the KKT residual drops to ``cfg.tol`` or
-    the step underflows (the value is then locally optimal to machine
-    precision even though the eigen-defect may still exceed tol).
+    Returns the restart's result and whether it converged.  Counts every
+    objective evaluation against ``cfg.max_iters``.  A restart is
+    converged when the KKT residual drops to ``cfg.tol`` or the step
+    underflows (the value is then locally optimal to machine precision
+    even though the eigen-defect may still exceed tol).
     """
+    t = h.t
     x = x0 / t_norm(x0, t)
-    f, grad = _shifted_value_grad(x, edges, t, c, n)
+    f, grad = _shifted_grad(h, x)
     evals = 1
     eta = 0.1
     converged = False
@@ -184,11 +140,11 @@ def _ascend(x0: np.ndarray, edges: np.ndarray, t: int, c: float, n: int,
         while evals < cfg.max_iters:
             y = x + eta * direction
             y /= t_norm(y, t)
-            fy = _shifted_value(y, edges, t, c)
+            fy = _shifted(h, y)
             evals += 1
             if abs(fy) > abs(f):
                 x = y
-                f, grad = _shifted_value_grad(x, edges, t, c, n)
+                f, grad = _shifted_grad(h, x)
                 eta *= 1.25
                 accepted = True
                 break
@@ -198,8 +154,8 @@ def _ascend(x0: np.ndarray, edges: np.ndarray, t: int, c: float, n: int,
         if not accepted:
             converged = eta < _STEP_FLOOR or residual <= cfg.tol
             break
-    return _Restart(value=float(abs(f)), vector=x, iterations=evals,
-                    residual=residual, converged=converged)
+    return EigenResult(value=float(abs(f)), vector=x, iterations=evals,
+                       residual=residual), converged
 
 
 def lambda2_estimate(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResult:
@@ -210,29 +166,22 @@ def lambda2_estimate(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenRes
     ``NoConvergence`` when no restart converged at all.
     """
     cfg = cfg or SolverConfig()
-    _require_connected(h)
-    t, n = h.t, h.n
-    edges = h.edge_array
-    c = t * h.m / float(n) ** t
+    _require_connected(h, "spectral operations")
+    n = h.n
     rng = np.random.default_rng(cfg.seed)
-    best: _Restart | None = None
-    worst_fail: _Restart | None = None
-    any_converged = False
+    best: EigenResult | None = None
+    worst_fail: EigenResult | None = None
     for _ in range(cfg.restarts):
         if cfg.complex_search:
             x0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         else:
             x0 = rng.standard_normal(n)
-        run = _ascend(x0, edges, t, c, n, cfg)
-        if run.converged:
-            any_converged = True
+        run, converged = _ascend(h, x0, cfg)
+        if converged:
             if best is None or run.value > best.value:
                 best = run
         elif worst_fail is None or run.value > worst_fail.value:
             worst_fail = run
-    if not any_converged:
-        assert worst_fail is not None
+    if best is None:
         raise NoConvergence(worst_fail.iterations, worst_fail.residual)
-    assert best is not None
-    return EigenResult(value=best.value, vector=best.vector,
-                       iterations=best.iterations, residual=best.residual)
+    return best

@@ -9,8 +9,17 @@ class NotConnectedError(Error):
     """Raised when an operation requires a connected hypergraph."""
 
 
-class DisconnectedError(NotConnectedError):
-    """Raised by metric queries when some vertex pair is unreachable."""
+class EdgeError(ValueError):
+    """An edge list entry that is not an edge of a simple uniform hypergraph.
+
+    ``index`` is the input position of the first faulty edge, ``kind`` one
+    of ``type``, ``arity``, ``repeated``, ``range`` and ``duplicate``.
+    """
+
+    def __init__(self, index: int, kind: str, message: str):
+        super().__init__(message)
+        self.index = index
+        self.kind = kind
 
 
 class NotRegularError(Error):

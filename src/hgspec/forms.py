@@ -17,12 +17,18 @@ products (no sparsity shortcut, no division).  Form accumulation switches
 to exact compensated summation once the edge count reaches
 ``COMPENSATED_SUM_THRESHOLD`` so that certificate slacks near 1e-9 are
 not drowned in rounding.
+
+Every evaluation of A or of a form in the package is one of the private
+kernels here (``_apply``, ``_form``, ``_shifted``, ``_shifted_grad``),
+which keep the product and summation order of each use.  The public
+functions are :func:`as_vector` plus a kernel.  The solvers call the
+kernels directly: they pass checked vectors, and a trace of the public
+functions would otherwise count solver steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,18 +36,6 @@ from .hypergraph import Hypergraph
 
 #: edge count at which form sums switch to exact (fsum) accumulation
 COMPENSATED_SUM_THRESHOLD = 10_000
-
-
-@dataclass(frozen=True)
-class FormValue:
-    """A form evaluation with its optional per-edge breakdown.
-
-    When ``components`` is kept, ``value == t * components.sum()`` up to
-    the accumulation rule above.
-    """
-
-    value: float | complex
-    components: np.ndarray | None = None
 
 
 def as_vector(h: Hypergraph, x) -> np.ndarray:
@@ -65,10 +59,6 @@ def _partial_products(values: np.ndarray) -> np.ndarray:
         np.cumprod(values[:, :-1], axis=1, out=prefix[:, 1:])
         np.cumprod(values[:, :0:-1], axis=1, out=suffix[:, -2::-1])
     return prefix * suffix
-
-
-def _full_products(values: np.ndarray) -> np.ndarray:
-    return np.prod(values, axis=1)
 
 
 def _sum_exact(arr: np.ndarray):
@@ -102,22 +92,50 @@ def _scatter_columns(n: int, edges: np.ndarray, contrib: np.ndarray) -> np.ndarr
     return out
 
 
+def _apply(h: Hypergraph, x: np.ndarray) -> np.ndarray:
+    """A x for a validated x."""
+    return _scatter_columns(h.n, h.edge_array,
+                            _partial_products(x[h.edge_array]))
+
+
+def _form(h: Hypergraph, x: np.ndarray):
+    """x^T(A x) = t * sum over edges of x^e, for a validated x."""
+    return h.t * _accumulate(np.prod(x[h.edge_array], axis=1))
+
+
+def _j_coefficient(h: Hypergraph) -> float:
+    """t m / n^t, the weight of J in the shifted map."""
+    return h.t * h.m / float(h.n) ** h.t
+
+
+def _shifted(h: Hypergraph, x: np.ndarray):
+    """x^T((A - (t m / n^t) J) x) for a validated x."""
+    return _form(h, x) - _j_coefficient(h) * _accumulate(x) ** h.t
+
+
+def _shifted_grad(h: Hypergraph, x: np.ndarray):
+    """Shifted form and its holomorphic gradient t (A x - c (sum x)^(t-1)).
+
+    Both come from one set of leave-one-out products.
+    """
+    t = h.t
+    c = _j_coefficient(h)
+    total = _accumulate(x)
+    vals = x[h.edge_array]
+    partial = _partial_products(vals)
+    form = t * _accumulate(partial[:, 0] * vals[:, 0])
+    ax = _scatter_columns(h.n, h.edge_array, partial)
+    return form - c * total ** t, t * (ax - c * total ** (t - 1))
+
+
 def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
     """(A x)_v = sum over edges at v of the product of the other entries."""
-    x = as_vector(h, x)
-    if h.m == 0:
-        return np.zeros_like(x)
-    edges = h.edge_array
-    partial = _partial_products(x[edges])
-    return _scatter_columns(h.n, edges, partial)
+    return _apply(h, as_vector(h, x))
 
 
 def edge_contributions(h: Hypergraph, x) -> np.ndarray:
     """Per-edge monomials x^e = prod_{u in e} x_u, in edge-list order."""
-    x = as_vector(h, x)
-    if h.m == 0:
-        return np.zeros(0, dtype=x.dtype)
-    return _full_products(x[h.edge_array])
+    return np.prod(as_vector(h, x)[h.edge_array], axis=1)
 
 
 def adjacency_form(h: Hypergraph, x) -> float | complex:
@@ -126,14 +144,7 @@ def adjacency_form(h: Hypergraph, x) -> float | complex:
     Degree-t homogeneous; for real x it equals the inner product of x
     with ``apply_adjacency(h, x)``.
     """
-    contrib = edge_contributions(h, x)
-    return h.t * _accumulate(contrib)
-
-
-def form_breakdown(h: Hypergraph, x) -> FormValue:
-    """Like :func:`adjacency_form` but keeping the per-edge components."""
-    contrib = edge_contributions(h, x)
-    return FormValue(value=h.t * _accumulate(contrib), components=contrib)
+    return _form(h, as_vector(h, x))
 
 
 def shifted_form(h: Hypergraph, x) -> float | complex:
@@ -144,10 +155,7 @@ def shifted_form(h: Hypergraph, x) -> float | complex:
     all-ones vector of a regular hypergraph, and coincides with the plain
     adjacency form whenever the entries of x sum to zero.
     """
-    x = as_vector(h, x)
-    total = _accumulate(x)
-    c = h.t * h.m / float(h.n) ** h.t
-    return adjacency_form(h, x) - c * total ** h.t
+    return _shifted(h, as_vector(h, x))
 
 
 def t_norm(x, t: int) -> float:

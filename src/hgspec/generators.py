@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,31 +140,3 @@ def random_regular_linear(t: int, k: int, n: int, seed: int,
         f"after {max_attempts} attempts (seed {seed})"
     )
 
-
-@dataclass(frozen=True)
-class GenSpec:
-    """Declarative generator request, as used by the CLI surface."""
-
-    family: str
-    t: int
-    k: int | None = None
-    n: int | None = None
-    radius: int | None = None
-    seed: int = 0
-    max_attempts: int = 10_000
-
-    def build(self) -> Hypergraph:
-        if self.family == "hypertree_ball":
-            if self.k is None or self.radius is None:
-                raise InfeasibleParams("hypertree_ball needs k and radius")
-            return hypertree_ball(self.t, self.k, self.radius)
-        if self.family == "complete":
-            if self.n is None:
-                raise InfeasibleParams("complete needs n")
-            return complete_uniform(self.n, self.t)
-        if self.family == "random_regular_linear":
-            if self.k is None or self.n is None:
-                raise InfeasibleParams("random_regular_linear needs k and n")
-            return random_regular_linear(self.t, self.k, self.n, self.seed,
-                                         self.max_attempts)
-        raise InfeasibleParams(f"unknown family {self.family!r}")

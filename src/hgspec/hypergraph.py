@@ -1,10 +1,12 @@
 """Uniform hypergraphs: representation, structural predicates, metrics.
 
-Vertices are dense integer ids ``0..n-1``.  Edges are sorted tuples of
-``t`` distinct vertices, deduplicated and stored in lexicographic order,
-so two hypergraphs with the same edge set compare equal edge-list-wise.
-A :class:`Hypergraph` is immutable after construction; all operations in
-this module are pure functions of their inputs.
+Vertices are dense integer ids ``0..n-1``.  The edges are stored once,
+as the read-only ``(m, t)`` int64 array ``Hypergraph.edge_array``, each
+row sorted and the rows in lexicographic order; ``edges`` (tuples) and
+``incidence`` are views built on first use.  The constructor is the one
+place edges are validated: whole-array checks that name the input index
+of the first faulty edge, which the parser maps to a line number.  A
+:class:`Hypergraph` is immutable; all operations here are pure.
 
 Distances are measured in edges: ``dist(u, v)`` is the minimum number of
 edges in a walk whose first edge contains ``u`` and whose last contains
@@ -26,10 +28,72 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedError
+from .errors import EdgeError, NotConnectedError
 
 #: marker used in distance arrays for vertices no walk reaches
 UNREACHABLE = -1
+
+def _edge_table(rows, t: int) -> tuple[np.ndarray, str | None]:
+    """The rows before the first malformed one, as an int64 array.
+
+    Also returns the fault of that row, or None: ``"type"``, ``"arity"``,
+    or ``"repeated"`` or ``"range"`` for an id beyond int64.
+    """
+    try:
+        table = np.array(rows)  # a copy: the rows are sorted in place
+    except ValueError:  # ragged
+        table = None
+    if (table is not None and table.shape[1:] == (t,)
+            and table.dtype.kind == "i"):
+        return table.astype(np.int64, copy=False), None
+    good = []
+    fault = None
+    for raw in rows:
+        ids = list(raw)
+        if not all(isinstance(v, (int, np.integer)) for v in ids):
+            fault = "type"
+        elif len(ids) != t:
+            fault = "arity"
+        elif any(not -2 ** 63 <= v < 2 ** 63 for v in ids):
+            fault = "repeated" if len(set(ids)) < t else "range"
+        if fault:
+            break
+        good.append(ids)
+    return np.array(good, dtype=np.int64), fault
+
+
+def _validated_edges(n: int, t: int, rows) -> np.ndarray:
+    """Sorted edge array of ``rows``, or :class:`EdgeError`.
+
+    The error names the first edge with a fault: type, arity, repeated,
+    range or duplicate, checked in that order.  A stable lexsort of the
+    row-sorted table orders the edges and puts each later copy right
+    after the first.
+    """
+    table, kind = _edge_table(rows, t)
+    i = len(table)
+    if i:
+        table.sort(axis=1)
+        order = np.lexsort(table.T[::-1])
+        ordered = table[order]
+        duplicate = np.zeros(i, dtype=bool)
+        duplicate[order[1:][np.all(ordered[1:] == ordered[:-1], axis=1)]] = True
+        hits = np.stack([np.any(table[:, 1:] == table[:, :-1], axis=1),
+                         (table[:, 0] < 0) | (table[:, -1] >= n), duplicate])
+        if hits.any():
+            i = int(np.argmax(hits.any(axis=0)))
+            kind = ("repeated", "range", "duplicate")[np.argmax(hits[:, i])]
+        table = ordered
+    if kind is None:
+        return table
+    raw = rows[i]
+    raise EdgeError(i, kind, {
+        "type": f"edge {raw!r} has a non-integer vertex id",
+        "arity": f"edge {raw!r} does not have {t} vertices",
+        "repeated": f"edge {raw!r} has repeated vertices",
+        "range": f"edge {raw!r} has a vertex outside [0, {n})",
+        "duplicate": f"duplicate edge {tuple(sorted(map(int, raw)))!r}",
+    }[kind])
 
 
 class Hypergraph:
@@ -42,38 +106,25 @@ class Hypergraph:
     t : int
         Edge cardinality, at least 2.
     edges : iterable of iterables of int
-        Each edge must contain exactly t distinct vertex ids in range.
-        Duplicate edges are a hard error (hypergraphs are simple).
+        Each edge must contain exactly t distinct Python or numpy integer
+        vertex ids in range.  Duplicate edges are a hard error
+        (hypergraphs are simple).  Faults raise ``EdgeError``.
     """
 
-    __slots__ = ("n", "t", "edges", "edge_array", "degrees", "_indptr",
-                 "_indices", "_incidence", "_connected")
+    __slots__ = ("n", "t", "edge_array", "degrees", "_indptr", "_indices",
+                 "_edges", "_incidence", "_connected")
 
     def __init__(self, n, t, edges):
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n}")
         if not isinstance(t, int) or t < 2:
             raise ValueError(f"uniformity t must be an integer >= 2, got {t}")
-        canonical = []
-        seen = set()
-        for raw in edges:
-            edge = tuple(sorted(int(v) for v in raw))
-            if len(edge) != t:
-                raise ValueError(f"edge {raw!r} does not have {t} vertices")
-            if len(set(edge)) != t:
-                raise ValueError(f"edge {raw!r} has repeated vertices")
-            if edge[0] < 0 or edge[-1] >= n:
-                raise ValueError(f"edge {raw!r} has a vertex outside [0, {n})")
-            if edge in seen:
-                raise ValueError(f"duplicate edge {edge!r}")
-            seen.add(edge)
-            canonical.append(edge)
-        canonical.sort()
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
         self.n = n
         self.t = t
-        self.edges = tuple(canonical)
         #: edges as an (m, t) int64 array (empty (0, t) when m = 0)
-        self.edge_array = np.array(canonical, dtype=np.int64).reshape(-1, t)
+        self.edge_array = _validated_edges(n, t, edges).reshape(-1, t)
         # CSR incidence: the edges of vertex v are
         # _indices[_indptr[v]:_indptr[v+1]], in increasing edge order
         # (the sort is stable and edge ids grow along the flattened array)
@@ -84,12 +135,20 @@ class Hypergraph:
         self.degrees = np.diff(self._indptr)
         for a in (self.edge_array, self._indptr, self._indices, self.degrees):
             a.setflags(write=False)
+        self._edges = None
         self._incidence = None
         self._connected = None
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.edge_array.shape[0]
+
+    @property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The edges as sorted tuples in lexicographic order (cached)."""
+        if self._edges is None:
+            self._edges = tuple(map(tuple, self.edge_array.tolist()))
+        return self._edges
 
     @property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -105,8 +164,7 @@ class Hypergraph:
     def is_connected(self) -> bool:
         """Every pair of vertices is joined by a walk (cached)."""
         if self._connected is None:
-            dm = distances_from(self, 0)
-            self._connected = bool(np.all(dm.dist != UNREACHABLE))
+            self._connected = distances_from(self, 0).complete
         return self._connected
 
     def __repr__(self):
@@ -115,10 +173,17 @@ class Hypergraph:
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return (self.n, self.t, self.edges) == (other.n, other.t, other.edges)
+        return (self.n, self.t) == (other.n, other.t) and \
+            np.array_equal(self.edge_array, other.edge_array)
 
     def __hash__(self):
-        return hash((self.n, self.t, self.edges))
+        return hash((self.n, self.t, self.edge_array.tobytes()))
+
+
+def _require_connected(h: Hypergraph, what: str) -> None:
+    """Raise NotConnectedError saying that ``what`` needs a connected h."""
+    if not h.is_connected:
+        raise NotConnectedError(f"{what} require a connected hypergraph")
 
 
 def degree_sequence(h: Hypergraph) -> list[int]:
@@ -135,15 +200,9 @@ def regular_degree(h: Hypergraph) -> int | None:
 
 def is_linear(h: Hypergraph) -> bool:
     """True iff every pair of distinct edges shares at most one vertex."""
-    seen_pairs = set()
-    for edge in h.edges:
-        for i in range(h.t):
-            for j in range(i + 1, h.t):
-                pair = (edge[i], edge[j])
-                if pair in seen_pairs:
-                    return False
-                seen_pairs.add(pair)
-    return True
+    i, j = np.triu_indices(h.t, 1)
+    pairs = h.edge_array[:, i] * h.n + h.edge_array[:, j]
+    return np.unique(pairs).size == pairs.size
 
 
 def is_acyclic(h: Hypergraph) -> bool:
@@ -151,23 +210,19 @@ def is_acyclic(h: Hypergraph) -> bool:
 
     Uses the forest identity: with n + m Levi nodes and t*m incidence
     links, acyclic is equivalent to t*m = n + m - (#components).
-    Acyclic implies linear.
+    Acyclic implies linear.  Components are counted over the vertices by
+    min-label propagation along the edges with pointer jumping.
     """
-    parent = list(range(h.n + h.m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for idx, edge in enumerate(h.edges):
-        enode = h.n + idx
-        for v in edge:
-            ra, rb = find(v), find(enode)
-            if ra != rb:
-                parent[ra] = rb
-    components = sum(1 for a in range(h.n + h.m) if find(a) == a)
+    label = np.arange(h.n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, h.edge_array,
+                      label[h.edge_array].min(axis=1, keepdims=True))
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    components = np.count_nonzero(label == np.arange(h.n))
     return h.t * h.m == h.n + h.m - components
 
 
@@ -328,13 +383,13 @@ def diameter_and_path(h: Hypergraph) -> tuple[int, list[int]]:
 
     Raises
     ------
-    DisconnectedError
+    NotConnectedError
         If some vertex pair is unreachable.
     """
     if h.n == 1:
         return 0, [0]
     if not h.is_connected:
-        raise DisconnectedError("diameter undefined: hypergraph is disconnected")
+        raise NotConnectedError("diameter undefined: hypergraph is disconnected")
     if (h.t - 1) * h.m == h.n - 1:
         s = int(np.argmax(distances_from(h, 0).dist))
     else:
@@ -348,5 +403,5 @@ def diameter_and_path(h: Hypergraph) -> tuple[int, list[int]]:
 def min_eccentricity_vertex(h: Hypergraph) -> int:
     """Lowest-id vertex of minimum eccentricity (a center of h)."""
     if not h.is_connected:
-        raise DisconnectedError("eccentricity undefined: disconnected")
+        raise NotConnectedError("eccentricity undefined: disconnected")
     return int(np.argmin(_eccentricities(h)))

@@ -5,11 +5,15 @@ data line is the header ``t n m``; the following m data lines each hold
 t whitespace-separated 0-based vertex ids.  Emission is canonical
 (header plus lexicographically sorted edges), so parse/emit round-trips
 produce byte-identical files.
+
+The parser checks the text: the header, integer fields and the number
+of edge lines.  The edges are validated by the ``Hypergraph``
+constructor, and the parser maps the first faulty edge to its line.
 """
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import EdgeError, ParseError
 from .hypergraph import Hypergraph
 
 
@@ -17,22 +21,22 @@ def parse_hypergraph(text: str) -> Hypergraph:
     """Parse edge-list text into a validated Hypergraph.
 
     Raises :class:`~hgspec.errors.ParseError` carrying the 1-based line
-    number of the offending line.
+    number of the first offending line.
     """
     header = None
     edges = []
-    seen = set()
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
+    edge_lines = []
+    fault = None  # (line, reason) of the first fault in the text
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
         try:
-            values = [int(f) for f in fields]
+            values = [int(f) for f in line.split()]
         except ValueError:
-            raise ParseError(lineno, f"non-integer field in {line!r}")
+            fault = (lineno, f"non-integer field in {line!r}")
+            break
         if header is None:
             if len(values) != 3:
                 raise ParseError(lineno, "header must be 't n m'")
@@ -43,35 +47,39 @@ def parse_hypergraph(text: str) -> Hypergraph:
                 raise ParseError(lineno, f"vertex count n={n} must be >= 1")
             if m < 0:
                 raise ParseError(lineno, f"edge count m={m} must be >= 0")
-            header = (t, n, m)
+            header = values
             continue
-        t, n, m = header
-        if len(edges) == m:
-            raise ParseError(lineno, f"more than {m} edge lines")
-        if len(values) != t:
-            raise ParseError(lineno, f"expected {t} vertex ids, got "
-                                     f"{len(values)}")
-        edge = tuple(sorted(values))
-        if len(set(edge)) != t:
-            raise ParseError(lineno, f"repeated vertex in edge {line!r}")
-        if edge[0] < 0 or edge[-1] >= n:
-            raise ParseError(lineno, f"vertex id outside [0, {n}) in "
-                                     f"{line!r}")
-        if edge in seen:
-            raise ParseError(lineno, f"duplicate edge {line!r}")
-        seen.add(edge)
-        edges.append(edge)
+        if len(edges) == header[2]:
+            fault = (lineno, f"more than {header[2]} edge lines")
+            break
+        edges.append(values)
+        edge_lines.append(lineno)
     if header is None:
-        raise ParseError(last_line or 1, "missing 't n m' header line")
+        raise ParseError(*(fault or (len(lines) or 1,
+                                     "missing 't n m' header line")))
     t, n, m = header
+    # the edges before a text fault come first, so they are checked first
+    try:
+        h = Hypergraph(n, t, edges)
+    except EdgeError as exc:
+        lineno = edge_lines[exc.index]
+        line = lines[lineno - 1].strip()
+        raise ParseError(lineno, {
+            "arity": f"expected {t} vertex ids, got {len(edges[exc.index])}",
+            "repeated": f"repeated vertex in edge {line!r}",
+            "range": f"vertex id outside [0, {n}) in {line!r}",
+            "duplicate": f"duplicate edge {line!r}",
+        }[exc.kind]) from None
+    if fault:
+        raise ParseError(*fault)
     if len(edges) != m:
-        raise ParseError(last_line or 1,
+        raise ParseError(len(lines) or 1,
                          f"header promised {m} edges, found {len(edges)}")
-    return Hypergraph(n, t, edges)
+    return h
 
 
 def emit_hypergraph(h: Hypergraph) -> str:
     """Canonical edge-list text for h (sorted edges, no comments)."""
     lines = [f"{h.t} {h.n} {h.m}"]
-    lines.extend(" ".join(str(v) for v in edge) for edge in h.edges)
+    lines.extend(" ".join(map(str, edge)) for edge in h.edge_array.tolist())
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import io as _io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -103,29 +103,17 @@ class SpectralReport:
     wall_time_seconds: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "input": self.input,
-            "t": self.t,
-            "n": self.n,
-            "m": self.m,
-            "regular_k": self.regular_k,
-            "rho": self.rho,
-            "lambda2_estimate": self.lambda2_estimate,
-            "threshold": self.threshold,
-            "certificates": self.certificates,
-            "solver": self.solver,
-            "wall_time_seconds": self.wall_time_seconds,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return dumps_json(self.to_dict())
 
 
-def certificate_entry(cert, seed: int | None = None) -> dict:
+def certificate_entry(cert) -> dict:
     """Report stanza for a certificate: kind, quotient, slack, vector hash.
 
     The quotient is recomputable from the stored construction parameters
-    (and seed, when the instance was generated) plus the vector digest.
+    plus the vector digest.
     """
     meta = cert.metadata
     entry = {
@@ -135,8 +123,6 @@ def certificate_entry(cert, seed: int | None = None) -> dict:
         "analytic_floor": meta.get("analytic_floor"),
         "vector_sha256": vector_sha256(cert.vector),
     }
-    if seed is not None:
-        entry["seed"] = seed
     for key in ("origin", "radius", "k", "s", "d", "centers", "j",
                 "member_quotients", "min_separation", "diameter"):
         if key in meta:

@@ -1,9 +1,12 @@
-"""BFS, eccentricities and diameters checked against independent oracles.
+"""BFS, eccentricities, diameters and the structural predicates checked
+against independent oracles.
 
-Two oracles: networkx BFS on the Levi (vertex-edge incidence) graph,
-where hypergraph distance is half the Levi distance, and a frozen copy
-of the earlier pure-Python per-source loops, which fixes the tie-breaking
-of ``diameter_and_path`` and ``min_eccentricity_vertex``.
+Two oracles: networkx on the Levi (vertex-edge incidence) graph, where
+hypergraph distance is half the Levi distance and acyclicity is
+``is_forest``, and a frozen copy of the earlier pure-Python per-source
+loops, which fixes the tie-breaking of ``diameter_and_path`` and
+``min_eccentricity_vertex``.  Linearity is checked by comparing every
+pair of edges.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from hgspec import (Hypergraph, UNREACHABLE, diameter_and_path,
                     distances_from, hypertree_ball, min_eccentricity_vertex,
                     random_regular_linear)
-from hgspec.hypergraph import _eccentricities, is_acyclic
+from hgspec.hypergraph import _eccentricities, is_acyclic, is_linear
 
 from conftest import cycle_graph, loose_cycle3, loose_path, tight_cycle3
 
@@ -179,3 +182,23 @@ def test_diameter_and_path_match_frozen_loop(h):
 @pytest.mark.parametrize("h", CONNECTED, ids=repr)
 def test_min_eccentricity_vertex_matches_frozen_loop(h):
     assert min_eccentricity_vertex(h) == frozen_min_eccentricity_vertex(h)
+
+
+@pytest.mark.parametrize("n,t,m", [(12, 2, 5), (12, 2, 11), (15, 3, 6),
+                                   (15, 3, 7), (20, 4, 5), (30, 3, 14)])
+def test_is_acyclic_and_is_linear_match_oracles(n, t, m):
+    nx = pytest.importorskip("networkx")
+    instances = [random_hypergraph(n, t, m, seed) for seed in range(12)]
+    instances += CONNECTED + [loose_cycle3(), Hypergraph(6, 3, [])]
+    verdicts = set()
+    for h in instances:
+        g = nx.Graph()
+        g.add_nodes_from(range(h.n + h.m))
+        g.add_edges_from((v, h.n + e) for e, edge in enumerate(h.edges)
+                         for v in edge)
+        linear = all(len(set(a) & set(b)) <= 1
+                     for i, a in enumerate(h.edges) for b in h.edges[:i])
+        assert is_acyclic(h) == nx.is_forest(g)
+        assert is_linear(h) == linear
+        verdicts.add((is_acyclic(h), linear))
+    assert len(verdicts) == 3  # acyclic, cyclic linear, not linear

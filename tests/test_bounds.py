@@ -126,8 +126,3 @@ def test_bound_params_validation():
         BoundParams(1, 3)
     with pytest.raises(DomainError):
         BoundParams(3, 0)
-    p = BoundParams(3, 3)
-    assert p.threshold() == threshold(3, 3)
-    assert p.g(0) == 1.0
-    assert p.g_hat(2) == g_hat_value(3, 3, 2)
-    assert p.friedman_alternate() == friedman_alternate(3, 3)

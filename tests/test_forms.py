@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from hgspec import (Hypergraph, adjacency_form, apply_adjacency,
-                    complete_uniform, edge_contributions, form_breakdown,
-                    hypertree_ball, random_regular_linear, shifted_form,
-                    t_norm, t_norm_pow)
+                    complete_uniform, edge_contributions, hypertree_ball,
+                    random_regular_linear, shifted_form, t_norm, t_norm_pow)
 
 from conftest import adjacency_matrix, cycle_graph, random_connected_graph
 
@@ -93,13 +92,6 @@ class TestForm:
             form = adjacency_form(h, x)
             dot = float(np.dot(x, apply_adjacency(h, x)))
             assert abs(form - dot) <= 1e-12 * max(1.0, abs(form))
-
-    def test_breakdown_components(self):
-        x = np.array([2.0, 3.0, 5.0])
-        fv = form_breakdown(SINGLE, x)
-        assert fv.components.shape == (1,)
-        assert fv.components[0] == 30.0
-        assert fv.value == pytest.approx(SINGLE.t * fv.components.sum())
 
     def test_edge_contributions_order(self):
         h = Hypergraph(4, 2, [(0, 1), (2, 3)])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hgspec import (GenSpec, GenerationFailed, InfeasibleParams, SizeOverflow,
+from hgspec import (GenerationFailed, InfeasibleParams, SizeOverflow,
                     complete_uniform, distances_from,
                     hypertree_ball, is_acyclic, is_linear,
                     random_regular_linear, regular_degree)
@@ -116,16 +116,3 @@ class TestRandomRegularLinear:
         with pytest.raises(GenerationFailed):
             random_regular_linear(3, 2, 3, 0, max_attempts=50)
 
-
-class TestGenSpec:
-    def test_dispatch(self):
-        assert GenSpec("hypertree_ball", 3, k=3, radius=1).build().n == 7
-        assert GenSpec("complete", 3, n=4).build().m == 4
-        h = GenSpec("random_regular_linear", 3, k=3, n=18, seed=4).build()
-        assert regular_degree(h) == 3
-
-    def test_missing_params(self):
-        with pytest.raises(InfeasibleParams):
-            GenSpec("hypertree_ball", 3).build()
-        with pytest.raises(InfeasibleParams):
-            GenSpec("unknown", 3).build()

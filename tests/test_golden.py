@@ -2,10 +2,14 @@
 
 Each case runs ``hgspec`` commands in-process from a scratch directory,
 so the file paths echoed in the reports are the bare names below.  The
-recorded outputs come from the same command lines run on the code before
-the per-source BFS loops were replaced by the bit-parallel search; a
-change that alters any byte of them (a different center, diameter path,
-certificate or solver trajectory) fails here.  To record a new golden
+set covers every subcommand and generator family, both solvers (the
+complex ascent too) and every ``verify`` check.  The outputs were
+recorded from earlier versions of the code: the first ten before the
+per-source BFS loops were replaced by the bit-parallel search, the rest
+before the edge store, validator, operator kernels and generator
+dispatch were merged.  A change that alters any byte of them (a
+different center, diameter path, certificate or solver trajectory, or a
+last bit of rho) fails here.  To record a new golden
 set on purpose, run ``PYTHONPATH=src python tests/test_golden.py`` from
 the root of a checkout.
 """
@@ -20,12 +24,20 @@ from hgspec.cli import run_command
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 #: (golden file name, argv); the gen commands write the inputs the
-#: verify commands read
+#: later commands read
 CASES = [
     (f"gen_rr300_s{s}.json",
      ["gen", "random-regular", "--t", "3", "--k", "3", "--n", "300",
       "--seed", str(s), "-o", f"rr300_s{s}.txt"])
     for s in (1, 2, 3)
+] + [
+    ("gen_rr200_t4_s5.json",
+     ["gen", "random-regular", "--t", "4", "--k", "3", "--n", "200",
+      "--seed", "5", "-o", "rr200_t4_s5.txt"]),
+    ("gen_hypertree_t3_k3_r5.json",
+     ["gen", "hypertree", "--t", "3", "--k", "3", "--radius", "5",
+      "-o", "ht335.txt"]),
+    ("gen_complete_t3_n7.txt", ["gen", "complete", "--t", "3", "--n", "7"]),
 ] + [
     (f"verify_{check}_rr300_s{s}.json",
      ["verify", f"rr300_s{s}.txt", "--check", check])
@@ -34,8 +46,23 @@ CASES = [
     # the lowest-id center of this instance is vertex 1, not 0
     ("verify_radial_rr300_s3.json",
      ["verify", "rr300_s3.txt", "--check", "radial"]),
+    ("verify_g-monotone_rr300_s1.json",
+     ["verify", "rr300_s1.txt", "--check", "g-monotone"]),
+    ("verify_mu_j1_ht335.json",
+     ["verify", "ht335.txt", "--check", "mu", "--j", "1", "--k", "3"]),
+    ("verify_acyclic-bound_ht335.json",
+     ["verify", "ht335.txt", "--check", "acyclic-bound"]),
+    ("radius_rr300_s1.json", ["radius", "rr300_s1.txt"]),
+    ("lambda2_rr300_s1.json", ["lambda2", "rr300_s1.txt"]),
+    ("lambda2_complex_rr200_t4_s5.json",
+     ["lambda2", "rr200_t4_s5.txt", "--complex-search", "--restarts", "4"]),
+    ("bounds_t3_k3.json", ["bounds", "--t", "3", "--k", "3"]),
     ("sweep_hypertree_t3_k3_r1-6.csv",
      ["sweep", "hypertree", "--t", "3", "--k", "3", "--radii", "1:6"]),
+    ("sweep_complete_t3_n5-9.csv",
+     ["sweep", "complete", "--t", "3", "--ns", "5:9"]),
+    ("sweep_random-regular_t3_k3_n30-60-15.csv",
+     ["sweep", "random-regular", "--t", "3", "--k", "3", "--ns", "30:60:15"]),
 ]
 
 

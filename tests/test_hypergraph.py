@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hgspec import (DisconnectedError, Hypergraph, UNREACHABLE,
+from hgspec import (Hypergraph, NotConnectedError, UNREACHABLE,
                     complete_uniform, degree_sequence, diameter_and_path,
                     distances_from, hypertree_ball, is_acyclic, is_linear,
                     min_eccentricity_vertex, random_regular_linear,
@@ -194,7 +194,7 @@ class TestDiameter:
         assert diameter_and_path(hypertree_ball(3, 3, 2))[0] == 4
 
     def test_disconnected_raises(self):
-        with pytest.raises(DisconnectedError):
+        with pytest.raises(NotConnectedError):
             diameter_and_path(Hypergraph(4, 2, [(0, 1), (2, 3)]))
 
     def test_deterministic_path(self):
@@ -214,7 +214,7 @@ def test_min_eccentricity_vertex():
 
 
 def test_min_eccentricity_vertex_disconnected_raises():
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(NotConnectedError):
         min_eccentricity_vertex(Hypergraph(5, 2, [(0, 1), (1, 2)]))
 
 

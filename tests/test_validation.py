@@ -1,0 +1,263 @@
+"""The edge validator against frozen copies of the per-edge loops it replaced.
+
+``Hypergraph.__init__`` checks whole edge arrays at once and
+``parse_hypergraph`` leaves the edge checks to it.  The reference
+functions below are the earlier per-edge constructor loop and per-line
+parser loop, kept verbatim except that they return their verdict instead
+of raising.  On every input both must accept or both reject, with the
+same first faulty edge (a line number for the parser) and the same
+message, hence the same fault category.  Inputs come from a fixed table
+of corner cases and from hypothesis over small random edge lists and
+edge-list texts with integer ids (the reference read ``1.5`` as 1).
+"""
+
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hgspec import EdgeError, Hypergraph, ParseError, parse_hypergraph
+from hgspec.cli import run_command
+
+
+def reference_constructor(n, t, edges):
+    """("ok", sorted edges) or ("error", index, message)."""
+    canonical = []
+    seen = set()
+    for index, raw in enumerate(edges):
+        edge = tuple(sorted(int(v) for v in raw))
+        if len(edge) != t:
+            return "error", index, f"edge {raw!r} does not have {t} vertices"
+        if len(set(edge)) != t:
+            return "error", index, f"edge {raw!r} has repeated vertices"
+        if edge[0] < 0 or edge[-1] >= n:
+            return "error", index, (f"edge {raw!r} has a vertex outside "
+                                    f"[0, {n})")
+        if edge in seen:
+            return "error", index, f"duplicate edge {edge!r}"
+        seen.add(edge)
+        canonical.append(edge)
+    canonical.sort()
+    return "ok", tuple(canonical)
+
+
+def reference_parser(text):
+    """("ok", (t, n, sorted edges)) or ("error", line, reason)."""
+    header = None
+    edges = []
+    seen = set()
+    last_line = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        last_line = lineno
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        try:
+            values = [int(f) for f in fields]
+        except ValueError:
+            return "error", lineno, f"non-integer field in {line!r}"
+        if header is None:
+            if len(values) != 3:
+                return "error", lineno, "header must be 't n m'"
+            t, n, m = values
+            if t < 2:
+                return "error", lineno, f"uniformity t={t} must be >= 2"
+            if n < 1:
+                return "error", lineno, f"vertex count n={n} must be >= 1"
+            if m < 0:
+                return "error", lineno, f"edge count m={m} must be >= 0"
+            header = (t, n, m)
+            continue
+        t, n, m = header
+        if len(edges) == m:
+            return "error", lineno, f"more than {m} edge lines"
+        if len(values) != t:
+            return "error", lineno, (f"expected {t} vertex ids, got "
+                                     f"{len(values)}")
+        edge = tuple(sorted(values))
+        if len(set(edge)) != t:
+            return "error", lineno, f"repeated vertex in edge {line!r}"
+        if edge[0] < 0 or edge[-1] >= n:
+            return "error", lineno, (f"vertex id outside [0, {n}) in "
+                                     f"{line!r}")
+        if edge in seen:
+            return "error", lineno, f"duplicate edge {line!r}"
+        seen.add(edge)
+        edges.append(edge)
+    if header is None:
+        return "error", last_line or 1, "missing 't n m' header line"
+    t, n, m = header
+    if len(edges) != m:
+        return "error", last_line or 1, (f"header promised {m} edges, found "
+                                         f"{len(edges)}")
+    return "ok", (t, n, tuple(sorted(edges)))
+
+
+#: EdgeError.kind of each reference constructor message
+KINDS = {"does not have": "arity", "repeated": "repeated",
+         "outside": "range", "duplicate": "duplicate"}
+
+
+def constructor_verdict(n, t, edges):
+    try:
+        h = Hypergraph(n, t, edges)
+    except EdgeError as exc:
+        return "error", exc.index, str(exc)
+    return "ok", h.edges
+
+
+def parser_verdict(text):
+    try:
+        h = parse_hypergraph(text)
+    except ParseError as exc:
+        return "error", exc.line, exc.reason
+    return "ok", (h.t, h.n, h.edges)
+
+
+def check_constructor(n, t, edges):
+    expected = reference_constructor(n, t, edges)
+    assert constructor_verdict(n, t, edges) == expected
+    if expected[0] == "error":
+        with pytest.raises(EdgeError) as info:
+            Hypergraph(n, t, edges)
+        kind = next(k for key, k in KINDS.items() if key in expected[2])
+        assert info.value.kind == kind
+
+
+#: (n, t, edges) for the constructor
+CONSTRUCTOR_TABLE = [
+    (4, 3, []),                                    # m = 0
+    (5, 2, [(0, 1), (1, 2), (4, 3)]),              # t = 2
+    (5, 2, [(0, 1), (2, 1), (1, 0)]),              # duplicate, other order
+    (5, 3, [(0, 1, 2), (2, 0, 1)]),
+    (5, 3, [(0, 1, -1)]),                          # negative id
+    (5, 3, [(0, 1, 2), (0, 1, 10 ** 20)]),         # id beyond int64
+    (5, 3, [(10 ** 20, 10 ** 20, 1)]),             # repeated, beyond int64
+    (5, 3, [(0, 1, 2), (0, 1)]),                   # arity
+    (5, 3, [(0, 1, 2), (0, 1, 2, 3)]),
+    (5, 3, [(0, 1, 1), (0, 1, 7)]),                # first of two faults
+    (5, 3, [(0, 1, 7), (0, 1, 1)]),
+    (5, 3, [(3, 4, 2), (0, 1, 2), (2, 4, 3)]),     # later copy reported
+    (5, 3, [(0, 1, 2), (0, 1, 2), (0, 0, 1)]),     # duplicate before repeat
+    (5, 3, [(0, 1, 2), (0, 1)]),
+    (5, 3, np.array([[4, 0, 2], [1, 3, 2]])),      # array input
+    (5, 3, [(np.int64(4), 0, 2), (np.int32(1), 3, 2)]),
+    (1, 2, []),
+]
+
+
+@pytest.mark.parametrize("n,t,edges", CONSTRUCTOR_TABLE)
+def test_constructor_table(n, t, edges):
+    check_constructor(n, t, edges)
+
+
+def test_constructor_leaves_an_input_array_alone():
+    edges = np.array([[4, 0, 2], [1, 3, 2]])
+    Hypergraph(5, 3, edges)
+    assert edges.tolist() == [[4, 0, 2], [1, 3, 2]]
+
+
+#: edge-list texts for the parser
+PARSER_TABLE = [
+    # a bad edge and fewer edge lines than the header promises: the bad
+    # edge is reported, not the count
+    "3 5 4\n0 1 2\n0 1 1\n",
+    "3 5 4\n0 1 2\n0 1 9\n",
+    "3 5 4\n0 1 2\n2 1 0\n",
+    "3 5 3\n0 1\n",
+    "3 5 1\n0 1 100000000000000000000\n",           # id beyond int64
+    "3 5 0\n",                                       # m = 0
+    "# comment\n\n2 4 3\n0 1\n1 2\n3 2\n",           # t = 2
+    "3 5 1\n0 -1 2\n",                               # negative id
+    "3 6 2\n0 1 2\n2 0 1\n",                         # duplicate, other order
+    "3 6 2\n0 1 2\n0 1 x\n",                         # non-integer field
+    "3 6 2\n0 1 1\n0 1 x\n",                         # bad edge before it
+    "3 6 1\n0 1 2\n3 4 5\n",                         # more than m lines
+    "3 6 1\n0 1 1\n3 4 5\n",
+    "3 6 2\n0 1 2\n",                                # too few lines
+    "3 6\n",                                         # bad header
+    "1 6 0\n",
+    "3 0 0\n",
+    "3 6 -1\n",
+    "# only a comment\n",
+    "",
+    "x 6 1\n",
+]
+
+
+@pytest.mark.parametrize("text", PARSER_TABLE)
+def test_parser_table(text):
+    assert parser_verdict(text) == reference_parser(text)
+
+
+@pytest.mark.parametrize("text", PARSER_TABLE)
+def test_cli_parse_errors_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    code = run_command(["radius", str(path)], out=io.StringIO())
+    expected = reference_parser(text)
+    if expected[0] == "error":
+        assert code == 2
+        assert f"line {expected[1]}: " in capsys.readouterr().err
+    else:
+        assert code in (0, 1)
+
+
+@pytest.mark.parametrize("edge", [(0, 1.5), (0, "1"), (0.0, 1.0)])
+def test_non_integer_ids_are_rejected(edge):
+    with pytest.raises(EdgeError, match="non-integer") as info:
+        Hypergraph(3, 2, [(1, 2), edge])
+    assert info.value.index == 1
+    assert info.value.kind == "type"
+    assert repr(edge) in str(info.value)
+
+
+def test_numpy_integer_ids_are_accepted():
+    h = Hypergraph(3, 2, [(np.int64(0), np.uint8(1)), (np.uint64(2), 1)])
+    assert h.edges == ((0, 1), (1, 2))
+
+
+@st.composite
+def _edges(draw, n, t):
+    """Mostly t distinct ids in range in any order; otherwise t ids that
+    may repeat or fall out of range, or t-1 or t+1 ids.  Up to two
+    reordered copies of drawn edges are inserted, so that duplicates
+    written in another vertex order are common."""
+    shuffled = st.permutations(range(n)).map(lambda p: tuple(p[:t]))
+    loose = st.lists(st.integers(-2, n + 1), min_size=t, max_size=t)
+    arity = st.lists(st.integers(0, n), min_size=t - 1, max_size=t + 1)
+    rows = draw(st.lists(st.one_of(*[shuffled] * 6, loose.map(tuple),
+                                   arity.map(tuple)), max_size=8))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        copy = tuple(draw(st.permutations(draw(st.sampled_from(rows)))))
+        rows.insert(draw(st.integers(0, len(rows))), copy)
+    return rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_constructor_matches_reference(data):
+    t = data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(t, 7))
+    check_constructor(n, t, data.draw(_edges(n, t)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_parser_matches_reference(data):
+    t = data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(t, 7))
+    edge_line = _edges(n, t).map(lambda rows: [" ".join(map(str, r))
+                                               for r in rows])
+    lines = data.draw(edge_line)
+    for i in sorted(data.draw(st.sets(st.integers(0, len(lines)),
+                                      max_size=2)), reverse=True):
+        lines.insert(i, data.draw(st.sampled_from(
+            ["", "   ", "# note", "0 x 1", "1.5 2"])))
+    k = len(lines)
+    m = data.draw(st.integers(max(0, k - 2), k + 1))
+    text = "\n".join([f"{t} {n} {m}"] + lines) + "\n"
+    assert parser_verdict(text) == reference_parser(text)
