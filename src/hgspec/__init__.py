@@ -10,8 +10,8 @@ truncations, multi-center root-of-unity vectors, and strongly orthogonal
 families for the higher multilinear values.
 """
 
-from .bounds import (BoundParams, friedman_alternate, g_hat_value, g_value,
-                     threshold, verify_g_monotone)
+from .bounds import (friedman_alternate, g_hat_value, g_value, threshold,
+                     verify_g_monotone)
 from .constructions import (Certificate, RadialCheckResult,
                             StrongOrthogonalSet,
                             build_strong_orthogonal_family,
@@ -28,23 +28,22 @@ from .forms import (adjacency_form, apply_adjacency, edge_contributions,
                     shifted_form, t_norm, t_norm_pow)
 from .generators import complete_uniform, hypertree_ball, random_regular_linear
 from .hypergraph import (UNREACHABLE, DistanceMap, Hypergraph,
-                         degree_sequence, diameter_and_path, distances_from,
-                         is_acyclic, is_linear, min_eccentricity_vertex,
-                         regular_degree)
+                         diameter_and_path, distances_from, is_acyclic,
+                         is_linear, min_eccentricity_vertex, regular_degree)
 from .io import emit_hypergraph, parse_hypergraph
 from .reports import SpectralReport, dumps_json, emit_sweep_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundParams", "Certificate", "DiameterTooSmall", "DistanceMap",
-    "DomainError", "EdgeError", "EigenResult", "Error", "GenerationFailed",
-    "Hypergraph", "InfeasibleParams", "NoConvergence", "NotConnectedError",
+    "Certificate", "DiameterTooSmall", "DistanceMap", "DomainError",
+    "EdgeError", "EigenResult", "Error", "GenerationFailed", "Hypergraph",
+    "InfeasibleParams", "NoConvergence", "NotConnectedError",
     "NotRegularError", "ParseError", "RadialCheckResult", "SizeOverflow",
     "SolverConfig", "SpectralReport", "StrongOrthogonalSet", "UNREACHABLE",
     "CertificateError", "adjacency_form", "apply_adjacency",
-    "build_strong_orthogonal_family", "complete_uniform", "degree_sequence",
-    "diameter_and_path", "distances_from", "dumps_json", "edge_contributions",
+    "build_strong_orthogonal_family", "complete_uniform", "diameter_and_path",
+    "distances_from", "dumps_json", "edge_contributions",
     "emit_hypergraph", "emit_sweep_csv", "friedman_alternate", "g_hat_value",
     "g_value", "hypertree_ball", "is_acyclic", "is_linear",
     "lambda2_estimate", "lambda2_lower_certificate",

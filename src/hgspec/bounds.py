@@ -24,7 +24,6 @@ value is produced for algebraically equal parameter forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -41,18 +40,12 @@ def _fpow(base: float, expo: float) -> float:
     return math.exp(expo * math.log(base))
 
 
-@dataclass(frozen=True)
-class BoundParams:
+def _check_params(t: int, k: int) -> None:
     """Uniformity t >= 2 and degree k >= 1 for the closed forms."""
-
-    t: int
-    k: int
-
-    def __post_init__(self):
-        if not isinstance(self.t, int) or self.t < 2:
-            raise DomainError(f"uniformity t must be an integer >= 2, got {self.t}")
-        if not isinstance(self.k, int) or self.k < 1:
-            raise DomainError(f"degree k must be an integer >= 1, got {self.k}")
+    if not isinstance(t, int) or t < 2:
+        raise DomainError(f"uniformity t must be an integer >= 2, got {t}")
+    if not isinstance(k, int) or k < 1:
+        raise DomainError(f"degree k must be an integer >= 1, got {k}")
 
 
 def threshold(t: int, k: int) -> float:
@@ -61,7 +54,7 @@ def threshold(t: int, k: int) -> float:
     Degenerates gracefully to 0 at k = 1 (a matching has no room for the
     radial estimate to bite).
     """
-    BoundParams(t, k)
+    _check_params(t, k)
     return (t / (t - 1)) * _fpow((t - 1) * (k - 1), 1.0 / t)
 
 
@@ -73,7 +66,7 @@ def friedman_alternate(t: int, k: int) -> float:
     :func:`threshold` to full precision; the test suite cross-checks the
     two forms against 50-digit arithmetic.
     """
-    BoundParams(t, k)
+    _check_params(t, k)
     if k == 1:
         return 0.0
     return (
@@ -98,7 +91,7 @@ def g_value(t: int, k: int, n: int) -> float:
 
 
 def _check_g_params(t: int, k: int, n: int) -> None:
-    BoundParams(t, k)
+    _check_params(t, k)
     if k == 1:
         raise DomainError("g is undefined for k = 1 (decay base vanishes)")
     if n < 0:

@@ -19,11 +19,12 @@ import time
 from . import bounds as bounds_mod
 from .constructions import (lambda2_lower_certificate, mu_lower_certificate,
                             multi_center_vector, verify_radial_inequality)
-from .eigensolver import SolverConfig, lambda2_estimate, spectral_radius
+from .eigensolver import (SHIFT, SolverConfig, lambda2_estimate,
+                          spectral_radius)
 from .errors import Error, ParseError
 from .generators import complete_uniform, hypertree_ball, random_regular_linear
-from .hypergraph import (Hypergraph, degree_sequence, is_acyclic,
-                         min_eccentricity_vertex, regular_degree)
+from .hypergraph import (Hypergraph, is_acyclic, min_eccentricity_vertex,
+                         regular_degree)
 from .io import emit_hypergraph, parse_hypergraph
 from .reports import (SpectralReport, certificate_entry, dumps_json,
                       emit_sweep_csv, text_sha256)
@@ -49,7 +50,6 @@ def _solver_config(args) -> SolverConfig:
         max_iters=args.max_iters,
         restarts=args.restarts,
         seed=_resolve_seed(args),
-        shift=args.shift,
         complex_search=getattr(args, "complex_search", False),
     )
 
@@ -83,7 +83,7 @@ def _solver_stanza(cfg: SolverConfig, result) -> dict:
         "max_iters": cfg.max_iters,
         "restarts": cfg.restarts,
         "seed": cfg.seed,
-        "shift": cfg.shift,
+        "shift": SHIFT,
         "iterations": result.iterations,
         "residual": result.residual,
     }
@@ -165,7 +165,7 @@ def _check_acyclic_bound(h, args, cfg) -> dict:
     if not is_acyclic(h):
         return {"check": "acyclic-bound", "passed": False,
                 "reason": "input is not acyclic"}
-    max_deg = max(degree_sequence(h))
+    max_deg = int(h.degrees.max())
     cap = bounds_mod.threshold(h.t, max_deg)
     result = spectral_radius(h, cfg)
     passed = result.value <= cap + 1e-8
@@ -309,7 +309,6 @@ def _add_solver_flags(parser, restarts_default=32):
     parser.add_argument("--restarts", type=int, default=restarts_default)
     parser.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
-    parser.add_argument("--shift", type=float, default=1.0)
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock timing in the output "
                              "(breaks byte-for-byte determinism)")
@@ -406,11 +405,12 @@ def run_command(argv, out=None) -> int:
     except ParseError as exc:
         print(f"hgspec: parse error: {exc}", file=sys.stderr)
         return 2
-    except Error as exc:
+    except (Error, ValueError) as exc:
         print(f"hgspec: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"hgspec: {exc}", file=sys.stderr)
+    except (OverflowError, MemoryError) as exc:
+        what = "overflow" if isinstance(exc, OverflowError) else "out of memory"
+        print(f"hgspec: {what}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -94,23 +94,48 @@ def _g_profile(t: int, k: int, d: int) -> np.ndarray:
     return np.array([g_value(t, k, i) for i in range(d + 1)])
 
 
+def _analytic_slack(t: int, k: int, d: int, weights: list[float],
+                    layer_sizes: list[list[int]]) -> float:
+    """t (k-1) * sum_j c_j^t |S_d^j| g(d)^t / sum_j c_j^t sum_i |S_i^j| g(i)^t.
+
+    One ball of weight 1.0 gives the slack of a truncated radial vector.
+    """
+    profile = _g_profile(t, k, d)
+    num = 0.0
+    den = 0.0
+    for c_j, sizes in zip(weights, layer_sizes):
+        num += c_j ** t * sizes[d] * profile[d] ** t
+        den += c_j ** t * float(np.dot(sizes, profile ** t))
+    return t * (k - 1) * num / den
+
+
+def _radial(h: Hypergraph, o: int, radius: int | None,
+            k: int | None) -> tuple[np.ndarray, DistanceMap, int]:
+    """x_v = g(dist(o, v)) on the ball of ``radius`` (all of h if None).
+
+    Also returns the distance map from o and k, which is checked on the
+    ball when given and else inferred there.
+    """
+    _require_connected(h, "certificate constructions")
+    if radius is not None and radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    dm = distances_from(h, o)
+    horizon = dm.eccentricity if radius is None else radius
+    inside = dm.ball(horizon)
+    k = _resolve_degree(h, k, within=inside)
+    profile = _g_profile(h.t, k, horizon)
+    x = np.zeros(h.n)
+    x[inside] = profile[dm.dist[inside]]
+    return x, dm, k
+
+
 def radial_vector(h: Hypergraph, o: int, radius: int | None = None) -> np.ndarray:
     """Vertex weights g(dist(o, v)), zero beyond ``radius``.
 
     Requires constant degree k on the ball of the given radius around o
     (on all of h when untruncated); k is inferred from the degrees.
     """
-    _require_connected(h, "certificate constructions")
-    dm = distances_from(h, o)
-    horizon = dm.eccentricity if radius is None else radius
-    if horizon < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    inside = dm.ball(horizon)
-    k = _resolve_degree(h, None, within=inside)
-    profile = _g_profile(h.t, k, horizon)
-    x = np.zeros(h.n)
-    x[inside] = profile[dm.dist[inside]]
-    return x
+    return _radial(h, o, radius, None)[0]
 
 
 def verify_radial_inequality(h: Hypergraph, o: int) -> RadialCheckResult:
@@ -120,8 +145,7 @@ def verify_radial_inequality(h: Hypergraph, o: int) -> RadialCheckResult:
     minimum slack and its vertex are reported so near-tight instances
     can be inspected.
     """
-    x = radial_vector(h, o)
-    k = _resolve_degree(h, None)
+    x, _, k = _radial(h, o, None, None)
     rho = threshold(h.t, k)
     slack = apply_adjacency(h, x) - rho * x ** (h.t - 1)
     worst = int(np.argmin(slack))
@@ -142,20 +166,12 @@ def rho_lower_certificate(h: Hypergraph, o: int, radius: int,
 
     which converges up to the threshold as the radius grows.
     """
-    _require_connected(h, "certificate constructions")
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    dm = distances_from(h, o)
-    inside = dm.ball(radius)
-    k = _resolve_degree(h, k, within=inside)
-    profile = _g_profile(h.t, k, radius)
-    x = np.zeros(h.n)
-    x[inside] = profile[dm.dist[inside]]
+    x, dm, k = _radial(h, o, radius, k)
     layer_sizes = dm.layer_sizes(radius)
-    norm_pow = float(np.dot(layer_sizes, profile ** h.t))
+    norm_pow = float(np.dot(layer_sizes, _g_profile(h.t, k, radius) ** h.t))
     quotient = float(adjacency_form(h, x)) / norm_pow
-    boundary_mass = layer_sizes[radius] * profile[radius] ** h.t
-    floor = threshold(h.t, k) - h.t * (k - 1) * boundary_mass / norm_pow
+    rho = threshold(h.t, k)
+    floor = rho - _analytic_slack(h.t, k, radius, [1.0], [layer_sizes])
     if quotient < floor - SLACK_TOL:
         raise CertificateError(
             f"radial quotient {quotient!r} fell below its analytic floor "
@@ -170,10 +186,17 @@ def rho_lower_certificate(h: Hypergraph, o: int, radius: int,
             "radius": radius,
             "k": k,
             "analytic_floor": floor,
-            "threshold": threshold(h.t, k),
+            "threshold": rho,
             "layer_sizes": layer_sizes,
         },
     )
+
+
+def _separation(centers: list[int], dist_maps: list[DistanceMap]) -> int:
+    """Least pairwise distance between the centers; 0 for fewer than two."""
+    return min((int(dist_maps[a].dist[centers[b]])
+                for a in range(len(centers))
+                for b in range(a + 1, len(centers))), default=0)
 
 
 def _smallest_prime_factor(t: int) -> int:
@@ -186,7 +209,7 @@ def _smallest_prime_factor(t: int) -> int:
 
 
 def _phased_ball_vector(h: Hypergraph, centers: list[int], d: int, k: int,
-                        dist_maps: list[DistanceMap] | None = None):
+                        dist_maps: list[DistanceMap]):
     """Multi-center vector: per-ball g-weights, s-th root-of-unity phases.
 
     Entry c_j * omega^(j-1) * g(i) on the distance-i layer of ball j,
@@ -197,8 +220,6 @@ def _phased_ball_vector(h: Hypergraph, centers: list[int], d: int, k: int,
     """
     t = h.t
     s = len(centers)
-    if dist_maps is None:
-        dist_maps = [distances_from(h, c) for c in centers]
     profile = _g_profile(t, k, d)
     complex_phases = s > 2
     y = np.zeros(h.n, dtype=np.complex128 if complex_phases else np.float64)
@@ -239,7 +260,8 @@ def multi_center_vector(h: Hypergraph, k: int | None = None) -> Certificate:
     0, 2d+2, 2(2d+2), ... along a shortest path realizing the diameter D,
     where d = floor(D / (2s-2)) - 1.  The entries sum to zero, so the
     all-ones form annihilates and |form| / ||y||_t^t lower-bounds the
-    shifted spectral norm.
+    shifted spectral norm.  The metadata ends with the analytic slack and
+    floor of :func:`lambda2_lower_certificate` and the threshold.
 
     An explicit ``k`` is taken on trust as the decay-profile parameter
     (no regularity check), which lets near-regular instances such as
@@ -263,11 +285,8 @@ def multi_center_vector(h: Hypergraph, k: int | None = None) -> Certificate:
         raise DiameterTooSmall(2 * s - 2, diam)
     centers = [path[a * (2 * d + 2)] for a in range(s)]
     dist_maps = [distances_from(h, c) for c in centers]
-    min_sep = min(
-        int(dist_maps[a].dist[centers[b]])
-        for a in range(s) for b in range(a + 1, s)
-    ) if s > 1 else 0
-    if s > 1 and min_sep < 2 * d + 2:
+    min_sep = _separation(centers, dist_maps)
+    if min_sep < 2 * d + 2:
         raise DiameterTooSmall(2 * d + 2, min_sep)
     y, meta = _phased_ball_vector(h, centers, d, k, dist_maps)
     entry_sum = complex(y.sum())
@@ -279,31 +298,24 @@ def multi_center_vector(h: Hypergraph, k: int | None = None) -> Certificate:
         )
     form = adjacency_form(h, y)
     quotient = float(abs(form)) / t_norm_pow(y, t)
+    slack = _analytic_slack(t, k, d, meta["weights"], meta["layer_sizes"])
+    rho = threshold(t, k)
     meta.update({
         "diameter": diam,
         "k": k,
         "entry_sum_abs": abs(entry_sum),
         "form_value": form,
         "min_center_separation": min_sep,
+        "analytic_slack": slack,
+        "analytic_floor": rho - slack,
+        "threshold": rho,
     })
     return Certificate(vector=y, quotient=quotient,
                        bound_kind="lambda2_lower", metadata=meta)
 
 
-def _analytic_slack(t: int, k: int, d: int, weights: list[float],
-                    layer_sizes: list[list[int]]) -> float:
-    """t (k-1) * sum_j c_j^t |S_d^j| g(d)^t / sum_j c_j^t sum_i |S_i^j| g(i)^t."""
-    profile = _g_profile(t, k, d)
-    num = 0.0
-    den = 0.0
-    for c_j, sizes in zip(weights, layer_sizes):
-        num += c_j ** t * sizes[d] * profile[d] ** t
-        den += c_j ** t * float(np.dot(sizes, profile ** t))
-    return t * (k - 1) * num / den
-
-
 def lambda2_lower_certificate(h: Hypergraph, k: int | None = None) -> Certificate:
-    """Multi-center vector with its analytic floor attached.
+    """Multi-center vector checked against its analytic floor.
 
     Guarantees quotient >= rho(t,k) - slack (up to 1e-9), with
 
@@ -311,20 +323,13 @@ def lambda2_lower_certificate(h: Hypergraph, k: int | None = None) -> Certificat
                 / sum_j c_j^t sum_i |S_i^j| g(i)^t.
     """
     cert = multi_center_vector(h, k=k)
-    meta = dict(cert.metadata)
-    kk = meta["k"]
-    slack = _analytic_slack(h.t, kk, meta["d"], meta["weights"],
-                            meta["layer_sizes"])
-    floor = threshold(h.t, kk) - slack
+    floor = cert.metadata["analytic_floor"]
     if cert.quotient < floor - SLACK_TOL:
         raise CertificateError(
             f"multi-center quotient {cert.quotient!r} fell below its "
             f"analytic floor {floor!r}"
         )
-    meta.update({"analytic_slack": slack, "analytic_floor": floor,
-                 "threshold": threshold(h.t, kk)})
-    return Certificate(vector=cert.vector, quotient=cert.quotient,
-                       bound_kind="lambda2_lower", metadata=meta)
+    return cert
 
 
 def _greedy_far_centers(h: Hypergraph, count: int):
@@ -345,11 +350,7 @@ def _greedy_far_centers(h: Hypergraph, count: int):
         dm = distances_from(h, nxt)
         dist_maps.append(dm)
         np.minimum(min_dist, dm.dist, out=min_dist)
-    separation = min(
-        int(dist_maps[a].dist[chosen[b]])
-        for a in range(len(chosen)) for b in range(a + 1, len(chosen))
-    ) if len(chosen) > 1 else 0
-    return chosen, dist_maps, separation
+    return chosen, dist_maps, _separation(chosen, dist_maps)
 
 
 def build_strong_orthogonal_family(h: Hypergraph, j: int,
@@ -393,14 +394,12 @@ def build_strong_orthogonal_family(h: Hypergraph, j: int,
     if d < 0:
         raise DiameterTooSmall(2 * t + 1, separation)
     vectors = []
-    per_vector_meta = []
-    for l in range(j):
-        block = chosen[l * s:(l + 1) * s]
-        y, meta = _phased_ball_vector(h, block, d, k,
-                                      dist_maps[l * s:(l + 1) * s])
+    blocks = [chosen[l * s:(l + 1) * s] for l in range(j)]
+    for l, block in enumerate(blocks):
+        y, _ = _phased_ball_vector(h, block, d, k,
+                                   dist_maps[l * s:(l + 1) * s])
         y = y / t_norm(y, t)
         vectors.append(y)
-        per_vector_meta.append(meta)
     verified = _verify_strong_orthogonality(h, vectors)
     return StrongOrthogonalSet(
         vectors=vectors,
@@ -410,7 +409,7 @@ def build_strong_orthogonal_family(h: Hypergraph, j: int,
             "s": s,
             "d": d,
             "k": k,
-            "centers": [m["centers"] for m in per_vector_meta],
+            "centers": blocks,
             "min_separation": separation,
         },
     )

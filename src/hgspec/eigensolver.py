@@ -3,11 +3,12 @@
 ``spectral_radius`` runs the shifted power iteration for nonnegative
 symmetric tensors: from a strictly positive start,
 
-    y = A x + shift * x^[t-1],    x <- y^[1/(t-1)] renormalized in t-norm.
+    y = A x + SHIFT * x^[t-1],    x <- y^[1/(t-1)] renormalized in t-norm.
 
 Any positive shift makes the iteration map strictly order-preserving, so
 it converges on connected hypergraphs; the eigenvalue is recovered as
-the adjacency form at the fixed point.
+the adjacency form at the fixed point.  The shift is fixed at ``SHIFT``
+= 1; with none, the iteration cycles on bipartite graphs (t = 2).
 
 ``lambda2_estimate`` maximizes |x^T((A - (t m / n^t) J) x)| over the unit
 t-norm sphere by seeded multi-start projected gradient ascent with step
@@ -31,16 +32,18 @@ from .hypergraph import Hypergraph, _require_connected
 #: step size below which ascent is treated as stagnated at a local optimum
 _STEP_FLOOR = 1e-17
 
+#: the positive multiple of x^[t-1] added to A x in the power iteration
+SHIFT = 1.0
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, iteration caps, restart count, seed, and shift."""
+    """Tolerances, iteration caps, restart count, seed, and search domain."""
 
     tol: float = 1e-10
     max_iters: int = 100_000
     restarts: int = 32
     seed: int = 0
-    shift: float = 1.0
     complex_search: bool = False
 
     def __post_init__(self):
@@ -50,8 +53,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.shift < 0:
-            raise ValueError(f"shift must be >= 0, got {self.shift}")
 
 
 @dataclass
@@ -83,12 +84,12 @@ def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
         lam = float(np.dot(x, ax))
         xt1 = x ** (t - 1)
         residual = float(np.max(np.abs(
-            ax + cfg.shift * xt1 - (lam + cfg.shift) * xt1
+            ax + SHIFT * xt1 - (lam + SHIFT) * xt1
         )))
         if residual <= cfg.tol:
             return EigenResult(value=lam, vector=x, iterations=it,
                                residual=residual)
-        y = ax + cfg.shift * xt1
+        y = ax + SHIFT * xt1
         x = y ** (1.0 / (t - 1))
         x /= t_norm(x, t)
     raise NoConvergence(cfg.max_iters, residual)

@@ -2,11 +2,12 @@
 
 Vertices are dense integer ids ``0..n-1``.  The edges are stored once,
 as the read-only ``(m, t)`` int64 array ``Hypergraph.edge_array``, each
-row sorted and the rows in lexicographic order; ``edges`` (tuples) and
-``incidence`` are views built on first use.  The constructor is the one
-place edges are validated: whole-array checks that name the input index
-of the first faulty edge, which the parser maps to a line number.  A
-:class:`Hypergraph` is immutable; all operations here are pure.
+row sorted and the rows in lexicographic order; ``degrees`` and the
+incidence are built from it, ``edges`` (tuples) on first use.  The
+constructor is the one place edges are validated: whole-array checks
+that name the input index of the first faulty edge, which the parser
+maps to a line number.  A :class:`Hypergraph` is immutable; all
+operations here are pure.
 
 Distances are measured in edges: ``dist(u, v)`` is the minimum number of
 edges in a walk whose first edge contains ``u`` and whose last contains
@@ -112,7 +113,7 @@ class Hypergraph:
     """
 
     __slots__ = ("n", "t", "edge_array", "degrees", "_indptr", "_indices",
-                 "_edges", "_incidence", "_connected")
+                 "_edges", "_connected")
 
     def __init__(self, n, t, edges):
         if not isinstance(n, int) or n < 1:
@@ -136,7 +137,6 @@ class Hypergraph:
         for a in (self.edge_array, self._indptr, self._indices, self.degrees):
             a.setflags(write=False)
         self._edges = None
-        self._incidence = None
         self._connected = None
 
     @property
@@ -149,16 +149,6 @@ class Hypergraph:
         if self._edges is None:
             self._edges = tuple(map(tuple, self.edge_array.tolist()))
         return self._edges
-
-    @property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex tuples of incident edge ids, ascending (cached)."""
-        if self._incidence is None:
-            ptr = self._indptr.tolist()
-            ids = self._indices.tolist()
-            self._incidence = tuple(tuple(ids[ptr[v]:ptr[v + 1]])
-                                    for v in range(self.n))
-        return self._incidence
 
     @property
     def is_connected(self) -> bool:
@@ -184,11 +174,6 @@ def _require_connected(h: Hypergraph, what: str) -> None:
     """Raise NotConnectedError saying that ``what`` needs a connected h."""
     if not h.is_connected:
         raise NotConnectedError(f"{what} require a connected hypergraph")
-
-
-def degree_sequence(h: Hypergraph) -> list[int]:
-    """Per-vertex edge counts; h is k-regular iff all entries equal k."""
-    return [int(d) for d in h.degrees]
 
 
 def regular_degree(h: Hypergraph) -> int | None:
@@ -244,10 +229,6 @@ class DistanceMap:
     def eccentricity(self) -> int:
         """Largest finite distance from the source."""
         return int(self.dist.max(initial=0))
-
-    def layer(self, i: int) -> np.ndarray:
-        """Vertex ids at distance exactly i (the sphere S_i)."""
-        return np.flatnonzero(self.dist == i)
 
     def ball(self, r: int) -> np.ndarray:
         """Vertex ids at distance at most r (the ball B_r)."""

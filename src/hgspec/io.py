@@ -47,6 +47,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
                 raise ParseError(lineno, f"vertex count n={n} must be >= 1")
             if m < 0:
                 raise ParseError(lineno, f"edge count m={m} must be >= 0")
+            if max(values) >= 2 ** 63:
+                raise ParseError(lineno, "header field beyond the int64 range")
             header = values
             continue
         if len(edges) == header[2]:

@@ -9,6 +9,8 @@ loops, which fixes the tie-breaking of ``diameter_and_path`` and
 pair of edges.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,16 @@ def levi_distances(h, o):
 
 # -- frozen copy of the per-source loops these functions replaced ---------
 
+@functools.cache
+def _incidence(h):
+    """Per-vertex tuples of incident edge ids, ascending, in plain Python."""
+    lists = [[] for _ in range(h.n)]
+    for e, edge in enumerate(h.edge_array.tolist()):
+        for v in edge:
+            lists[v].append(e)
+    return tuple(map(tuple, lists))
+
+
 def _frozen_distances(h, o):
     dist = [UNREACHABLE] * h.n
     dist[o] = 0
@@ -55,7 +67,7 @@ def _frozen_distances(h, o):
         level += 1
         nxt = []
         for v in frontier:
-            for e in h.incidence[v]:
+            for e in _incidence(h)[v]:
                 if edge_done[e]:
                     continue
                 edge_done[e] = True
@@ -74,7 +86,7 @@ def _frozen_lex_path(h, source, dist_to_target):
     remaining = dist_to_target[source]
     while remaining > 0:
         best = None
-        for e in h.incidence[current]:
+        for e in _incidence(h)[current]:
             for u in h.edges[e]:
                 if dist_to_target[u] == remaining - 1:
                     if best is None or u < best:

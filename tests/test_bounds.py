@@ -10,8 +10,8 @@ import math
 import mpmath
 import pytest
 
-from hgspec import (BoundParams, DomainError, friedman_alternate, g_hat_value,
-                    g_value, threshold, verify_g_monotone)
+from hgspec import (DomainError, friedman_alternate, g_hat_value, g_value,
+                    threshold, verify_g_monotone)
 
 
 def _threshold_mp(t, k):
@@ -123,6 +123,6 @@ def test_kernel_inequality(t, k):
 
 def test_bound_params_validation():
     with pytest.raises(DomainError):
-        BoundParams(1, 3)
+        threshold(1, 3)
     with pytest.raises(DomainError):
-        BoundParams(3, 0)
+        threshold(3, 0)

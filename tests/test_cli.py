@@ -203,6 +203,26 @@ class TestCommands:
         code, _ = run(["verify", str(path), "--check", "alon-boppana"])
         assert code == 1
 
+    def test_exit_1_on_numeric_overflow(self, tmp_path, capsys):
+        # a loose path with t = 110 on n = 982 vertices: n^t in the J
+        # weight t m / n^t is beyond the largest double
+        t = 110
+        edges = [list(range(109 * i, 109 * i + t)) for i in range(9)]
+        path = tmp_path / "loose110.txt"
+        path.write_text(emit_hypergraph(Hypergraph(982, t, edges)))
+        code, _ = run(["lambda2", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("hgspec: overflow: ")
+
+    def test_exit_1_when_memory_runs_out(self, tmp_path, capsys):
+        # n = 10^18 fits int64 but no address space, so the first
+        # allocation fails at once without touching memory
+        path = tmp_path / "huge.txt"
+        path.write_text("3 1000000000000000000 0\n")
+        code, _ = run(["radius", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("hgspec: out of memory: ")
+
 
 class TestDeterminism:
     def test_env_seed_matches_flag(self, tmp_path, monkeypatch):

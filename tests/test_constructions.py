@@ -34,8 +34,8 @@ class TestRadialVector:
         x = radial_vector(h, 0)
         dm = distances_from(h, 0)
         for r in range(dm.eccentricity):
-            lo = x[dm.layer(r + 1)].max(initial=0.0)
-            hi = x[dm.layer(r)].min()
+            lo = x[np.flatnonzero(dm.dist == r + 1)].max(initial=0.0)
+            hi = x[np.flatnonzero(dm.dist == r)].min()
             assert lo <= hi + 1e-12
 
     def test_truncation(self):

@@ -117,12 +117,6 @@ class TestSpectralRadius:
         res = spectral_radius(Hypergraph(1, 2, []))
         assert res.value == 0.0
 
-    def test_custom_shift_same_value(self):
-        h = cycle_graph(9)
-        a = spectral_radius(h, SolverConfig(shift=1.0))
-        b = spectral_radius(h, SolverConfig(shift=3.0))
-        assert a.value == pytest.approx(b.value, abs=1e-9)
-
 
 class TestLambda2:
     def test_k4_is_one(self):
@@ -202,5 +196,3 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
-    with pytest.raises(ValueError):
-        SolverConfig(shift=-0.5)

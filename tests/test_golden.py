@@ -5,9 +5,10 @@ so the file paths echoed in the reports are the bare names below.  The
 set covers every subcommand and generator family, both solvers (the
 complex ascent too) and every ``verify`` check.  The outputs were
 recorded from earlier versions of the code: the first ten before the
-per-source BFS loops were replaced by the bit-parallel search, the rest
-before the edge store, validator, operator kernels and generator
-dispatch were merged.  A change that alters any byte of them (a
+per-source BFS loops were replaced by the bit-parallel search, the next
+twelve before the edge store, validator, operator kernels and generator
+dispatch were merged, and the Alon-Boppana case with ``--k 3`` before
+the certificate constructions were merged into one radial core.  A change that alters any byte of them (a
 different center, diameter path, certificate or solver trajectory, or a
 last bit of rho) fails here.  To record a new golden
 set on purpose, run ``PYTHONPATH=src python tests/test_golden.py`` from
@@ -52,6 +53,9 @@ CASES = [
      ["verify", "ht335.txt", "--check", "mu", "--j", "1", "--k", "3"]),
     ("verify_acyclic-bound_ht335.json",
      ["verify", "ht335.txt", "--check", "acyclic-bound"]),
+    # the only Alon-Boppana case whose certificate radius d is above 0
+    ("verify_alon-boppana_k3_ht335.json",
+     ["verify", "ht335.txt", "--check", "alon-boppana", "--k", "3"]),
     ("radius_rr300_s1.json", ["radius", "rr300_s1.txt"]),
     ("lambda2_rr300_s1.json", ["lambda2", "rr300_s1.txt"]),
     ("lambda2_complex_rr200_t4_s5.json",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hgspec import (Hypergraph, NotConnectedError, UNREACHABLE,
-                    complete_uniform, degree_sequence, diameter_and_path,
+                    complete_uniform, diameter_and_path,
                     distances_from, hypertree_ball, is_acyclic, is_linear,
                     min_eccentricity_vertex, random_regular_linear,
                     regular_degree)
@@ -39,28 +39,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Hypergraph(0, 2, [])
 
-    def test_incidence_lists(self):
-        h = Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
-        assert h.incidence[1] == (0, 1)
-        assert h.incidence[3] == (2,)
-
 
 class TestDegrees:
     def test_single_edge(self):
-        assert degree_sequence(Hypergraph(3, 3, [(0, 1, 2)])) == [1, 1, 1]
+        assert Hypergraph(3, 3, [(0, 1, 2)]).degrees.tolist() == [1, 1, 1]
 
     def test_complete_3_uniform_on_4(self):
         # each vertex lies in C(3,2) = 3 of the C(4,3) = 4 edges
-        assert degree_sequence(complete_uniform(4, 3)) == [3, 3, 3, 3]
+        assert complete_uniform(4, 3).degrees.tolist() == [3, 3, 3, 3]
 
     def test_hypertree_ball_radius_1(self):
         h = hypertree_ball(3, 3, 1)
-        assert degree_sequence(h) == [3, 1, 1, 1, 1, 1, 1]
+        assert h.degrees.tolist() == [3, 1, 1, 1, 1, 1, 1]
 
     def test_degree_sum_is_t_m(self):
         for seed in range(4):
             h = random_regular_linear(3, 3, 18, seed)
-            assert sum(degree_sequence(h)) == h.t * h.m
+            assert sum(h.degrees) == h.t * h.m
 
     def test_regular_degree(self):
         assert regular_degree(complete_uniform(5, 3)) == 6
@@ -145,7 +140,7 @@ class TestDistances:
                 continue
             best = min(
                 min(dm.dist[u] for u in h.edges[e] if u != v)
-                for e in h.incidence[v]
+                for e in range(h.m) if v in h.edges[e]
             )
             assert dm.dist[v] == best + 1
 
@@ -153,15 +148,15 @@ class TestDistances:
         h = hypertree_ball(3, 2, 3)
         dm = distances_from(h, 0)
         ecc = dm.eccentricity
-        total = sum(len(dm.layer(i)) for i in range(ecc + 1))
+        total = sum(len(np.flatnonzero(dm.dist == i)) for i in range(ecc + 1))
         assert total == h.n
         assert len(dm.ball(ecc)) == h.n
 
     def test_hypertree_layers_contiguous(self):
         h = hypertree_ball(3, 3, 2)
         dm = distances_from(h, 0)
-        assert list(dm.layer(1)) == list(range(1, 7))
-        assert list(dm.layer(2)) == list(range(7, 31))
+        assert list(np.flatnonzero(dm.dist == 1)) == list(range(1, 7))
+        assert list(np.flatnonzero(dm.dist == 2)) == list(range(7, 31))
 
 
 class TestDiameter:
@@ -183,7 +178,7 @@ class TestDiameter:
             d, path = diameter_and_path(h)
             assert len(path) == d + 1
             for a, b in zip(path, path[1:]):
-                shared = set(h.incidence[a]) & set(h.incidence[b])
+                shared = [e for e in h.edges if a in e and b in e]
                 assert shared, f"{a} and {b} share no edge"
 
     def test_cycle_diameter(self):
@@ -230,7 +225,7 @@ def test_permutation_relabel_preserves_structure():
     h = random_regular_linear(3, 3, 18, 2)
     perm = rng.permutation(h.n)
     relabeled = Hypergraph(h.n, h.t, [tuple(perm[list(e)]) for e in h.edges])
-    assert sorted(degree_sequence(relabeled)) == sorted(degree_sequence(h))
+    assert sorted(relabeled.degrees) == sorted(h.degrees)
     assert is_linear(relabeled) == is_linear(h)
     assert is_acyclic(relabeled) == is_acyclic(h)
     assert diameter_and_path(relabeled)[0] == diameter_and_path(h)[0]

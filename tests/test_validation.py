@@ -4,11 +4,13 @@
 ``parse_hypergraph`` leaves the edge checks to it.  The reference
 functions below are the earlier per-edge constructor loop and per-line
 parser loop, kept verbatim except that they return their verdict instead
-of raising.  On every input both must accept or both reject, with the
-same first faulty edge (a line number for the parser) and the same
-message, hence the same fault category.  Inputs come from a fixed table
-of corner cases and from hypothesis over small random edge lists and
-edge-list texts with integer ids (the reference read ``1.5`` as 1).
+of raising, and that the parser reference also rejects a header field
+beyond int64 (the earlier loop let it through to numpy).  On every input
+both must accept or both reject, with the same first faulty edge (a line
+number for the parser) and the same message, hence the same fault
+category.  Inputs come from a fixed table of corner cases and from
+hypothesis over small random edge lists and edge-list texts with integer
+ids (the reference read ``1.5`` as 1).
 """
 
 import io
@@ -69,6 +71,8 @@ def reference_parser(text):
                 return "error", lineno, f"vertex count n={n} must be >= 1"
             if m < 0:
                 return "error", lineno, f"edge count m={m} must be >= 0"
+            if max(values) >= 2 ** 63:
+                return "error", lineno, "header field beyond the int64 range"
             header = (t, n, m)
             continue
         t, n, m = header
@@ -182,6 +186,9 @@ PARSER_TABLE = [
     "1 6 0\n",
     "3 0 0\n",
     "3 6 -1\n",
+    "100000000000000000000 5 0\n",                  # header beyond int64
+    "3 100000000000000000000 0\n",
+    "3 5 100000000000000000000\n",
     "# only a comment\n",
     "",
     "x 6 1\n",
