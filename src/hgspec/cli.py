@@ -250,23 +250,19 @@ def cmd_gen(args, out) -> int:
 
 
 def _parse_range(spec: str) -> list[int]:
-    """'A:B' inclusive unit steps; 'A:B:S' adds a stride; 'A:B:*S' doubles."""
+    """'A:B' inclusive; 'A:B:S' steps by S; 'A:B:*S' multiplies by S."""
     parts = spec.split(":")
-    if len(parts) == 2:
-        lo, hi = int(parts[0]), int(parts[1])
-        return list(range(lo, hi + 1))
-    if len(parts) == 3:
-        lo, hi = int(parts[0]), int(parts[1])
-        if parts[2].startswith("*"):
-            factor = int(parts[2][1:])
-            vals = []
-            cur = lo
-            while cur <= hi:
-                vals.append(cur)
-                cur *= factor
-            return vals
-        return list(range(lo, hi + 1, int(parts[2])))
-    raise Error(f"bad range {spec!r}; expected A:B, A:B:S, or A:B:*S")
+    if len(parts) not in (2, 3):
+        raise Error(f"bad range {spec!r}; expected A:B, A:B:S, or A:B:*S")
+    lo, hi = int(parts[0]), int(parts[1])
+    step = parts[2] if len(parts) == 3 else "1"
+    if not step.startswith("*"):
+        return list(range(lo, hi + 1, int(step)))
+    vals, factor = [], int(step[1:])
+    while lo <= hi:
+        vals.append(lo)
+        lo *= factor
+    return vals
 
 
 def _sweep_row(args, size: int, cfg) -> dict:

@@ -106,7 +106,7 @@ def _analytic_slack(t: int, k: int, d: int, weights: list[float],
     for c_j, sizes in zip(weights, layer_sizes):
         num += c_j ** t * sizes[d] * profile[d] ** t
         den += c_j ** t * float(np.dot(sizes, profile ** t))
-    return t * (k - 1) * num / den
+    return float(t * (k - 1) * num / den)
 
 
 def _radial(h: Hypergraph, o: int, radius: int | None,

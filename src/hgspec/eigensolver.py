@@ -17,6 +17,11 @@ iteration applies; the returned value is a certified lower estimate of
 the shifted spectral norm (the best feasible point seen), not a claimed
 global optimum.  The search runs over real vectors by default; a
 complex-phase mode exists behind ``SolverConfig.complex_search``.
+
+Both solvers sum with numpy's pairwise ``np.sum`` only, never a BLAS dot
+product or norm, so a seeded run gives the same bits under any BLAS
+thread count; ``_GAIN_FLOOR`` keeps the ascent from taking the rounding
+noise of those sums for progress.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ from .hypergraph import Hypergraph, _require_connected
 
 #: step size below which ascent is treated as stagnated at a local optimum
 _STEP_FLOOR = 1e-17
+
+#: relative gain below which a trial point is rounding noise, not progress
+_GAIN_FLOOR = 1e-13
 
 #: the positive multiple of x^[t-1] added to A x in the power iteration
 SHIFT = 1.0
@@ -81,7 +89,7 @@ def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     residual = np.inf
     for it in range(1, cfg.max_iters + 1):
         ax = _apply(h, x)
-        lam = float(np.dot(x, ax))
+        lam = float(np.sum(x * ax))
         xt1 = x ** (t - 1)
         residual = float(np.max(np.abs(
             ax + SHIFT * xt1 - (lam + SHIFT) * xt1
@@ -109,10 +117,11 @@ def _ascend(h: Hypergraph, x0: np.ndarray,
     """Projected gradient ascent on |shifted form| over the t-norm sphere.
 
     Returns the restart's result and whether it converged.  Counts every
-    objective evaluation against ``cfg.max_iters``.  A restart is
-    converged when the KKT residual drops to ``cfg.tol`` or the step
-    underflows (the value is then locally optimal to machine precision
-    even though the eigen-defect may still exceed tol).
+    objective evaluation against ``cfg.max_iters``.  A trial point is
+    accepted only when it gains more than ``_GAIN_FLOOR`` relative.  A
+    restart is converged when the KKT residual drops to ``cfg.tol`` or
+    the step underflows: no step along the gradient then gains more than
+    that margin, though the eigen-defect may still exceed tol.
     """
     t = h.t
     x = x0 / t_norm(x0, t)
@@ -133,7 +142,7 @@ def _ascend(h: Hypergraph, x0: np.ndarray,
         if residual <= cfg.tol:
             converged = True
             break
-        gnorm = float(np.linalg.norm(sigma_grad))
+        gnorm = float(np.sqrt(np.sum(np.abs(sigma_grad) ** 2)))
         if gnorm == 0.0:
             break
         direction = sigma_grad / gnorm
@@ -143,7 +152,7 @@ def _ascend(h: Hypergraph, x0: np.ndarray,
             y /= t_norm(y, t)
             fy = _shifted(h, y)
             evals += 1
-            if abs(fy) > abs(f):
+            if abs(fy) > abs(f) * (1.0 + _GAIN_FLOOR):
                 x = y
                 f, grad = _shifted_grad(h, x)
                 eta *= 1.25

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hgspec import (DiameterTooSmall, Hypergraph,
+from hgspec import (CertificateError, DiameterTooSmall, Hypergraph,
                     NotRegularError, adjacency_form, apply_adjacency,
                     build_strong_orthogonal_family, complete_uniform,
                     distances_from, g_value, hypertree_ball,
@@ -225,6 +225,17 @@ class TestLambda2Certificate:
         ball = hypertree_ball(3, 3, 4)
         with pytest.raises(NotRegularError):
             lambda2_lower_certificate(ball)
+
+    def test_floor_failure_message_prints_plain_numbers(self):
+        # C31 is 2-regular; with k = 3 the floor is out of reach
+        with pytest.raises(CertificateError) as info:
+            lambda2_lower_certificate(cycle_graph(31), k=3)
+        assert str(info.value) == (
+            "multi-center quotient 1.9364192042636355 fell below its "
+            "analytic floor 2.6572702309268554")
+        cert = multi_center_vector(cycle_graph(31), k=3)
+        for key in ("analytic_slack", "analytic_floor", "threshold"):
+            assert type(cert.metadata[key]) is float
 
 
 class TestStrongOrthogonalFamily:

@@ -1,13 +1,12 @@
 """Adjacency operator, multilinear form, and t-norm tests."""
 
-import math
-
 import numpy as np
 import pytest
 
 from hgspec import (Hypergraph, adjacency_form, apply_adjacency,
                     complete_uniform, edge_contributions, hypertree_ball,
-                    random_regular_linear, shifted_form, t_norm, t_norm_pow)
+                    multi_center_vector, random_regular_linear, shifted_form,
+                    t_norm, t_norm_pow)
 
 from conftest import adjacency_matrix, cycle_graph, random_connected_graph
 
@@ -98,14 +97,24 @@ class TestForm:
         x = np.array([1.0, 2.0, 3.0, 4.0])
         assert np.array_equal(edge_contributions(h, x), [2.0, 12.0])
 
-    def test_compensated_path_on_large_instance(self):
-        # >= 10^4 edges: exact accumulation must match fsum directly
-        h = hypertree_ball(2, 3, 12)
-        assert h.m >= 10_000
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(h.n)
-        expected = 2 * math.fsum((x[i] * x[j] for i, j in h.edges))
-        assert adjacency_form(h, x) == expected
+    @pytest.mark.parametrize("case", ["random-x-ball-2-3-12",
+                                      "multi-center-ball-3-3-8"])
+    def test_pairwise_sum_against_mpmath(self, case):
+        # forms of 12,285 and 65,535 edges against a 50-digit sum
+        mpmath = pytest.importorskip("mpmath")
+        if case.startswith("random"):
+            h = hypertree_ball(2, 3, 12)
+            x = np.random.default_rng(2).standard_normal(h.n)
+        else:
+            h = hypertree_ball(3, 3, 8)
+            x = multi_center_vector(h, k=3).vector
+        with mpmath.workdps(50):
+            xs = [mpmath.mpmathify(complex(v)) for v in x]
+            exact = h.t * mpmath.fsum(mpmath.fprod(xs[u] for u in e)
+                                      for e in h.edge_array.tolist())
+            computed = mpmath.mpmathify(complex(adjacency_form(h, x)))
+            rel = abs(computed - exact) / abs(exact)
+        assert rel <= 1e-13
 
 
 class TestShiftedForm:

@@ -8,14 +8,21 @@ recorded from earlier versions of the code: the first ten before the
 per-source BFS loops were replaced by the bit-parallel search, the next
 twelve before the edge store, validator, operator kernels and generator
 dispatch were merged, and the Alon-Boppana case with ``--k 3`` before
-the certificate constructions were merged into one radial core.  A change that alters any byte of them (a
-different center, diameter path, certificate or solver trajectory, or a
-last bit of rho) fails here.  To record a new golden
-set on purpose, run ``PYTHONPATH=src python tests/test_golden.py`` from
-the root of a checkout.
+the certificate constructions were merged into one radial core.  Eleven
+of them were recorded again, in their last digits only, when the
+operator kernels and solvers moved to one pairwise summation rule.  A
+change that alters any byte of them (a different center, diameter path,
+certificate or solver trajectory, or a last bit of rho) fails here.  To
+record a new golden set on purpose, run
+``PYTHONPATH=src python tests/test_golden.py`` from the root of a
+checkout.  For each file it rewrites, it lists every number that
+changed, old -> new with the relative change, or the whole diff when
+more than numbers changed.
 """
 
+import difflib
 import io
+import re
 from pathlib import Path
 
 import pytest
@@ -76,6 +83,50 @@ def _run(argv):
     return code, out.getvalue()
 
 
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _moved_numbers(name, old, new):
+    """(where, old, new) for every number that differs between two outputs.
+
+    ``where`` is the line and the JSON key or CSV column.  Raises
+    ``ValueError`` when the outputs differ in more than numbers.
+    """
+    if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        raise ValueError(f"{name}: more than numbers changed")
+    lines = new.splitlines()
+    header = lines[0].split(",") if name.endswith(".csv") else None
+    moved = []
+    for row, (a, b) in enumerate(zip(old.splitlines(), lines), 1):
+        if header:
+            cells = zip(header, a.split(","), b.split(","))
+        else:
+            key = re.match(r'\s*"([^"]+)":', b)
+            cells = ((key.group(1) if key else "", p, q) for p, q in
+                     zip(_NUMBER.findall(a), _NUMBER.findall(b)))
+        moved += [(f"line {row} {col}".rstrip(), p, q)
+                  for col, p, q in cells if p != q]
+    return moved
+
+
+def _report_change(name, old, new):
+    """Print what re-recording ``name`` changes (nothing when equal)."""
+    if old == new:
+        return
+    try:
+        moved = _moved_numbers(name, old, new)
+    except ValueError as exc:
+        print(exc)
+        print("".join(difflib.unified_diff(old.splitlines(True),
+                                           new.splitlines(True))), end="")
+        return
+    print(f"{name}: {len(moved)} numbers moved")
+    for where, p, q in moved:
+        rel = abs(float(q) - float(p)) / abs(float(p)) if float(p) else None
+        print(f"  {where}: {p} -> {q}"
+              + (f" (relative {rel:.2g})" if rel is not None else ""))
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     """Run every case once, in order, from one scratch directory."""
@@ -96,6 +147,19 @@ def test_stdout_matches_golden(outputs, name):
     assert text == expected
 
 
+def test_moved_numbers_lists_each_change():
+    old = '{\n  "rho": 3.0000000000000013,\n  "iterations": 71\n}\n'
+    new = '{\n  "rho": 3,\n  "iterations": 69\n}\n'
+    assert _moved_numbers("a.json", old, new) == [
+        ("line 2 rho", "3.0000000000000013", "3"),
+        ("line 3 iterations", "71", "69")]
+    assert _moved_numbers("a.csv", "n,rho,gap\n5,2.5,-1e-3\n",
+                          "n,rho,gap\n5,2.5,-2e-3\n") == [
+        ("line 2 gap", "-1e-3", "-2e-3")]
+    with pytest.raises(ValueError, match="more than numbers"):
+        _moved_numbers("a.json", '{"passed": true}', '{"passed": false}')
+
+
 if __name__ == "__main__":
     import os
     import tempfile
@@ -108,5 +172,9 @@ if __name__ == "__main__":
             code, text = _run(argv)
             if code != 0:
                 raise SystemExit(f"{name}: exit {code}")
-            (GOLDEN / name).write_text(text, encoding="utf-8", newline="\n")
-            print(f"wrote {GOLDEN / name}")
+            path = GOLDEN / name
+            if path.exists():
+                _report_change(name, path.read_text(encoding="utf-8"), text)
+            else:
+                print(f"{name}: new")
+            path.write_text(text, encoding="utf-8", newline="\n")
