@@ -19,8 +19,7 @@ import time
 from . import bounds as bounds_mod
 from .constructions import (lambda2_lower_certificate, mu_lower_certificate,
                             multi_center_vector, verify_radial_inequality)
-from .eigensolver import (SHIFT, SolverConfig, lambda2_estimate,
-                          spectral_radius)
+from .eigensolver import SolverConfig, lambda2_estimate, spectral_radius
 from .errors import Error, ParseError
 from .generators import complete_uniform, hypertree_ball, random_regular_linear
 from .hypergraph import (Hypergraph, is_acyclic, min_eccentricity_vertex,
@@ -83,7 +82,6 @@ def _solver_stanza(cfg: SolverConfig, result) -> dict:
         "max_iters": cfg.max_iters,
         "restarts": cfg.restarts,
         "seed": cfg.seed,
-        "shift": SHIFT,
         "iterations": result.iterations,
         "residual": result.residual,
     }
@@ -259,6 +257,8 @@ def _parse_range(spec: str) -> list[int]:
     if not step.startswith("*"):
         return list(range(lo, hi + 1, int(step)))
     vals, factor = [], int(step[1:])
+    if lo < 1 or factor < 2:
+        raise Error(f"bad range {spec!r}; A:B:*S needs A >= 1 and S >= 2")
     while lo <= hi:
         vals.append(lo)
         lo *= factor
@@ -300,7 +300,9 @@ def cmd_sweep(args, out) -> int:
 
 def _add_solver_flags(parser, restarts_default=32):
     parser.add_argument("--tol", type=float, default=1e-10,
-                        help="residual tolerance (default 1e-10)")
+                        help="stopping tolerance: for rho the relative "
+                             "width of the Collatz-Wielandt bracket, for "
+                             "lambda2 the KKT residual (default 1e-10)")
     parser.add_argument("--max-iters", type=int, default=100_000)
     parser.add_argument("--restarts", type=int, default=restarts_default)
     parser.add_argument("--seed", type=int, default=None,

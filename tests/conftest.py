@@ -1,5 +1,6 @@
 """Shared instance builders for the test suite."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -58,6 +59,38 @@ def adjacency_matrix(h):
     for (i, j) in h.edges:
         a[i, j] = a[j, i] = 1.0
     return a
+
+
+def layer_perron_value(t, k, r, dps=50):
+    """rho of the hypertree ball B_r(t, k) from its (r+1)-variable layer map.
+
+    The Perron vector is constant on each layer, with values y_0..y_r:
+
+        lam y_0^(t-1) = k y_1^(t-1)
+        lam y_i^(t-1) = y_(i-1) y_i^(t-2) + (k-1) y_(i+1)^(t-1)
+        lam y_r^(t-1) = y_(r-1) y_r^(t-2)
+
+    A float shifted power iteration on the map gives the start, and
+    mpmath's Newton solver then finishes at ``dps`` digits with y_0 = 1.
+    """
+    def layer_map(y):
+        out = [k * y[1] ** (t - 1)]
+        out += [y[i - 1] * y[i] ** (t - 2) + (k - 1) * y[i + 1] ** (t - 1)
+                for i in range(1, r)]
+        return out + [y[r - 1] * y[r] ** (t - 2)]
+
+    y = np.ones(r + 1)
+    for _ in range(3000):
+        y = (np.array(layer_map(y)) + y ** (t - 1)) ** (1.0 / (t - 1))
+        y /= y[0]
+    start = [layer_map(y)[0]] + list(y[1:])
+    with mpmath.workdps(dps):
+        def defect(lam, *rest):
+            ys = [mpmath.mpf(1)] + list(rest)
+            return [f - lam * v ** (t - 1) for f, v in zip(layer_map(ys), ys)]
+        sol = mpmath.findroot(defect, [mpmath.mpf(v) for v in start])
+        assert all(v > 0 for v in sol), "not the Perron solution"
+        return sol[0]
 
 
 @pytest.fixture(scope="session")

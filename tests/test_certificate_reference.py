@@ -6,7 +6,9 @@ quotient, the sha256 of the witness vector and the whole metadata
 message of the error it raised, or the fields of a radial check.  The
 reference was recorded before the radial vector, the boundary slack and
 the centre separation were each merged into one helper in
-``hgspec.constructions``.  Floats are compared through their shortest
+``hgspec.constructions``; one complex form value was recorded again,
+in its rounding noise, when the operator kernels moved to column-wise
+multiplies.  Floats are compared through their shortest
 round-trip text, so any change of a last bit fails here; so does a new,
 missing or reordered metadata key.  To record it again on purpose, run
 ``PYTHONPATH=src python tests/test_certificate_reference.py`` from the

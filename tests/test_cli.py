@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from hgspec import (Hypergraph, ParseError, emit_hypergraph, hypertree_ball,
                     parse_hypergraph, threshold)
 from hgspec.cli import run_command
 from hgspec.reports import SWEEP_COLUMNS, dumps_json, emit_sweep_csv
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(argv):
@@ -222,6 +228,26 @@ class TestCommands:
         code, _ = run(["radius", str(path)])
         assert code == 1
         assert capsys.readouterr().err.startswith("hgspec: out of memory: ")
+
+
+    @pytest.mark.parametrize("spec", ["1:2:*1", "0:4:*2", "-1:4:*2"])
+    def test_exit_1_on_multiplicative_range_that_never_ends(self, spec):
+        # a child process with its address space capped, so that a range
+        # that never ends fails fast instead of filling the host's memory
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+                "from hgspec.cli import main\n"
+                "sys.argv = ['hgspec'] + sys.argv[1:]\n"
+                "main()\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "sweep", "hypertree", "--t", "3",
+             "--k", "3", f"--radii={spec}"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"hgspec: bad range {spec!r}; A:B:*S needs " \
+            "A >= 1 and S >= 2\n"
 
 
 class TestDeterminism:

@@ -1,21 +1,22 @@
 """Solver tests against brute-force and dense-matrix oracles."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from hgspec import (Hypergraph, NoConvergence, NotConnectedError,
-                    SolverConfig, adjacency_form, complete_uniform,
-                    lambda2_estimate, random_regular_linear, spectral_radius,
-                    t_norm)
+                    SolverConfig, adjacency_form, apply_adjacency,
+                    complete_uniform, hypertree_ball, lambda2_estimate,
+                    random_regular_linear, spectral_radius, t_norm)
 
-from conftest import (adjacency_matrix, cycle_graph, path_graph, petersen,
-                      random_connected_graph)
+from conftest import (adjacency_matrix, cycle_graph, layer_perron_value,
+                      path_graph, petersen, random_connected_graph)
 
 
 def brute_force_single_edge_radius():
     """Grid maximization of 3*x0*x1*x2 over the nonnegative unit 3-norm
     sphere, parameterized by the weight simplex (a, b, c) = (x0^3, x1^3, x2^3).
-    Independent of the power iteration."""
+    Independent of the solver."""
     best = 0.0
     steps = 200
     for i in range(steps + 1):
@@ -63,24 +64,43 @@ class TestSpectralRadius:
         h = random_regular_linear(t, k, n, seed)
         assert spectral_radius(h).value == pytest.approx(k, abs=1e-9)
 
-    def test_monotone_rayleigh_quotients(self):
-        # re-run the iteration by hand and track the quotient
-        from hgspec.forms import _partial_products, _scatter_columns
-        for h in (path_graph(4), cycle_graph(7), complete_uniform(5, 3),
-                  random_regular_linear(3, 3, 18, 3)):
-            t, n = h.t, h.n
-            edges = h.edge_array
-            rng = np.random.default_rng(0)
-            x = 1.0 + 0.01 * rng.random(n)
-            x /= t_norm(x, t)
-            prev = -np.inf
-            for _ in range(200):
-                ax = _scatter_columns(n, edges, _partial_products(x[edges]))
-                quot = float(np.dot(x, ax))
-                assert quot >= prev - 1e-12
-                prev = quot
-                x = (ax + x ** (t - 1)) ** (1.0 / (t - 1))
-                x /= t_norm(x, t)
+    @pytest.mark.parametrize("tol", [1e-3, 1e-10])
+    @pytest.mark.parametrize("build,ball", [
+        pytest.param(lambda: path_graph(4), None, id="path4"),
+        pytest.param(lambda: cycle_graph(7), None, id="cycle7"),
+        pytest.param(petersen, None, id="petersen"),
+        pytest.param(lambda: random_connected_graph(9, 0.4, 5), None,
+                     id="gnp9"),
+        pytest.param(lambda: hypertree_ball(3, 3, 2), (3, 3, 2), id="ball332"),
+        pytest.param(lambda: hypertree_ball(4, 3, 2), (4, 3, 2), id="ball432"),
+        pytest.param(lambda: hypertree_ball(2, 3, 4), (2, 3, 4), id="ball234"),
+    ])
+    def test_bracket_contains_oracle(self, build, ball, tol):
+        # the Collatz-Wielandt bracket, recomputed from the returned vector
+        # with the public operator, holds rho; the oracle is eigvalsh for
+        # graphs and the layer map (t, k, r) for balls
+        h = build()
+        if ball is None:
+            oracle = float(np.linalg.eigvalsh(adjacency_matrix(h))[-1])
+        else:
+            oracle = float(layer_perron_value(*ball))
+        res = spectral_radius(h, SolverConfig(tol=tol))
+        x = res.vector
+        assert np.all(x > 0)
+        ratios = apply_adjacency(h, x) / x ** (h.t - 1)
+        lo, hi = float(ratios.min()), float(ratios.max())
+        assert res.residual == (hi - lo) / hi <= tol
+        assert lo <= res.value <= hi
+        slack = 4 * np.spacing(hi)
+        assert lo - slack <= oracle <= hi + slack
+
+    @pytest.mark.parametrize("t,r", [(3, r) for r in range(1, 7)]
+                             + [(4, r) for r in range(1, 5)])
+    def test_ball_matches_layer_map_oracle(self, t, r):
+        res = spectral_radius(hypertree_ball(t, 3, r))
+        oracle = layer_perron_value(t, 3, r)
+        err = float(abs(mpmath.mpf(res.value) - oracle))
+        assert err <= res.residual * res.value + 4 * np.spacing(res.value)
 
     def test_edge_addition_never_decreases(self):
         rng = np.random.default_rng(11)

@@ -7,6 +7,7 @@ from hgspec import (Hypergraph, adjacency_form, apply_adjacency,
                     complete_uniform, edge_contributions, hypertree_ball,
                     multi_center_vector, random_regular_linear, shifted_form,
                     t_norm, t_norm_pow)
+from hgspec.forms import _edge_products, _jacobian, _partial_products
 
 from conftest import adjacency_matrix, cycle_graph, random_connected_graph
 
@@ -59,6 +60,44 @@ class TestApply:
             apply_adjacency(SINGLE, np.ones(4))
         with pytest.raises(ValueError):
             apply_adjacency(SINGLE, np.array([1.0, np.nan, 0.0]))
+
+
+def cumprod_partial_products(values):
+    """Frozen row-wise version of ``_partial_products`` (np.cumprod)."""
+    t = values.shape[1]
+    prefix = np.ones_like(values)
+    suffix = np.ones_like(values)
+    if t > 1:
+        np.cumprod(values[:, :-1], axis=1, out=prefix[:, 1:])
+        np.cumprod(values[:, :0:-1], axis=1, out=suffix[:, -2::-1])
+    return prefix * suffix
+
+
+class TestColumnKernels:
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", [0, 1, 7, 5000])
+    def test_bits_match_row_wise_products(self, t, m):
+        rng = np.random.default_rng(10 * t + m)
+        values = rng.standard_normal((m, t)) * np.exp(
+            rng.uniform(-30, 30, (m, t)))
+        values[rng.random((m, t)) < 0.05] = 0.0
+        assert _partial_products(values).tobytes() == \
+            cumprod_partial_products(values).tobytes()
+        assert _edge_products(values).tobytes() == \
+            np.prod(values, axis=1).tobytes()
+
+    @pytest.mark.parametrize("h", [
+        random_regular_linear(3, 3, 300, 1), random_regular_linear(4, 3, 200, 5),
+        hypertree_ball(3, 3, 5), complete_uniform(7, 3), cycle_graph(9)],
+        ids=["rr300", "rr200_t4", "ball335", "K7_3", "C9"])
+    def test_jacobian_at_x_is_the_operator(self, h):
+        # M(x) x = A x^[t-1], and _jacobian at w = 1 is (t-1) x M(x) x
+        x = np.random.default_rng(3).uniform(0.2, 2.0, h.n)
+        slots, sums = np.empty((h.m, h.t)), np.empty(h.m)
+        jx = _jacobian(h.n, h.edge_array, edge_contributions(h, x),
+                       np.ones(h.n), slots, sums)
+        np.testing.assert_allclose(jx / ((h.t - 1) * x),
+                                   apply_adjacency(h, x), rtol=1e-13)
 
 
 class TestForm:

@@ -10,10 +10,11 @@ twelve before the edge store, validator, operator kernels and generator
 dispatch were merged, and the Alon-Boppana case with ``--k 3`` before
 the certificate constructions were merged into one radial core.  Eleven
 of them were recorded again, in their last digits only, when the
-operator kernels and solvers moved to one pairwise summation rule.  A
-change that alters any byte of them (a different center, diameter path,
-certificate or solver trajectory, or a last bit of rho) fails here.  To
-record a new golden set on purpose, run
+operator kernels and solvers moved to one pairwise summation rule, and
+eight when rho moved to Newton-Noda iteration, which also dropped the
+solver stanza's "shift" line.  A change that alters any byte of them (a
+different center, diameter path, certificate or solver trajectory, or a
+last bit of rho) fails here.  To record a new golden set on purpose, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the root of a
 checkout.  For each file it rewrites, it lists every number that
 changed, old -> new with the relative change, or the whole diff when

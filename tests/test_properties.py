@@ -2,9 +2,10 @@
 
 The adjacency tensor is built densely (entry 1/(t-1)! on every
 permutation of every edge) on hypergraphs of at most 8 vertices and
-compared with the matrix-free ``apply_adjacency`` and
-``adjacency_form``.  At t = 2 the tensor is the adjacency matrix A, so
-rho is the largest eigenvalue of A and lambda2 is the spectral norm of
+compared with the matrix-free ``apply_adjacency``, ``adjacency_form``
+and the Jacobian product of the rho solver.  At t = 2 the tensor is the
+adjacency matrix A, so rho is the largest eigenvalue of A, to within the
+solver's Collatz-Wielandt bracket, and lambda2 is the spectral norm of
 A - (2m/n^2) J.  Further properties: emitting then parsing gives back
 the same hypergraph; the CLI ends every fuzzed edge-list text with exit
 code 0, 1 or 2 and at most one ``hgspec:`` line on stderr; every
@@ -26,11 +27,13 @@ from hypothesis import strategies as st
 
 from hgspec import (DiameterTooSmall, GenerationFailed, Hypergraph,
                     InfeasibleParams, SolverConfig, adjacency_form,
-                    apply_adjacency, distances_from, emit_hypergraph, g_value,
-                    lambda2_estimate, lambda2_lower_certificate,
-                    parse_hypergraph, random_regular_linear,
-                    rho_lower_certificate, spectral_radius, threshold)
+                    apply_adjacency, distances_from, edge_contributions,
+                    emit_hypergraph, g_value, lambda2_estimate,
+                    lambda2_lower_certificate, parse_hypergraph,
+                    random_regular_linear, rho_lower_certificate,
+                    spectral_radius, threshold)
 from hgspec.cli import run_command
+from hgspec.forms import _jacobian
 
 from conftest import adjacency_matrix
 
@@ -86,10 +89,31 @@ def test_operator_matches_dense_tensor(data):
 
 
 @PROPERTY
+@given(data=st.data())
+def test_jacobian_matches_dense_tensor(data):
+    # (t-1) X M(x) X w with M(x) = T x^(t-2), the Jacobian of A x^[t-1]
+    # divided by t - 1, at a positive x
+    h = data.draw(hypergraphs())
+    x = np.array(data.draw(st.lists(st.floats(0.1, 2), min_size=h.n,
+                                    max_size=h.n)))
+    w = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=h.n,
+                                    max_size=h.n)))
+    jac = dense_tensor(h)
+    for _ in range(h.t - 2):
+        jac = jac @ x
+    got = _jacobian(h.n, h.edge_array, edge_contributions(h, x), w,
+                    np.empty((h.m, h.t)), np.empty(h.m))
+    np.testing.assert_allclose(got, (h.t - 1) * x * (jac @ (x * w)),
+                               rtol=1e-12, atol=1e-11)
+
+
+@PROPERTY
 @given(h=connected_graphs())
 def test_t2_spectral_radius_is_largest_eigenvalue(h):
     top = float(np.linalg.eigvalsh(adjacency_matrix(h))[-1])
-    assert abs(spectral_radius(h).value - top) <= 1e-8
+    res = spectral_radius(h)
+    assert abs(res.value - top) <= res.residual * res.value \
+        + 4 * np.spacing(top)
 
 
 @PROPERTY

@@ -7,6 +7,7 @@ benchmark run; this module makes such a removal fail the tests instead.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -52,10 +53,23 @@ def test_removed_names_are_gone(owner, name):
 
 
 def test_solver_shift_is_a_constant():
-    assert "shift" not in {f.name for f in dataclasses.fields(SolverConfig)}
+    # the power iteration and its shift are gone: no option, no constant,
+    # no stanza key; SolverConfig keeps its five fields
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "tol", "max_iters", "restarts", "seed", "complex_search"]
     with pytest.raises(TypeError):
         SolverConfig(shift=1.0)
-    assert eigensolver.SHIFT == 1.0
+    assert not hasattr(eigensolver, "SHIFT")
+
+
+@pytest.mark.parametrize("command", ["radius", "lambda2"])
+def test_solver_stanza_has_no_shift(command, tmp_path, capsys):
+    path = tmp_path / "c5.txt"
+    path.write_text("2 5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+    assert cli.run_command([command, str(path)]) == 0
+    stanza = json.loads(capsys.readouterr().out)["solver"]
+    assert list(stanza) == ["tol", "max_iters", "restarts", "seed",
+                            "iterations", "residual"]
 
 
 @pytest.mark.parametrize("argv", [
