@@ -47,7 +47,7 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         tol=args.tol,
         max_iters=args.max_iters,
-        restarts=args.restarts,
+        restarts=getattr(args, "restarts", SolverConfig.restarts),
         seed=_resolve_seed(args),
         complex_search=getattr(args, "complex_search", False),
     )
@@ -298,13 +298,12 @@ def cmd_sweep(args, out) -> int:
     return 0
 
 
-def _add_solver_flags(parser, restarts_default=32):
+def _add_solver_flags(parser):
     parser.add_argument("--tol", type=float, default=1e-10,
                         help="stopping tolerance: for rho the relative "
                              "width of the Collatz-Wielandt bracket, for "
                              "lambda2 the KKT residual (default 1e-10)")
     parser.add_argument("--max-iters", type=int, default=100_000)
-    parser.add_argument("--restarts", type=int, default=restarts_default)
     parser.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
     parser.add_argument("--timings", action="store_true",
@@ -372,6 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=200)
     _add_solver_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
+
+    for sp in (p_radius, p_l2, p_verify):  # sweep runs no lambda2
+        sp.add_argument("--restarts", type=int, default=SolverConfig.restarts)
 
     p_gen = sub.add_parser("gen", help="generate an instance")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)

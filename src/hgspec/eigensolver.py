@@ -15,12 +15,14 @@ gradients on the ``forms`` kernels; 5-9 steps suffice on the hypertree
 balls.
 
 ``lambda2_estimate`` maximizes |x^T((A - (t m / n^t) J) x)| over the unit
-t-norm sphere by seeded multi-start projected gradient ascent with step
-halving.  The shifted map is not nonnegative, so no Perron-style power
-iteration applies; the returned value is a certified lower estimate of
-the shifted spectral norm (the best feasible point seen), not a claimed
-global optimum.  The search runs over real vectors by default; a
-complex-phase mode exists behind ``SolverConfig.complex_search``.
+t-norm sphere by seeded multi-start gradient ascent.  A restart ends on
+a KKT residual of at most ``SolverConfig.tol``, or when the first-order
+gain of its next step is at most ``_GAIN_FLOOR`` of |form|.  The shifted
+map is not nonnegative, so no Perron-style power iteration applies; the
+returned value is a certified lower estimate of the shifted spectral
+norm (the best feasible point seen), not a claimed global optimum.  The
+search runs over real vectors by default, over complex ones behind
+``SolverConfig.complex_search``.
 
 Both solvers, CG included, sum with numpy's pairwise ``np.sum`` only,
 never a BLAS dot product or norm, so a seeded run gives the same bits
@@ -39,11 +41,11 @@ from .forms import (_apply_monomials, _jacobian, _shifted, _shifted_grad,
                     t_norm)
 from .hypergraph import Hypergraph, _require_connected
 
-#: step size below which ascent is treated as stagnated at a local optimum
-_STEP_FLOOR = 1e-17
-
 #: relative gain below which a trial point is rounding noise, not progress
 _GAIN_FLOOR = 1e-13
+
+#: largest ascent step; accepted steps grow it by 1.25 up to this bound
+_STEP_CAP = 1e3
 
 #: relative residual at which CG stops solving for a Newton direction
 _CG_RTOL = 1e-4
@@ -205,69 +207,63 @@ def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     raise NoConvergence(cfg.max_iters, residual)
 
 
-def _sphere_residual(x, f_abs, sigma_grad, t):
-    """KKT defect of |form| on the t-norm sphere at unit-norm x."""
-    if np.iscomplexobj(x):
-        psi = np.abs(x) ** (t - 2) * x
-    else:
-        psi = np.sign(x) * np.abs(x) ** (t - 1)
-    return float(np.max(np.abs(sigma_grad / t - f_abs * psi)))
-
-
 def _ascend(h: Hypergraph, x0: np.ndarray,
             cfg: SolverConfig) -> tuple[EigenResult, bool]:
-    """Projected gradient ascent on |shifted form| over the t-norm sphere.
+    """Gradient ascent on |shifted form| over the t-norm sphere.
 
-    Returns the restart's result and whether it converged.  Counts every
-    objective evaluation against ``cfg.max_iters``.  A trial point is
-    accepted only when it gains more than ``_GAIN_FLOOR`` relative.  A
-    restart is converged when the KKT residual drops to ``cfg.tol`` or
-    the step underflows: no step along the gradient then gains more than
-    that margin, though the eigen-defect may still exceed tol.
+    Returns the restart's result and whether it converged.  A trial
+    point, renormalized in the t-norm, is accepted when it gains more
+    than ``_GAIN_FLOOR`` relative; the step then grows 1.25-fold, up to
+    ``_STEP_CAP``, and a rejected trial halves it.  The restart converges
+    when the KKT defect r drops to ``cfg.tol``, or after a rejection
+    when the halved step's first-order gain, step * t Re<d, r> along the
+    unit direction d, is at most ``_GAIN_FLOOR`` of |form|, since such
+    a trial would be rejected too.  It fails on a zero gradient or when
+    its objective evaluations reach ``cfg.max_iters``.
     """
     t = h.t
     x = x0 / t_norm(x0, t)
     f, grad = _shifted_grad(h, x)
     evals = 1
     eta = 0.1
-    converged = False
-    residual = np.inf
-    while evals < cfg.max_iters:
-        if abs(f) == 0.0:
-            sigma_grad = grad
-        elif np.iscomplexobj(x):
-            phase = np.conj(f) / abs(f)
-            sigma_grad = np.conj(phase * grad)
+
+    def stop(converged):
+        return EigenResult(value=float(abs(f)), vector=x, iterations=evals,
+                           residual=residual), converged
+
+    while True:
+        # the gradient of |f|, and of the t-norm's t-th power over t
+        if np.iscomplexobj(x):
+            sigma_grad = np.conj(np.conj(f) / abs(f) * grad) if f else grad
+            psi = np.abs(x) ** (t - 2) * x
         else:
             sigma_grad = grad if f >= 0 else -grad
-        residual = _sphere_residual(x, abs(f), sigma_grad, t)
+            psi = np.sign(x) * np.abs(x) ** (t - 1)
+        r = sigma_grad / t - abs(f) * psi  # the KKT defect
+        residual = float(np.max(np.abs(r)))
         if residual <= cfg.tol:
-            converged = True
-            break
+            return stop(True)
         gnorm = float(np.sqrt(np.sum(np.abs(sigma_grad) ** 2)))
         if gnorm == 0.0:
-            break
+            return stop(False)
         direction = sigma_grad / gnorm
-        accepted = False
-        while evals < cfg.max_iters:
+        # gain of |f| on the sphere per unit step, to first order
+        slope = t * float(np.sum((np.conj(direction) * r).real))
+        while True:
+            if evals >= cfg.max_iters:
+                return stop(False)
             y = x + eta * direction
             y /= t_norm(y, t)
             fy = _shifted(h, y)
             evals += 1
             if abs(fy) > abs(f) * (1.0 + _GAIN_FLOOR):
-                x = y
-                f, grad = _shifted_grad(h, x)
-                eta *= 1.25
-                accepted = True
                 break
             eta *= 0.5
-            if eta < _STEP_FLOOR:
-                break
-        if not accepted:
-            converged = eta < _STEP_FLOOR or residual <= cfg.tol
-            break
-    return EigenResult(value=float(abs(f)), vector=x, iterations=evals,
-                       residual=residual), converged
+            if eta * slope <= abs(f) * _GAIN_FLOOR:
+                return stop(True)
+        x = y
+        f, grad = _shifted_grad(h, x)
+        eta = min(1.25 * eta, _STEP_CAP)
 
 
 def lambda2_estimate(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResult:

@@ -66,9 +66,9 @@ def complete_uniform(n: int, t: int,
 
 
 def _fisher_yates(rng: np.random.Generator, items: list) -> None:
-    """In-place Fisher-Yates shuffle using rng.integers (fully specified)."""
-    for i in range(len(items) - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    """In-place Fisher-Yates shuffle, all swaps drawn by one rng.integers."""
+    picks = rng.integers(0, np.arange(len(items), 1, -1)).tolist()
+    for i, j in zip(range(len(items) - 1, 0, -1), picks):
         items[i], items[j] = items[j], items[i]
 
 

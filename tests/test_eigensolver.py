@@ -1,13 +1,17 @@
-"""Solver tests against brute-force and dense-matrix oracles."""
+"""Solver tests against brute-force and dense-matrix oracles, and the
+lambda2 ascent against a frozen copy of the step-floor ascent it
+replaced."""
 
 import mpmath
 import numpy as np
 import pytest
 
-from hgspec import (Hypergraph, NoConvergence, NotConnectedError,
-                    SolverConfig, adjacency_form, apply_adjacency,
-                    complete_uniform, hypertree_ball, lambda2_estimate,
-                    random_regular_linear, spectral_radius, t_norm)
+from hgspec import (EigenResult, Hypergraph, NoConvergence,
+                    NotConnectedError, SolverConfig, adjacency_form,
+                    apply_adjacency, complete_uniform, eigensolver,
+                    hypertree_ball, lambda2_estimate, random_regular_linear,
+                    spectral_radius, t_norm)
+from hgspec.forms import _shifted, _shifted_grad
 
 from conftest import (adjacency_matrix, cycle_graph, layer_perron_value,
                       path_graph, petersen, random_connected_graph)
@@ -193,6 +197,29 @@ class TestLambda2:
         with pytest.raises(NotConnectedError):
             lambda2_estimate(Hypergraph(4, 2, [(0, 1), (2, 3)]))
 
+    @pytest.mark.parametrize("build,cfg", [
+        pytest.param(lambda: random_regular_linear(2, 3, 2000, 0),
+                     SolverConfig(restarts=1), id="rr2000_t2"),
+        pytest.param(lambda: Hypergraph(8, 2, [(0, 1), (0, 2), (0, 4),
+                                               (0, 5), (1, 2), (1, 3),
+                                               (2, 5), (3, 6), (4, 5),
+                                               (4, 7)]),
+                     SolverConfig(restarts=4, complex_search=True),
+                     id="graph8_complex"),
+    ])
+    def test_long_ascent_keeps_a_finite_step(self, build, cfg):
+        # thousands of accepted steps: with the step grown 1.25-fold on
+        # each and no bound, it overflowed to inf, every later trial
+        # point was NaN and the restarts ran out their budgets
+        h = build()
+        a = adjacency_matrix(h)
+        b = a - (2 * h.m / h.n ** 2) * np.ones((h.n, h.n))
+        oracle = float(np.max(np.abs(np.linalg.eigvalsh(b))))
+        res = lambda2_estimate(h, cfg)
+        assert res.iterations < cfg.max_iters
+        assert np.all(np.isfinite(res.vector))
+        assert res.value == pytest.approx(oracle, abs=1e-9)
+
     def test_no_convergence_with_tiny_budget(self):
         cfg = SolverConfig(tol=1e-30, max_iters=2, restarts=2)
         with pytest.raises(NoConvergence):
@@ -216,3 +243,118 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
+
+
+# --- the ascent against a frozen copy of the step-floor ascent it replaced
+
+#: the replaced ascent's constants, frozen with it
+REF_STEP_FLOOR = 1e-17
+REF_GAIN_FLOOR = 1e-13
+
+
+def reference_sphere_residual(x, f_abs, sigma_grad, t):
+    if np.iscomplexobj(x):
+        psi = np.abs(x) ** (t - 2) * x
+    else:
+        psi = np.sign(x) * np.abs(x) ** (t - 1)
+    return float(np.max(np.abs(sigma_grad / t - f_abs * psi)))
+
+
+def reference_ascend(h, x0, cfg):
+    """The earlier ``eigensolver._ascend``, verbatim but for its names.
+
+    It ended a restart only when step halving ran the step below
+    ``REF_STEP_FLOOR``, and grew the step without bound.
+    """
+    t = h.t
+    x = x0 / t_norm(x0, t)
+    f, grad = _shifted_grad(h, x)
+    evals = 1
+    eta = 0.1
+    converged = False
+    residual = np.inf
+    while evals < cfg.max_iters:
+        if abs(f) == 0.0:
+            sigma_grad = grad
+        elif np.iscomplexobj(x):
+            phase = np.conj(f) / abs(f)
+            sigma_grad = np.conj(phase * grad)
+        else:
+            sigma_grad = grad if f >= 0 else -grad
+        residual = reference_sphere_residual(x, abs(f), sigma_grad, t)
+        if residual <= cfg.tol:
+            converged = True
+            break
+        gnorm = float(np.sqrt(np.sum(np.abs(sigma_grad) ** 2)))
+        if gnorm == 0.0:
+            break
+        direction = sigma_grad / gnorm
+        accepted = False
+        while evals < cfg.max_iters:
+            y = x + eta * direction
+            y /= t_norm(y, t)
+            fy = _shifted(h, y)
+            evals += 1
+            if abs(fy) > abs(f) * (1.0 + REF_GAIN_FLOOR):
+                x = y
+                f, grad = _shifted_grad(h, x)
+                eta *= 1.25
+                accepted = True
+                break
+            eta *= 0.5
+            if eta < REF_STEP_FLOOR:
+                break
+        if not accepted:
+            converged = eta < REF_STEP_FLOOR or residual <= cfg.tol
+            break
+    return EigenResult(value=float(abs(f)), vector=x, iterations=evals,
+                       residual=residual), converged
+
+
+def _restarts(monkeypatch, ascend, h, cfg):
+    """lambda2_estimate run with ``ascend``, and each restart's result."""
+    runs = []
+
+    def recorded(*args):
+        run = ascend(*args)
+        runs.append(run)
+        return run
+
+    monkeypatch.setattr(eigensolver, "_ascend", recorded)
+    best = lambda2_estimate(h, cfg)
+    monkeypatch.undo()
+    return best, runs
+
+
+@pytest.mark.parametrize("build,cfg", [
+    pytest.param(lambda: random_regular_linear(3, 3, 300, 1), SolverConfig(),
+                 id="rr300_s1"),
+    pytest.param(lambda: random_regular_linear(3, 3, 300, 2), SolverConfig(),
+                 id="rr300_s2"),
+    pytest.param(lambda: random_regular_linear(3, 3, 300, 3), SolverConfig(),
+                 id="rr300_s3"),
+    pytest.param(lambda: random_regular_linear(4, 3, 200, 5), SolverConfig(),
+                 id="rr200_t4_s5"),
+    pytest.param(lambda: random_regular_linear(4, 3, 200, 5),
+                 SolverConfig(restarts=4, complex_search=True),
+                 id="rr200_t4_s5_complex"),
+    pytest.param(lambda: hypertree_ball(3, 3, 5), SolverConfig(),
+                 id="ball335"),
+    pytest.param(lambda: random_regular_linear(3, 3, 3000, 0), SolverConfig(),
+                 id="rr3000_s0"),
+])
+def test_ascent_matches_step_floor_reference(monkeypatch, build, cfg):
+    # the stop on the predicted gain ends a restart only where the step
+    # floor would have ended it with nothing more accepted: every restart
+    # reaches the same point, in no more evaluations
+    h = build()
+    ref, ref_runs = _restarts(monkeypatch, reference_ascend, h, cfg)
+    got, runs = _restarts(monkeypatch, eigensolver._ascend, h, cfg)
+    assert (got.value, got.residual) == (ref.value, ref.residual)
+    assert got.vector.tobytes() == ref.vector.tobytes()
+    assert got.iterations <= ref.iterations
+    assert len(runs) == len(ref_runs) == cfg.restarts
+    for (run, converged), (ref_run, ref_converged) in zip(runs, ref_runs):
+        assert (run.value, run.residual) == (ref_run.value, ref_run.residual)
+        assert converged == ref_converged
+        assert run.iterations <= ref_run.iterations

@@ -1,11 +1,13 @@
 """Generator family tests: counts, predicates, determinism."""
 
+import numpy as np
 import pytest
 
 from hgspec import (GenerationFailed, InfeasibleParams, SizeOverflow,
                     complete_uniform, distances_from,
                     hypertree_ball, is_acyclic, is_linear,
                     random_regular_linear, regular_degree)
+from hgspec.generators import _fisher_yates
 
 
 class TestHypertreeBall:
@@ -116,3 +118,23 @@ class TestRandomRegularLinear:
         with pytest.raises(GenerationFailed):
             random_regular_linear(3, 2, 3, 0, max_attempts=50)
 
+
+
+def reference_fisher_yates(rng, items):
+    """The earlier shuffle, verbatim: one rng.integers call per index."""
+    for i in range(len(items) - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 10, 90_000])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_shuffle_matches_scalar_reference(length, seed):
+    # the one-call shuffle draws the same indices from the same stream
+    # and leaves the generator in the same state
+    got, want = list(range(length)), list(range(length))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    _fisher_yates(rng, got)
+    reference_fisher_yates(ref_rng, want)
+    assert got == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -12,9 +12,11 @@ the certificate constructions were merged into one radial core.  Eleven
 of them were recorded again, in their last digits only, when the
 operator kernels and solvers moved to one pairwise summation rule, and
 eight when rho moved to Newton-Noda iteration, which also dropped the
-solver stanza's "shift" line.  A change that alters any byte of them (a
-different center, diameter path, certificate or solver trajectory, or a
-last bit of rho) fails here.  To record a new golden set on purpose, run
+solver stanza's "shift" line.  The two lambda2 cases were recorded
+again, in their "iterations" counts only, when the ascent stopped on its
+predicted gain instead of a step floor.  A change that alters any byte
+of them (a different center, diameter path, certificate or solver
+trajectory, or a last bit of rho) fails here.  To record a new golden set on purpose, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the root of a
 checkout.  For each file it rewrites, it lists every number that
 changed, old -> new with the relative change, or the whole diff when

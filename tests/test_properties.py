@@ -6,12 +6,13 @@ compared with the matrix-free ``apply_adjacency``, ``adjacency_form``
 and the Jacobian product of the rho solver.  At t = 2 the tensor is the
 adjacency matrix A, so rho is the largest eigenvalue of A, to within the
 solver's Collatz-Wielandt bracket, and lambda2 is the spectral norm of
-A - (2m/n^2) J.  Further properties: emitting then parsing gives back
-the same hypergraph; the CLI ends every fuzzed edge-list text with exit
-code 0, 1 or 2 and at most one ``hgspec:`` line on stderr; every
-certificate quotient on a random regular instance is at least its
-analytic floor, restated here from the paper.  Hypothesis runs
-derandomized and without a database.
+A - (2m/n^2) J, which the real and the complex search both stay under.
+Further properties: emitting then parsing gives back the same
+hypergraph; the CLI ends every fuzzed edge-list text with exit code 0,
+1 or 2 and at most one ``hgspec:`` line on stderr; every certificate
+quotient on a random regular instance is at least its analytic floor,
+restated here from the paper.  Hypothesis runs derandomized and without
+a database.
 """
 
 import contextlib
@@ -117,11 +118,12 @@ def test_t2_spectral_radius_is_largest_eigenvalue(h):
 
 
 @PROPERTY
-@given(h=connected_graphs())
-def test_t2_lambda2_estimate_is_a_lower_estimate(h):
+@given(h=connected_graphs(), complex_search=st.booleans())
+def test_t2_lambda2_estimate_is_a_lower_estimate(h, complex_search):
     shifted = adjacency_matrix(h) - 2 * h.m / h.n ** 2 * np.ones((h.n, h.n))
     norm = float(np.max(np.abs(np.linalg.eigvalsh(shifted))))
-    value = lambda2_estimate(h, SolverConfig(restarts=4)).value
+    cfg = SolverConfig(restarts=4, complex_search=complex_search)
+    value = lambda2_estimate(h, cfg).value
     assert value <= norm + 1e-9
 
 

@@ -47,6 +47,7 @@ def test_all_is_the_documented_list():
     (hgspec, "BoundParams"), (bounds, "BoundParams"),
     (hgspec, "degree_sequence"), (hypergraph, "degree_sequence"),
     (Hypergraph, "incidence"), (DistanceMap, "layer"),
+    (eigensolver, "_STEP_FLOOR"),
 ])
 def test_removed_names_are_gone(owner, name):
     assert not hasattr(owner, name)
@@ -82,6 +83,17 @@ def test_solver_stanza_has_no_shift(command, tmp_path, capsys):
 def test_shift_flag_is_gone(argv, capsys):
     assert cli.run_command(argv + ["--shift", "1"]) == 2
     assert "unrecognized arguments: --shift 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "hypertree", "--t", "3", "--k", "3", "--radii", "1:2"],
+    ["sweep", "complete", "--t", "3", "--ns", "5:6"],
+    ["sweep", "random-regular", "--t", "3", "--k", "3", "--ns", "30:30"],
+])
+def test_sweep_restarts_flag_is_gone(argv, capsys):
+    # sweep runs no lambda2, so it takes no restart count
+    assert cli.run_command(argv + ["--restarts", "4"]) == 2
+    assert "unrecognized arguments: --restarts 4" in capsys.readouterr().err
 
 
 #: (module, function) pairs that bench/run.py calls or wraps by name
