@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
-    for sp in (p_radius, p_l2, p_verify):  # sweep runs no lambda2
+    for sp in (p_l2, p_verify):  # the commands that run lambda2
         sp.add_argument("--restarts", type=int, default=SolverConfig.restarts)
 
     p_gen = sub.add_parser("gen", help="generate an instance")

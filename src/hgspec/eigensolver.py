@@ -217,9 +217,11 @@ def _ascend(h: Hypergraph, x0: np.ndarray,
     ``_STEP_CAP``, and a rejected trial halves it.  The restart converges
     when the KKT defect r drops to ``cfg.tol``, or after a rejection
     when the halved step's first-order gain, step * t Re<d, r> along the
-    unit direction d, is at most ``_GAIN_FLOOR`` of |form|, since such
-    a trial would be rejected too.  It fails on a zero gradient or when
-    its objective evaluations reach ``cfg.max_iters``.
+    unit direction d, is at most ``_GAIN_FLOOR`` of |form|.  That stop
+    is a first-order prediction, not a proof that no shorter step gains:
+    at a nonpositive slope it ends the restart on its first rejection,
+    at any step size.  It fails on a zero gradient or when its objective
+    evaluations reach ``cfg.max_iters``.
     """
     t = h.t
     x = x0 / t_norm(x0, t)

@@ -2,9 +2,13 @@
 lambda2 ascent against a frozen copy of the step-floor ascent it
 replaced."""
 
+import functools
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hgspec import (EigenResult, Hypergraph, NoConvergence,
                     NotConnectedError, SolverConfig, adjacency_form,
@@ -15,6 +19,7 @@ from hgspec.forms import _shifted, _shifted_grad
 
 from conftest import (adjacency_matrix, cycle_graph, layer_perron_value,
                       path_graph, petersen, random_connected_graph)
+from test_properties import PROPERTY, connected_graphs
 
 
 def brute_force_single_edge_radius():
@@ -260,11 +265,13 @@ def reference_sphere_residual(x, f_abs, sigma_grad, t):
     return float(np.max(np.abs(sigma_grad / t - f_abs * psi)))
 
 
-def reference_ascend(h, x0, cfg):
-    """The earlier ``eigensolver._ascend``, verbatim but for its names.
+def reference_ascend(h, x0, cfg, step_cap=np.inf):
+    """The earlier ``eigensolver._ascend``, verbatim but for its names
+    and ``step_cap``.
 
     It ended a restart only when step halving ran the step below
-    ``REF_STEP_FLOOR``, and grew the step without bound.
+    ``REF_STEP_FLOOR``, and grew the step without bound; ``step_cap``
+    bounds it as the ascent now does, so that the stop alone is compared.
     """
     t = h.t
     x = x0 / t_norm(x0, t)
@@ -298,7 +305,7 @@ def reference_ascend(h, x0, cfg):
             if abs(fy) > abs(f) * (1.0 + REF_GAIN_FLOOR):
                 x = y
                 f, grad = _shifted_grad(h, x)
-                eta *= 1.25
+                eta = min(eta * 1.25, step_cap)
                 accepted = True
                 break
             eta *= 0.5
@@ -326,6 +333,20 @@ def _restarts(monkeypatch, ascend, h, cfg):
     return best, runs
 
 
+def _assert_matches(monkeypatch, reference, h, cfg):
+    """Every restart reaches the reference's point in no more evaluations."""
+    ref, ref_runs = _restarts(monkeypatch, reference, h, cfg)
+    got, runs = _restarts(monkeypatch, eigensolver._ascend, h, cfg)
+    assert (got.value, got.residual) == (ref.value, ref.residual)
+    assert got.vector.tobytes() == ref.vector.tobytes()
+    assert got.iterations <= ref.iterations
+    assert len(runs) == len(ref_runs) == cfg.restarts
+    for (run, converged), (ref_run, ref_converged) in zip(runs, ref_runs):
+        assert (run.value, run.residual) == (ref_run.value, ref_run.residual)
+        assert converged == ref_converged
+        assert run.iterations <= ref_run.iterations
+
+
 @pytest.mark.parametrize("build,cfg", [
     pytest.param(lambda: random_regular_linear(3, 3, 300, 1), SolverConfig(),
                  id="rr300_s1"),
@@ -344,17 +365,34 @@ def _restarts(monkeypatch, ascend, h, cfg):
                  id="rr3000_s0"),
 ])
 def test_ascent_matches_step_floor_reference(monkeypatch, build, cfg):
-    # the stop on the predicted gain ends a restart only where the step
-    # floor would have ended it with nothing more accepted: every restart
-    # reaches the same point, in no more evaluations
-    h = build()
-    ref, ref_runs = _restarts(monkeypatch, reference_ascend, h, cfg)
-    got, runs = _restarts(monkeypatch, eigensolver._ascend, h, cfg)
-    assert (got.value, got.residual) == (ref.value, ref.residual)
-    assert got.vector.tobytes() == ref.vector.tobytes()
-    assert got.iterations <= ref.iterations
-    assert len(runs) == len(ref_runs) == cfg.restarts
-    for (run, converged), (ref_run, ref_converged) in zip(runs, ref_runs):
-        assert (run.value, run.residual) == (ref_run.value, ref_run.residual)
-        assert converged == ref_converged
-        assert run.iterations <= ref_run.iterations
+    # on these inputs the step stays below the cap, and the stop on the
+    # predicted gain ends each restart where the step floor ended it
+    _assert_matches(monkeypatch, reference_ascend, build(), cfg)
+
+
+#: the reference with the step bounded as the ascent bounds it
+capped_reference = functools.partial(reference_ascend,
+                                     step_cap=eigensolver._STEP_CAP)
+
+
+@PROPERTY
+@given(h=connected_graphs(), complex_search=st.booleans())
+def test_stop_matches_step_floor_on_random_graphs(h, complex_search):
+    # the stop is a first-order prediction; with the same step cap, it
+    # ends every restart where halving down to the step floor ended it
+    cfg = SolverConfig(restarts=4, complex_search=complex_search)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_matches(monkeypatch, capped_reference, h, cfg)
+
+
+@pytest.mark.parametrize("complex_search", [False, True])
+@pytest.mark.parametrize("t,k,n,seed", [
+    (3, 3, 30, 0), (3, 3, 30, 5), (3, 2, 18, 1), (3, 2, 18, 2),
+    (4, 3, 40, 0), (4, 2, 32, 1),
+])
+def test_stop_matches_step_floor_on_small_hypergraphs(monkeypatch, t, k, n,
+                                                      seed, complex_search):
+    # some of these restarts take the step past the cap
+    cfg = SolverConfig(restarts=8, complex_search=complex_search)
+    _assert_matches(monkeypatch, capped_reference,
+                    random_regular_linear(t, k, n, seed), cfg)

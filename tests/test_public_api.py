@@ -86,12 +86,13 @@ def test_shift_flag_is_gone(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["radius", "instance.txt"],
     ["sweep", "hypertree", "--t", "3", "--k", "3", "--radii", "1:2"],
     ["sweep", "complete", "--t", "3", "--ns", "5:6"],
     ["sweep", "random-regular", "--t", "3", "--k", "3", "--ns", "30:30"],
 ])
-def test_sweep_restarts_flag_is_gone(argv, capsys):
-    # sweep runs no lambda2, so it takes no restart count
+def test_restarts_flag_is_gone_where_no_lambda2_runs(argv, capsys):
+    # radius and sweep run no lambda2, so they take no restart count
     assert cli.run_command(argv + ["--restarts", "4"]) == 2
     assert "unrecognized arguments: --restarts 4" in capsys.readouterr().err
 
