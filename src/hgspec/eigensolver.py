@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .forms import (_apply_monomials, _jacobian, _shifted, _shifted_grad,
-                    t_norm)
+from .forms import _apply_monomials, _jacobian, _shifted_grad, t_norm
 from .hypergraph import Hypergraph, _require_connected
 
 #: relative gain below which a trial point is rounding noise, not progress
@@ -85,13 +84,14 @@ def _cw_bracket(h: Hypergraph, x: np.ndarray):
 
     Returns (lo, hi, form, prods): the least and greatest of
     (A x^[t-1])_v / x_v^(t-1), which bracket rho; the form
-    x^T(A x^[t-1]), which lies between them; and the per-edge monomials
-    x^e, which the Jacobian products take.
+    x^T(A x^[t-1]) = t * sum(x^e), which lies between them and is bit
+    for bit ``adjacency_form`` at x; and the per-edge monomials x^e,
+    which the Jacobian products take.
     """
     ax, prods = _apply_monomials(h, x)
     ratios = ax / x ** (h.t - 1)
     return (float(ratios.min()), float(ratios.max()),
-            float(np.sum(x * ax)), prods)
+            h.t * float(np.sum(prods)), prods)
 
 
 def _newton_direction(h: Hypergraph, x: np.ndarray, hi: float,
@@ -107,15 +107,13 @@ def _newton_direction(h: Hypergraph, x: np.ndarray, hi: float,
 
     with S_e the sum of w over e.  That product is matrix-free, divides
     by nothing, and has the diagonal (t - 1) hi x^t, the Jacobi
-    preconditioner.  The buffers are allocated once per call and every
-    reduction is ``np.sum``.  CG stops when the residual norm has
-    fallen by the factor ``_CG_RTOL``, on a nonpositive curvature, or
-    after n steps.
+    preconditioner.  The buffers are allocated once per call, since
+    fresh arrays on every product cost page faults, and every reduction
+    is ``np.sum``.  CG stops when the residual norm has fallen by the
+    factor ``_CG_RTOL``, on a nonpositive curvature, or after n steps.
     """
     t, n = h.t, h.n
-    # writable: np.take and np.bincount copy a read-only index every call
-    edges = h.edge_array.copy()
-    slots = np.empty(edges.shape)
+    slots = np.empty((h.m, t))
     # the edge sums S and the scratch vector are never needed at once
     shared = np.empty(max(n, h.m))
     sums, work = shared[:h.m], shared[:n]
@@ -126,7 +124,7 @@ def _newton_direction(h: Hypergraph, x: np.ndarray, hi: float,
     rz = float(np.sum(r * p))
     stop = _CG_RTOL ** 2 * float(np.sum(r * r))
     for _ in range(n):
-        kp = _jacobian(n, edges, prods, p, slots, sums)
+        kp = _jacobian(h, prods, p, slots, sums)
         np.multiply(diag, p, out=work)
         np.subtract(work, kp, out=kp)
         np.multiply(p, kp, out=work)
@@ -256,15 +254,14 @@ def _ascend(h: Hypergraph, x0: np.ndarray,
                 return stop(False)
             y = x + eta * direction
             y /= t_norm(y, t)
-            fy = _shifted(h, y)
+            fy, grad_y = _shifted_grad(h, y)
             evals += 1
             if abs(fy) > abs(f) * (1.0 + _GAIN_FLOOR):
                 break
             eta *= 0.5
             if eta * slope <= abs(f) * _GAIN_FLOOR:
                 return stop(True)
-        x = y
-        f, grad = _shifted_grad(h, x)
+        x, f, grad = y, fy, grad_y
         eta = min(1.25 * eta, _STEP_CAP)
 
 

@@ -24,11 +24,14 @@ BLAS thread count.  Against 50-digit mpmath the form sum was within
 
 Every evaluation of A, of its Jacobian or of a form in the package is
 one of the private kernels here (``_apply_monomials``, ``_jacobian``,
-``_form``, ``_shifted``, ``_shifted_grad``), which keep the product and
-summation order of each use.  The public functions are
-:func:`as_vector` plus a kernel.  The solvers call the
-kernels directly: they pass checked vectors, and a trace of the public
-functions would otherwise count solver steps.
+``_form``, ``_shifted_grad``), on the hypergraph's private edge index
+``Hypergraph._edge_index``, which is writable, so numpy indexes with it
+without a copy.  One kernel forms the edge products x^e,
+``_edge_products``, and every form is t times their ``np.sum``, so a
+value a solver reports is bit for bit the public form at its vector.
+The public functions are :func:`as_vector` plus a kernel.  The solvers
+call the kernels directly: they pass checked vectors, and a trace of
+the public functions would otherwise count solver steps.
 """
 
 from __future__ import annotations
@@ -82,30 +85,27 @@ def _accumulate(arr: np.ndarray):
     return complex(total) if np.iscomplexobj(arr) else float(total)
 
 
-def _scatter_columns(n: int, edges: np.ndarray, contrib: np.ndarray) -> np.ndarray:
+def _scatter_columns(h: Hypergraph, contrib: np.ndarray) -> np.ndarray:
     """Sum the (m, t) per-position contributions into a length-n vector."""
-    index = edges.ravel()
+    index = h._edge_index.ravel()
     flat = contrib.ravel()
     if not np.iscomplexobj(flat):
-        return np.bincount(index, weights=flat, minlength=n)
-    out = np.empty(n, dtype=np.complex128)
-    out.real = np.bincount(index, weights=flat.real, minlength=n)
-    out.imag = np.bincount(index, weights=flat.imag, minlength=n)
+        return np.bincount(index, weights=flat, minlength=h.n)
+    out = np.empty(h.n, dtype=np.complex128)
+    out.real = np.bincount(index, weights=flat.real, minlength=h.n)
+    out.imag = np.bincount(index, weights=flat.imag, minlength=h.n)
     return out
 
 
 def _apply_monomials(h: Hypergraph, x: np.ndarray):
-    """A x and the per-edge monomials x^e, from one set of leave-one-out
-    products, for a validated x."""
-    vals = x[h.edge_array]
-    partial = _partial_products(vals)
-    return (_scatter_columns(h.n, h.edge_array, partial),
-            partial[:, 0] * vals[:, 0])
+    """A x and the per-edge monomials x^e, for a validated x."""
+    vals = x[h._edge_index]
+    return _scatter_columns(h, _partial_products(vals)), _edge_products(vals)
 
 
 def _form(h: Hypergraph, x: np.ndarray):
     """x^T(A x) = t * sum over edges of x^e, for a validated x."""
-    return h.t * _accumulate(_edge_products(x[h.edge_array]))
+    return h.t * _accumulate(_edge_products(x[h._edge_index]))
 
 
 def _j_coefficient(h: Hypergraph) -> float:
@@ -113,16 +113,9 @@ def _j_coefficient(h: Hypergraph) -> float:
     return h.t * h.m / float(h.n) ** h.t
 
 
-def _shifted(h: Hypergraph, x: np.ndarray):
-    """x^T((A - (t m / n^t) J) x) for a validated x."""
-    return _form(h, x) - _j_coefficient(h) * _accumulate(x) ** h.t
-
-
 def _shifted_grad(h: Hypergraph, x: np.ndarray):
-    """Shifted form and its holomorphic gradient t (A x - c (sum x)^(t-1)).
-
-    Both come from one set of leave-one-out products.
-    """
+    """Shifted form and its holomorphic gradient t (A x - c (sum x)^(t-1)),
+    for a validated x."""
     t = h.t
     c = _j_coefficient(h)
     total = _accumulate(x)
@@ -131,7 +124,7 @@ def _shifted_grad(h: Hypergraph, x: np.ndarray):
     return form - c * total ** t, t * (ax - c * total ** (t - 1))
 
 
-def _jacobian(n: int, edges: np.ndarray, prods: np.ndarray, w: np.ndarray,
+def _jacobian(h: Hypergraph, prods: np.ndarray, w: np.ndarray,
               slots: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """sum over edges e at v of x^e (S_e - w_v), S_e the sum of w over e.
 
@@ -140,17 +133,16 @@ def _jacobian(n: int, edges: np.ndarray, prods: np.ndarray, w: np.ndarray,
     A x^[t-1] divided by t - 1; at w = 1 it is (t - 1) x A x^[t-1].
     ``slots`` (m, t) and ``sums`` (m,) are overwritten scratch space.
     """
-    t = edges.shape[1]
     # the ids are in range; mode "raise" would fill a temporary first
-    np.take(w, edges, out=slots, mode="clip")
+    np.take(w, h._edge_index, out=slots, mode="clip")
     np.add(slots[:, 0], slots[:, 1], out=sums)
-    for j in range(2, t):
+    for j in range(2, h.t):
         sums += slots[:, j]
-    for j in range(t):
+    for j in range(h.t):
         column = slots[:, j]
         np.subtract(sums, column, out=column)
         column *= prods
-    return _scatter_columns(n, edges, slots)
+    return _scatter_columns(h, slots)
 
 
 def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
@@ -160,7 +152,7 @@ def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
 
 def edge_contributions(h: Hypergraph, x) -> np.ndarray:
     """Per-edge monomials x^e = prod_{u in e} x_u, in edge-list order."""
-    return _edge_products(as_vector(h, x)[h.edge_array])
+    return _edge_products(as_vector(h, x)[h._edge_index])
 
 
 def adjacency_form(h: Hypergraph, x) -> float | complex:
@@ -180,7 +172,7 @@ def shifted_form(h: Hypergraph, x) -> float | complex:
     all-ones vector of a regular hypergraph, and coincides with the plain
     adjacency form whenever the entries of x sum to zero.
     """
-    return _shifted(h, as_vector(h, x))
+    return _shifted_grad(h, as_vector(h, x))[0]
 
 
 def t_norm(x, t: int) -> float:

@@ -32,25 +32,20 @@ def hypertree_ball(t: int, k: int, radius: int,
     if t < 2 or k < 1 or radius < 0:
         raise InfeasibleParams(f"hypertree ball needs t>=2, k>=1, radius>=0, "
                                f"got t={t}, k={k}, radius={radius}")
-    edges = []
+    layers = [np.empty((0, t), dtype=np.int64)]
     n = 1
-    frontier = [0]
+    frontier = np.zeros(1, dtype=np.int64)
     for layer in range(radius):
         branch = k if layer == 0 else k - 1
-        nxt = []
-        for v in frontier:
-            for _ in range(branch):
-                fresh = list(range(n, n + t - 1))
-                n += t - 1
-                if n > max_vertices:
-                    raise SizeOverflow(
-                        f"hypertree ball exceeds {max_vertices} vertices "
-                        f"at layer {layer + 1}"
-                    )
-                edges.append((v, *fresh))
-                nxt.extend(fresh)
-        frontier = nxt
-    return Hypergraph(n, t, edges)
+        grown = n + frontier.size * branch * (t - 1)
+        if grown > max_vertices:
+            raise SizeOverflow(f"hypertree ball exceeds {max_vertices} "
+                               f"vertices at layer {layer + 1}")
+        # each edge joins a frontier vertex to t - 1 fresh ones
+        fresh = np.arange(n, grown).reshape(-1, t - 1)
+        layers.append(np.column_stack([np.repeat(frontier, branch), fresh]))
+        n, frontier = grown, fresh.ravel()
+    return Hypergraph(n, t, np.concatenate(layers))
 
 
 def complete_uniform(n: int, t: int,
@@ -103,7 +98,6 @@ def random_regular_linear(t: int, k: int, n: int, seed: int,
         stubs = [v for v in range(n) for _ in range(k)]
         _fisher_yates(rng, stubs)
         accepted: list[tuple[int, ...]] = []
-        edge_seen: set[tuple[int, ...]] = set()
         pair_seen: set[tuple[int, int]] = set()
         failures = 0
         while stubs and failures < local_cap:
@@ -113,18 +107,10 @@ def random_regular_linear(t: int, k: int, n: int, seed: int,
                 j = int(rng.integers(0, size - i))
                 stubs[j], stubs[size - 1 - i] = stubs[size - 1 - i], stubs[j]
             proposal = tuple(sorted(stubs[size - t:]))
-            pairs = [
-                (proposal[a], proposal[b])
-                for a in range(t) for b in range(a + 1, t)
-            ]
-            ok = (
-                len(set(proposal)) == t
-                and proposal not in edge_seen
-                and not any(p in pair_seen for p in pairs)
-            )
-            if ok:
+            pairs = list(itertools.combinations(proposal, 2))
+            # a copy of an accepted edge shares all its pairs with it
+            if len(set(proposal)) == t and pair_seen.isdisjoint(pairs):
                 accepted.append(proposal)
-                edge_seen.add(proposal)
                 pair_seen.update(pairs)
                 del stubs[size - t:]
             else:

@@ -1,12 +1,15 @@
 """Uniform hypergraphs: representation, structural predicates, metrics.
 
 Vertices are dense integer ids ``0..n-1``.  The edges are stored once,
-as the read-only ``(m, t)`` int64 array ``Hypergraph.edge_array``, each
-row sorted and the rows in lexicographic order; ``degrees`` and the
+as the ``(m, t)`` int64 array ``Hypergraph._edge_index``, each row
+sorted and the rows in lexicographic order; ``degrees`` and the
 incidence are built from it, ``edges`` (tuples) on first use.  The
-constructor is the one place edges are validated: whole-array checks
-that name the input index of the first faulty edge, which the parser
-maps to a line number.  A :class:`Hypergraph` is immutable; all
+public ``edge_array`` is a read-only view of it.  The index itself stays
+writable, though nothing writes to it, because numpy copies a read-only
+index array on every ``take``, ``bincount`` or fancy index; the kernels
+in ``forms`` index with it directly.  The constructor is the one place
+edges are validated: whole-array checks that name the input index of
+the first faulty edge, which the parser maps to a line number.  A :class:`Hypergraph` is immutable; all
 operations here are pure.
 
 Distances are measured in edges: ``dist(u, v)`` is the minimum number of
@@ -112,8 +115,8 @@ class Hypergraph:
         (hypergraphs are simple).  Faults raise ``EdgeError``.
     """
 
-    __slots__ = ("n", "t", "edge_array", "degrees", "_indptr", "_indices",
-                 "_edges", "_connected")
+    __slots__ = ("n", "t", "_edge_index", "edge_array", "degrees", "_indptr",
+                 "_indices", "_edges", "_connected")
 
     def __init__(self, n, t, edges):
         if not isinstance(n, int) or n < 1:
@@ -124,12 +127,13 @@ class Hypergraph:
             edges = list(edges)
         self.n = n
         self.t = t
-        #: edges as an (m, t) int64 array (empty (0, t) when m = 0)
-        self.edge_array = _validated_edges(n, t, edges).reshape(-1, t)
+        self._edge_index = _validated_edges(n, t, edges).reshape(-1, t)
+        #: edges as a read-only (m, t) int64 view (empty (0, t) when m = 0)
+        self.edge_array = self._edge_index.view()
         # CSR incidence: the edges of vertex v are
         # _indices[_indptr[v]:_indptr[v+1]], in increasing edge order
         # (the sort is stable and edge ids grow along the flattened array)
-        flat = self.edge_array.ravel()
+        flat = self._edge_index.ravel()
         self._indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(flat, minlength=n), out=self._indptr[1:])
         self._indices = np.argsort(flat, kind="stable") // t
@@ -201,8 +205,8 @@ def is_acyclic(h: Hypergraph) -> bool:
     label = np.arange(h.n)
     while True:
         low = label.copy()
-        np.minimum.at(low, h.edge_array,
-                      label[h.edge_array].min(axis=1, keepdims=True))
+        np.minimum.at(low, h._edge_index,
+                      label[h._edge_index].min(axis=1, keepdims=True))
         low = low[low]
         if np.array_equal(low, label):
             break

@@ -14,8 +14,8 @@ from hgspec import (EigenResult, Hypergraph, NoConvergence,
                     NotConnectedError, SolverConfig, adjacency_form,
                     apply_adjacency, complete_uniform, eigensolver,
                     hypertree_ball, lambda2_estimate, random_regular_linear,
-                    spectral_radius, t_norm)
-from hgspec.forms import _shifted, _shifted_grad
+                    shifted_form, spectral_radius, t_norm)
+from hgspec.forms import _shifted_grad
 
 from conftest import (adjacency_matrix, cycle_graph, layer_perron_value,
                       path_graph, petersen, random_connected_graph)
@@ -171,7 +171,6 @@ class TestLambda2:
             assert est.value == pytest.approx(oracle, abs=1e-6)
 
     def test_result_is_feasible_point_value(self):
-        from hgspec import shifted_form
         h = petersen()
         res = lambda2_estimate(h)
         v = res.vector
@@ -231,7 +230,7 @@ class TestLambda2:
             lambda2_estimate(petersen(), cfg)
 
     def test_t3_estimate_dominates_uniform_candidate(self):
-        from hgspec import shifted_form, t_norm_pow
+        from hgspec import t_norm_pow
         h = random_regular_linear(3, 3, 18, 8)
         rng = np.random.default_rng(0)
         est = lambda2_estimate(h, SolverConfig(restarts=16)).value
@@ -239,6 +238,27 @@ class TestLambda2:
             y = rng.standard_normal(h.n)
             feasible = abs(shifted_form(h, y)) / t_norm_pow(y, 3)
             assert est >= feasible - 1e-8
+
+
+@pytest.mark.parametrize("complex_search", [False, True])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: random_regular_linear(3, 3, 300, 1), id="rr300_s1"),
+    pytest.param(lambda: random_regular_linear(4, 3, 200, 5),
+                 id="rr200_t4_s5"),
+    pytest.param(lambda: hypertree_ball(3, 3, 5), id="ball335"),
+    pytest.param(lambda: complete_uniform(7, 3), id="K7_3"),
+    pytest.param(lambda: random_regular_linear(3, 3, 3000, 0),
+                 id="rr3000_s0"),
+])
+def test_value_is_the_public_form_at_the_vector(build, complex_search):
+    # both solvers form x^e with the one kernel the public forms use, so
+    # the reported value is the form at the returned vector, bit for bit
+    h = build()
+    cfg = SolverConfig(complex_search=complex_search)
+    rho = spectral_radius(h, cfg)
+    assert rho.value == adjacency_form(h, rho.vector)
+    lam = lambda2_estimate(h, cfg)
+    assert lam.value == abs(shifted_form(h, lam.vector))
 
 
 def test_solver_config_validation():
@@ -272,6 +292,9 @@ def reference_ascend(h, x0, cfg, step_cap=np.inf):
     It ended a restart only when step halving ran the step below
     ``REF_STEP_FLOOR``, and grew the step without bound; ``step_cap``
     bounds it as the ascent now does, so that the stop alone is compared.
+    Its trials are evaluated with the public ``shifted_form``: the form
+    has one product order, so that gives the bits of the private kernel
+    the copy called.
     """
     t = h.t
     x = x0 / t_norm(x0, t)
@@ -300,7 +323,7 @@ def reference_ascend(h, x0, cfg, step_cap=np.inf):
         while evals < cfg.max_iters:
             y = x + eta * direction
             y /= t_norm(y, t)
-            fy = _shifted(h, y)
+            fy = shifted_form(h, y)
             evals += 1
             if abs(fy) > abs(f) * (1.0 + REF_GAIN_FLOOR):
                 x = y

@@ -94,8 +94,8 @@ class TestColumnKernels:
         # M(x) x = A x^[t-1], and _jacobian at w = 1 is (t-1) x M(x) x
         x = np.random.default_rng(3).uniform(0.2, 2.0, h.n)
         slots, sums = np.empty((h.m, h.t)), np.empty(h.m)
-        jx = _jacobian(h.n, h.edge_array, edge_contributions(h, x),
-                       np.ones(h.n), slots, sums)
+        jx = _jacobian(h, edge_contributions(h, x), np.ones(h.n), slots,
+                       sums)
         np.testing.assert_allclose(jx / ((h.t - 1) * x),
                                    apply_adjacency(h, x), rtol=1e-13)
 

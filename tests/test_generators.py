@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from hgspec import (GenerationFailed, InfeasibleParams, SizeOverflow,
-                    complete_uniform, distances_from,
+from hgspec import (GenerationFailed, Hypergraph, InfeasibleParams,
+                    SizeOverflow, complete_uniform, distances_from,
                     hypertree_ball, is_acyclic, is_linear,
                     random_regular_linear, regular_degree)
 from hgspec.generators import _fisher_yates
@@ -138,3 +138,48 @@ def test_shuffle_matches_scalar_reference(length, seed):
     reference_fisher_yates(ref_rng, want)
     assert got == want
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def reference_hypertree_edges(t, k, radius, max_vertices):
+    """The earlier per-edge loop of ``hypertree_ball``, verbatim but for
+    its names: the vertex count and the edge list, in generation order."""
+    edges = []
+    n = 1
+    frontier = [0]
+    for layer in range(radius):
+        branch = k if layer == 0 else k - 1
+        nxt = []
+        for v in frontier:
+            for _ in range(branch):
+                fresh = list(range(n, n + t - 1))
+                n += t - 1
+                if n > max_vertices:
+                    raise SizeOverflow(
+                        f"hypertree ball exceeds {max_vertices} vertices "
+                        f"at layer {layer + 1}"
+                    )
+                edges.append((v, *fresh))
+                nxt.extend(fresh)
+        frontier = nxt
+    return n, edges
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_hypertree_ball_matches_edge_loop(t):
+    for k in range(1, 5):
+        for r in range(6):
+            h = hypertree_ball(t, k, r)
+            n, edges = reference_hypertree_edges(t, k, r, 2_000_000)
+            ref = Hypergraph(n, t, edges)
+            assert h.n == ref.n
+            assert h.edge_array.tobytes() == ref.edge_array.tobytes()
+
+
+@pytest.mark.parametrize("t,k,r,cap", [(3, 3, 10, 1000), (3, 3, 4, 100),
+                                       (2, 2, 9, 8), (4, 1, 3, 3)])
+def test_hypertree_ball_overflows_like_edge_loop(t, k, r, cap):
+    with pytest.raises(SizeOverflow) as want:
+        reference_hypertree_edges(t, k, r, cap)
+    with pytest.raises(SizeOverflow) as got:
+        hypertree_ball(t, k, r, max_vertices=cap)
+    assert str(got.value) == str(want.value)

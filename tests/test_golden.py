@@ -14,7 +14,9 @@ operator kernels and solvers moved to one pairwise summation rule, and
 eight when rho moved to Newton-Noda iteration, which also dropped the
 solver stanza's "shift" line.  The two lambda2 cases were recorded
 again, in their "iterations" counts only, when the ascent stopped on its
-predicted gain instead of a step floor.  A change that alters any byte
+predicted gain instead of a step floor.  Eight were recorded again, in
+their last digits only, when every solver value came to be formed by the
+one edge-product kernel of the public forms.  A change that alters any byte
 of them (a different center, diameter path, certificate or solver
 trajectory, or a last bit of rho) fails here.  To record a new golden set on purpose, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the root of a

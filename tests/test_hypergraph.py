@@ -39,6 +39,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Hypergraph(0, 2, [])
 
+    def test_edge_array_is_a_read_only_view_of_the_index(self):
+        # one copy of the edges: the kernels index with the writable
+        # _edge_index, which numpy does not copy, callers see a view
+        h = Hypergraph(5, 3, [(4, 2, 0), (1, 3, 2)])
+        assert np.shares_memory(h.edge_array, h._edge_index)
+        assert not h.edge_array.flags.writeable
+        with pytest.raises(ValueError):
+            h.edge_array[0, 0] = 1
+
 
 class TestDegrees:
     def test_single_edge(self):

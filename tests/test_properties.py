@@ -102,8 +102,8 @@ def test_jacobian_matches_dense_tensor(data):
     jac = dense_tensor(h)
     for _ in range(h.t - 2):
         jac = jac @ x
-    got = _jacobian(h.n, h.edge_array, edge_contributions(h, x), w,
-                    np.empty((h.m, h.t)), np.empty(h.m))
+    got = _jacobian(h, edge_contributions(h, x), w, np.empty((h.m, h.t)),
+                    np.empty(h.m))
     np.testing.assert_allclose(got, (h.t - 1) * x * (jac @ (x * w)),
                                rtol=1e-12, atol=1e-11)
 

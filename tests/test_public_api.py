@@ -47,7 +47,7 @@ def test_all_is_the_documented_list():
     (hgspec, "BoundParams"), (bounds, "BoundParams"),
     (hgspec, "degree_sequence"), (hypergraph, "degree_sequence"),
     (Hypergraph, "incidence"), (DistanceMap, "layer"),
-    (eigensolver, "_STEP_FLOOR"),
+    (eigensolver, "_STEP_FLOOR"), (forms, "_shifted"),
 ])
 def test_removed_names_are_gone(owner, name):
     assert not hasattr(owner, name)
