@@ -178,9 +178,12 @@ def _check_alon_boppana(h, args, cfg) -> dict:
     floor = cert.metadata["analytic_floor"]
     floor_ok = cert.quotient >= floor - 1e-9
     dominated = estimate.value >= cert.quotient - 1e-6
+    # at radius d = 0 the quotient is 0, which certifies nothing
+    trivial = {"trivial": True} if cert.metadata["d"] == 0 else {}
     return {
         "check": "alon-boppana",
-        "passed": bool(floor_ok and dominated),
+        "passed": bool(floor_ok and dominated and not trivial),
+        **trivial,
         "certificate": certificate_entry(cert),
         "lambda2_estimate": estimate.value,
         "threshold": cert.metadata["threshold"],

@@ -3,6 +3,9 @@
 Randomized generation uses numpy's PCG64 generator (a named 64-bit RNG
 with a published state transition) driven through an explicit in-module
 Fisher-Yates shuffle, so a seed pins down the emitted edge list exactly.
+The sampler draws its bounded integers in arrays: one ``rng.integers(0,
+highs)`` call consumes the stream exactly as one scalar call per bound in
+turn, so batching changes no emitted bit.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from .hypergraph import Hypergraph
 
 #: default cap on generated vertex / edge counts
 DEFAULT_SIZE_CAP = 2_000_000
+#: proposals drawn ahead per rng call in ``random_regular_linear``
+_BATCH = 256
 
 
 def hypertree_ball(t: int, k: int, radius: int,
@@ -79,10 +84,22 @@ def random_regular_linear(t: int, k: int, n: int, seed: int,
     is disconnected.  Not a uniform sampler over regular linear
     hypergraphs; adequacy, not uniformity, is the goal here.
 
+    Each proposal moves t random stubs to the tail by a partial
+    Fisher-Yates shuffle.  While proposals are accepted their bounds are
+    known in advance, so one ``rng.integers`` call draws a batch of up to
+    ``_BATCH`` proposals.  A rejection voids the rest of the batch: the
+    generator goes back to its state before the batch and redraws just the
+    prefix used (``advance`` cannot rewind it, since a bounded draw takes a
+    variable number of raw words), and the next batch is as long as the
+    run that ended.  So a seed gives the instance of one scalar draw per
+    stub.
+
     Raises
     ------
     InfeasibleParams
         If t does not divide n*k or the parameters are out of range.
+    SizeOverflow
+        If n or m = n*k/t exceeds ``DEFAULT_SIZE_CAP``.
     GenerationFailed
         After ``max_attempts`` abandoned samples.
     """
@@ -91,6 +108,9 @@ def random_regular_linear(t: int, k: int, n: int, seed: int,
     if (n * k) % t != 0:
         raise InfeasibleParams(f"t={t} must divide n*k={n * k}")
     m = n * k // t
+    if max(n, m) > DEFAULT_SIZE_CAP:
+        raise SizeOverflow(f"random regular instance with n={n}, m={m} "
+                           f"exceeds {DEFAULT_SIZE_CAP} vertices or edges")
     rng = np.random.default_rng(seed)
     local_cap = 500
 
@@ -100,21 +120,35 @@ def random_regular_linear(t: int, k: int, n: int, seed: int,
         accepted: list[tuple[int, ...]] = []
         pair_seen: set[tuple[int, int]] = set()
         failures = 0
+        batch = _BATCH
         while stubs and failures < local_cap:
             size = len(stubs)
-            # partial Fisher-Yates: move t random stubs to the tail
-            for i in range(t):
-                j = int(rng.integers(0, size - i))
-                stubs[j], stubs[size - 1 - i] = stubs[size - 1 - i], stubs[j]
-            proposal = tuple(sorted(stubs[size - t:]))
-            pairs = list(itertools.combinations(proposal, 2))
-            # a copy of an accepted edge shares all its pairs with it
-            if len(set(proposal)) == t and pair_seen.isdisjoint(pairs):
-                accepted.append(proposal)
-                pair_seen.update(pairs)
-                del stubs[size - t:]
-            else:
+            count = min(batch, size // t)
+            # the bounds if every proposal of the batch is accepted
+            highs = size - np.arange(count * t)
+            saved = rng.bit_generator.state if count > 1 else None
+            picks = rng.integers(0, highs).tolist()
+            batch = min(2 * batch, _BATCH)
+            for p in range(count):
+                top = size - p * t
+                # partial Fisher-Yates: move t random stubs to the tail
+                for i, j in enumerate(picks[p * t:(p + 1) * t]):
+                    stubs[j], stubs[top - 1 - i] = stubs[top - 1 - i], stubs[j]
+                proposal = tuple(sorted(stubs[top - t:]))
+                pairs = list(itertools.combinations(proposal, 2))
+                # a copy of an accepted edge shares all its pairs with it
+                if len(set(proposal)) == t and pair_seen.isdisjoint(pairs):
+                    accepted.append(proposal)
+                    pair_seen.update(pairs)
+                    del stubs[top - t:]
+                    continue
                 failures += 1
+                if p + 1 < count:
+                    rng.bit_generator.state = saved
+                    rng.integers(0, highs[:(p + 1) * t])
+                # retry-heavy end-games would waste long batches
+                batch = p + 1
+                break
         if stubs:
             continue
         h = Hypergraph(n, t, accepted)
@@ -125,4 +159,3 @@ def random_regular_linear(t: int, k: int, n: int, seed: int,
         f"no connected k-regular linear instance for t={t}, k={k}, n={n} "
         f"after {max_attempts} attempts (seed {seed})"
     )
-

@@ -82,6 +82,6 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
 def emit_hypergraph(h: Hypergraph) -> str:
     """Canonical edge-list text for h (sorted edges, no comments)."""
-    lines = [f"{h.t} {h.n} {h.m}"]
-    lines.extend(" ".join(map(str, edge)) for edge in h.edge_array.tolist())
-    return "\n".join(lines) + "\n"
+    row = " ".join(["%d"] * h.t) + "\n"
+    return (f"{h.t} {h.n} {h.m}\n"
+            + row * h.m % tuple(h.edge_array.ravel().tolist()))

@@ -1,5 +1,6 @@
 """File format, CLI subcommands, report schemas, exit codes."""
 
+import importlib.util
 import io
 import json
 import os
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from hgspec import (Hypergraph, ParseError, emit_hypergraph, hypertree_ball,
-                    parse_hypergraph, threshold)
+from hgspec import (Hypergraph, ParseError, complete_uniform, emit_hypergraph,
+                    hypertree_ball, parse_hypergraph, random_regular_linear,
+                    threshold)
 from hgspec.cli import run_command
 from hgspec.reports import SWEEP_COLUMNS, dumps_json, emit_sweep_csv
 
@@ -57,6 +59,41 @@ class TestEdgeListFormat:
     def test_isolated_vertices_preserved(self):
         h = parse_hypergraph("2 6 1\n0 1\n")
         assert h.n == 6
+
+
+def reference_emit(h):
+    """The earlier emitter, verbatim: one join per edge line."""
+    lines = [f"{h.t} {h.n} {h.m}"]
+    lines.extend(" ".join(map(str, edge)) for edge in h.edge_array.tolist())
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("h", [
+    *(random_regular_linear(t, 3, 20 * t, t) for t in range(2, 7)),
+    Hypergraph(5, 3, []), complete_uniform(7, 3), hypertree_ball(3, 3, 5),
+    hypertree_ball(6, 2, 3)])
+def test_emit_matches_join_reference(h):
+    assert emit_hypergraph(h) == reference_emit(h)
+
+
+def load_bench_refgen():
+    """``bench/refgen.py``, the benchmark's own restatement of the sampler."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "refgen.py"
+    spec = importlib.util.spec_from_file_location("refgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("t,k,n,seed", [
+    (2, 3, 3000, 0), (2, 4, 1000, 6), (3, 3, 3000, 1), (3, 2, 999, 4),
+    (3, 3, 300, 9), (4, 3, 2000, 2), (4, 4, 1000, 11)])
+def test_gen_matches_bench_oracle(t, k, n, seed):
+    # the benchmark rejects any gen output that differs from this text
+    code, text = run(["gen", "random-regular", "--t", str(t), "--k", str(k),
+                      "--n", str(n), "--seed", str(seed)])
+    assert code == 0
+    assert text == load_bench_refgen().random_regular_text(t, k, n, seed)
 
 
 class TestJsonAndCsvEmission:
@@ -219,6 +256,26 @@ class TestCommands:
         code, _ = run(["lambda2", str(path)])
         assert code == 1
         assert capsys.readouterr().err.startswith("hgspec: overflow: ")
+
+    def test_exit_1_on_oversized_random_regular(self, capsys):
+        # 10^8 vertices exceed the size cap before any stub is made
+        code, text = run(["gen", "random-regular", "--t", "3", "--k", "3",
+                          "--n", "100000000"])
+        assert (code, text) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("hgspec: ") and err.count("\n") == 1
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the lambda2 ascent ends at 1.1672, below the multi-center "
+        "certificate's quotient 1.5225"))
+    def test_verify_alon_boppana_on_rr2000_t4(self, tmp_path):
+        path = tmp_path / "rr2000_t4.txt"
+        path.write_text(emit_hypergraph(random_regular_linear(4, 3, 2000, 0)))
+        code, text = run(["verify", str(path), "--check", "alon-boppana"])
+        payload = json.loads(text)
+        assert payload["lambda2_estimate"] >= \
+            payload["certificate"]["quotient"] - 1e-6
+        assert code == 0
 
     def test_exit_1_when_memory_runs_out(self, tmp_path, capsys):
         # n = 10^18 fits int64 but no address space, so the first

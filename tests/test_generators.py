@@ -1,5 +1,7 @@
 """Generator family tests: counts, predicates, determinism."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,12 @@ class TestRandomRegularLinear:
         with pytest.raises(InfeasibleParams):
             random_regular_linear(3, 2, 10, 0)  # 20 not divisible by 3
 
+    @pytest.mark.parametrize("t,k,n", [(3, 3, 2_000_001), (2, 5, 1_000_000)])
+    def test_size_overflow(self, t, k, n):
+        # n, or m = n k / t, above the cap; raised before any stub is made
+        with pytest.raises(SizeOverflow):
+            random_regular_linear(t, k, n, 0)
+
     def test_generation_failure_on_impossible_corner(self):
         # n = t forces every edge to be the full vertex set; k = 2 would
         # need a duplicate edge, so every attempt is rejected
@@ -183,3 +191,116 @@ def test_hypertree_ball_overflows_like_edge_loop(t, k, r, cap):
     with pytest.raises(SizeOverflow) as got:
         hypertree_ball(t, k, r, max_vertices=cap)
     assert str(got.value) == str(want.value)
+
+
+def reference_random_regular(rng, t, k, n, max_attempts, events):
+    """The earlier scalar proposal loop of ``random_regular_linear``,
+    verbatim but for its names: one ``rng.integers`` call per stub.
+
+    Returns the accepted edges of the first connected sample, or None
+    after ``max_attempts``.  Appends to ``events`` what happened, as
+    ("deadlock",), ("disconnected",) and, for every rejection,
+    ("reject", p, count, size // t): the rejected proposal's index p
+    within the batch of ``count`` proposals that the batched sampler
+    draws for it, and the number of proposals left to make.
+    """
+    local_cap = 500
+    for _ in range(max_attempts):
+        stubs = [v for v in range(n) for _ in range(k)]
+        reference_fisher_yates(rng, stubs)
+        accepted = []
+        pair_seen = set()
+        failures = 0
+        batch, count, p = 256, 0, 0  # the batched sampler's bookkeeping
+        while stubs and failures < local_cap:
+            size = len(stubs)
+            if p == 0:
+                count = min(batch, size // t)
+                batch = min(2 * batch, 256)
+            for i in range(t):
+                j = int(rng.integers(0, size - i))
+                stubs[j], stubs[size - 1 - i] = stubs[size - 1 - i], stubs[j]
+            proposal = tuple(sorted(stubs[size - t:]))
+            pairs = list(itertools.combinations(proposal, 2))
+            if len(set(proposal)) == t and pair_seen.isdisjoint(pairs):
+                accepted.append(proposal)
+                pair_seen.update(pairs)
+                del stubs[size - t:]
+                p = (p + 1) % count
+            else:
+                failures += 1
+                events.append(("reject", p, count, size // t))
+                batch, p = p + 1, 0
+        if stubs:
+            events.append(("deadlock",))
+            continue
+        if Hypergraph(n, t, accepted).is_connected:
+            return accepted
+        events.append(("disconnected",))
+    return None
+
+
+def sample_both_ways(monkeypatch, t, k, n, seed, max_attempts=10_000):
+    """(sampler result, reference result, whether both generators end in
+    the same state, reference events); a result is an edge array, or
+    None where ``GenerationFailed`` was raised."""
+    make_rng = np.random.default_rng
+    made = []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda s: made.append(make_rng(s)) or made[-1])
+    try:
+        got = random_regular_linear(t, k, n, seed, max_attempts).edge_array
+    except GenerationFailed:
+        got = None
+    monkeypatch.undo()
+    ref_rng, events = make_rng(seed), []
+    edges = reference_random_regular(ref_rng, t, k, n, max_attempts, events)
+    want = None if edges is None else Hypergraph(n, t, edges).edge_array
+    same_state = made[0].bit_generator.state == ref_rng.bit_generator.state
+    return got, want, len(made) == 1 and same_state, events
+
+
+def assert_same_sample(got, want, same_state):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.tobytes() == want.tobytes()
+    assert same_state
+
+
+@pytest.mark.parametrize("t,k,n,seed", [
+    (2, 3, 30000, 0), (3, 3, 30000, 0), (3, 3, 3000, 1), (3, 2, 9000, 2),
+    (4, 3, 20000, 3), (4, 4, 3000, 7), (5, 5, 2000, 13), (2, 5, 3000, 1),
+    (5, 4, 10000, 2)])
+def test_sampler_matches_scalar_reference(monkeypatch, t, k, n, seed):
+    got, want, same_state, _ = sample_both_ways(monkeypatch, t, k, n, seed)
+    assert want is not None
+    assert_same_sample(got, want, same_state)
+
+
+#: small shapes whose samples deadlock, come out disconnected or all fail
+RETRY_SHAPES = [(2, 2, 4), (2, 2, 8), (2, 3, 6), (2, 4, 6), (3, 2, 3),
+                (3, 2, 6), (3, 2, 9), (3, 3, 7), (3, 3, 9), (3, 4, 9),
+                (4, 2, 8), (4, 3, 12)]
+
+
+def test_sampler_matches_scalar_reference_on_retries(monkeypatch):
+    seen = set()
+    for t, k, n in RETRY_SHAPES:
+        for seed in range(6):
+            got, want, same_state, events = sample_both_ways(
+                monkeypatch, t, k, n, seed, max_attempts=5)
+            assert_same_sample(got, want, same_state)
+            seen.update(e[0] for e in events)
+            seen.add("failed" if want is None else "sampled")
+    assert seen == {"deadlock", "disconnected", "reject", "failed", "sampled"}
+
+
+def test_sampler_matches_reference_at_batch_edges(monkeypatch):
+    # this draw rejects the last proposal of a batch of 24, where nothing
+    # is redrawn, and the first of a final batch of 4 < 256 proposals
+    got, want, same_state, events = sample_both_ways(monkeypatch, 4, 3,
+                                                     1000, 3)
+    assert_same_sample(got, want, same_state)
+    rejects = [e[1:] for e in events if e[0] == "reject"]
+    assert any(1 < count == p + 1 for p, count, _ in rejects)
+    assert any(p + 1 < count == left < 256 for p, count, left in rejects)
