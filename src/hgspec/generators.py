@@ -97,7 +97,9 @@ def random_regular_linear(t: int, k: int, n: int, seed: int,
     Raises
     ------
     InfeasibleParams
-        If t does not divide n*k or the parameters are out of range.
+        If t does not divide n*k, the parameters are out of range, or
+        n < k(t-1)+1: the k edges at a vertex of a linear instance meet
+        only there, so they cover k(t-1)+1 distinct vertices.
     SizeOverflow
         If n or m = n*k/t exceeds ``DEFAULT_SIZE_CAP``.
     GenerationFailed
@@ -107,6 +109,9 @@ def random_regular_linear(t: int, k: int, n: int, seed: int,
         raise InfeasibleParams(f"need t>=2, k>=1, n>=t, got t={t}, k={k}, n={n}")
     if (n * k) % t != 0:
         raise InfeasibleParams(f"t={t} must divide n*k={n * k}")
+    if n < k * (t - 1) + 1:
+        raise InfeasibleParams(f"no linear {k}-regular {t}-uniform "
+                               f"hypergraph has n={n} < k(t-1)+1 vertices")
     m = n * k // t
     if max(n, m) > DEFAULT_SIZE_CAP:
         raise SizeOverflow(f"random regular instance with n={n}, m={m} "

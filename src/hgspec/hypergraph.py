@@ -66,22 +66,58 @@ def _edge_table(rows, t: int) -> tuple[np.ndarray, str | None]:
     return np.array(good, dtype=np.int64), fault
 
 
+def _strictly_increasing(table: np.ndarray) -> bool:
+    """True iff the rows of ``table`` are in strict lexicographic order."""
+    ahead = np.zeros(len(table) - 1, dtype=bool)  # row i < row i+1 so far
+    tied = np.ones(len(table) - 1, dtype=bool)    # equal up to this column
+    for c in range(table.shape[1]):
+        a, b = table[:-1, c], table[1:, c]
+        ahead |= tied & (a < b)
+        tied &= a == b
+    return bool(ahead.all())
+
+
+def _incident_edge_ids(edges: np.ndarray, n: int) -> np.ndarray:
+    """The ids of the edges at each vertex in turn, each run increasing:
+    ``np.argsort(edges.ravel(), kind="stable") // t``.
+
+    An edge holds a vertex once, so the keys ``vertex * m + edge`` are
+    unique and sort to the same order; an in-place sort of the keys then
+    gives the edge ids modulo m, in less time and memory than an
+    argsort.  Sizes whose keys would overflow int64 keep the argsort.
+    """
+    m, t = edges.shape
+    if n * m >= 2 ** 63:
+        return np.argsort(edges.ravel(), kind="stable") // t
+    key = edges * m
+    key += np.arange(m)[:, None]
+    key = key.ravel()
+    key.sort()
+    key %= m
+    return key
+
+
 def _validated_edges(n: int, t: int, rows) -> np.ndarray:
     """Sorted edge array of ``rows``, or :class:`EdgeError`.
 
     The error names the first edge with a fault: type, arity, repeated,
     range or duplicate, checked in that order.  A stable lexsort of the
     row-sorted table orders the edges and puts each later copy right
-    after the first.
+    after the first; a table already in strict order (as every emitted
+    file is) has no copies and skips the sort.
     """
     table, kind = _edge_table(rows, t)
     i = len(table)
     if i:
         table.sort(axis=1)
-        order = np.lexsort(table.T[::-1])
-        ordered = table[order]
         duplicate = np.zeros(i, dtype=bool)
-        duplicate[order[1:][np.all(ordered[1:] == ordered[:-1], axis=1)]] = True
+        if _strictly_increasing(table):
+            ordered = table
+        else:
+            order = np.lexsort(table.T[::-1])
+            ordered = table[order]
+            duplicate[order[1:][np.all(ordered[1:] == ordered[:-1],
+                                       axis=1)]] = True
         hits = np.stack([np.any(table[:, 1:] == table[:, :-1], axis=1),
                          (table[:, 0] < 0) | (table[:, -1] >= n), duplicate])
         if hits.any():
@@ -132,11 +168,10 @@ class Hypergraph:
         self.edge_array = self._edge_index.view()
         # CSR incidence: the edges of vertex v are
         # _indices[_indptr[v]:_indptr[v+1]], in increasing edge order
-        # (the sort is stable and edge ids grow along the flattened array)
-        flat = self._edge_index.ravel()
         self._indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=n), out=self._indptr[1:])
-        self._indices = np.argsort(flat, kind="stable") // t
+        np.cumsum(np.bincount(self._edge_index.ravel(), minlength=n),
+                  out=self._indptr[1:])
+        self._indices = _incident_edge_ids(self._edge_index, n)
         self.degrees = np.diff(self._indptr)
         for a in (self.edge_array, self._indptr, self._indices, self.degrees):
             a.setflags(write=False)

@@ -6,12 +6,22 @@ t whitespace-separated 0-based vertex ids.  Emission is canonical
 (header plus lexicographically sorted edges), so parse/emit round-trips
 produce byte-identical files.
 
-The parser checks the text: the header, integer fields and the number
-of edge lines.  The edges are validated by the ``Hypergraph``
-constructor, and the parser maps the first faulty edge to its line.
+Canonical text (ASCII digits, single spaces and newlines only: a header
+plus m >= 1 lines of t ids, each line ending in a newline) is read with
+one tokenization: one ``split`` of the whole text, one conversion of all
+tokens to an int64 array, and one check of the text with its digits
+deleted, which pins every line to its token count.  The ``(m, t)`` table
+then goes to the ``Hypergraph`` constructor as it is.  Any other text,
+and any canonical text with a fault, is read by the line parser, which
+checks the header, integer fields and the number of edge lines.  The
+edges are validated by the ``Hypergraph`` constructor, and the line
+parser maps the first faulty edge to its line, so every error comes from
+the line parser.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import EdgeError, ParseError
 from .hypergraph import Hypergraph
@@ -23,6 +33,38 @@ def parse_hypergraph(text: str) -> Hypergraph:
     Raises :class:`~hgspec.errors.ParseError` carrying the 1-based line
     number of the first offending line.
     """
+    h = _parse_canonical(text)
+    return _parse_lines(text) if h is None else h
+
+
+def _parse_canonical(text: str) -> Hypergraph | None:
+    """The hypergraph of canonical text, or None for the line parser."""
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    try:
+        values = np.array(raw.split(), dtype=np.int64)
+    except (ValueError, OverflowError):  # a non-integer token, or >= 2**63
+        return None
+    if values.size < 3:
+        return None
+    t, n, m = values[:3].tolist()
+    # the count keeps the skeleton below no longer than the token list;
+    # a skeleton line of s spaces holds at most s + 1 tokens, so the
+    # count also puts exactly t ids on every edge line
+    if t < 2 or n < 1 or m < 1 or values.size != 3 + t * m:
+        return None
+    if raw.translate(None, b"0123456789") != (b"  \n"
+                                              + (b" " * (t - 1) + b"\n") * m):
+        return None
+    try:
+        return Hypergraph(n, t, values[3:].reshape(m, t))
+    except EdgeError:
+        return None
+
+
+def _parse_lines(text: str) -> Hypergraph:
+    """Line-by-line parse of any edge-list text; see parse_hypergraph."""
     header = None
     edges = []
     edge_lines = []

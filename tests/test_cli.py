@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,17 @@ class TestCommands:
         assert (code, text) == (1, "")
         err = capsys.readouterr().err
         assert err.startswith("hgspec: ") and err.count("\n") == 1
+
+    def test_exit_1_at_once_on_infeasible_random_regular(self, capsys):
+        # no linear 2-regular 3-uniform instance has fewer than 5 vertices
+        start = time.perf_counter()
+        code, text = run(["gen", "random-regular", "--t", "3", "--k", "2",
+                          "--n", "3"])
+        assert time.perf_counter() - start < 1
+        assert (code, text) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("hgspec: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "the lambda2 ascent ends at 1.1672, below the multi-center "

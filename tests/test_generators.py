@@ -120,11 +120,19 @@ class TestRandomRegularLinear:
         with pytest.raises(SizeOverflow):
             random_regular_linear(t, k, n, 0)
 
+    @pytest.mark.parametrize("t,k,n", [(3, 2, 3), (2, 3, 2), (4, 2, 6),
+                                       (4, 3, 8), (3, 4, 6)])
+    def test_too_few_vertices_for_a_linear_instance(self, t, k, n):
+        # the k edges at a vertex meet only there: k(t-1)+1 > n vertices
+        with pytest.raises(InfeasibleParams, match="k\\(t-1\\)\\+1"):
+            random_regular_linear(t, k, n, 0)
+
     def test_generation_failure_on_impossible_corner(self):
-        # n = t forces every edge to be the full vertex set; k = 2 would
-        # need a duplicate edge, so every attempt is rejected
+        # n = 8 >= k(t-1)+1 = 7, but 8 vertices in 2 edges each make 8
+        # edge pairs that meet, and linearity allows one per pair of the
+        # 4 edges, so only C(4, 2) = 6: every attempt is rejected
         with pytest.raises(GenerationFailed):
-            random_regular_linear(3, 2, 3, 0, max_attempts=50)
+            random_regular_linear(4, 2, 8, 0, max_attempts=20)
 
 
 
@@ -278,9 +286,9 @@ def test_sampler_matches_scalar_reference(monkeypatch, t, k, n, seed):
 
 
 #: small shapes whose samples deadlock, come out disconnected or all fail
-RETRY_SHAPES = [(2, 2, 4), (2, 2, 8), (2, 3, 6), (2, 4, 6), (3, 2, 3),
-                (3, 2, 6), (3, 2, 9), (3, 3, 7), (3, 3, 9), (3, 4, 9),
-                (4, 2, 8), (4, 3, 12)]
+RETRY_SHAPES = [(2, 2, 4), (2, 2, 8), (2, 3, 6), (2, 4, 6), (3, 2, 6),
+                (3, 2, 9), (3, 3, 7), (3, 3, 9), (3, 4, 9), (4, 2, 8),
+                (4, 3, 12)]
 
 
 def test_sampler_matches_scalar_reference_on_retries(monkeypatch):

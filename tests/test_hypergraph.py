@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from hgspec import (Hypergraph, NotConnectedError, UNREACHABLE,
+from hgspec import (EdgeError, Hypergraph, NotConnectedError, UNREACHABLE,
                     complete_uniform, diameter_and_path,
                     distances_from, hypertree_ball, is_acyclic, is_linear,
                     min_eccentricity_vertex, random_regular_linear,
                     regular_degree)
+from hgspec.hypergraph import _incident_edge_ids
 
 from conftest import cycle_graph, loose_cycle3, loose_path
 
@@ -238,3 +239,69 @@ def test_permutation_relabel_preserves_structure():
     assert is_linear(relabeled) == is_linear(h)
     assert is_acyclic(relabeled) == is_acyclic(h)
     assert diameter_and_path(relabeled)[0] == diameter_and_path(h)[0]
+
+
+def reference_construction(n, t, rows):
+    """The constructor's sorts before the sorted-input shortcut, frozen:
+    a lexsort of the row-sorted table and a stable argsort for the CSR.
+
+    Returns (edge array, indptr, indices), or the input index of the
+    first later copy of an edge."""
+    table = np.array(rows, dtype=np.int64).reshape(-1, t)
+    table.sort(axis=1)
+    seen = set()
+    for i, row in enumerate(map(tuple, table.tolist())):
+        if row in seen:
+            return i
+        seen.add(row)
+    table = table[np.lexsort(table.T[::-1])]
+    flat = table.ravel()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n), out=indptr[1:])
+    return table, indptr, np.argsort(flat, kind="stable") // t
+
+
+def random_rows(rng, n, t, m, order, duplicate):
+    """m distinct t-subsets of range(n): in emitted order, or shuffled
+    within and across rows; ``duplicate`` inserts a reordered copy."""
+    rows = sorted({tuple(sorted(rng.choice(n, t, replace=False).tolist()))
+                   for _ in range(m)})
+    if order == "shuffled":
+        rows = [tuple(rng.permutation(rows[i]).tolist())
+                for i in rng.permutation(len(rows)).tolist()]
+    if duplicate and rows:
+        copy = tuple(rng.permutation(rows[rng.integers(len(rows))]).tolist())
+        rows.insert(int(rng.integers(len(rows) + 1)), copy)
+    return rows
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_construction_matches_frozen_sorts(t, order, duplicate):
+    rng = np.random.default_rng(t)
+    for m in [0, 1, 2, 5, 40, 300]:
+        for n in [t, t + 3, 60]:
+            rows = random_rows(rng, n, t, m, order, duplicate)
+            want = reference_construction(n, t, rows)
+            for edges in (rows, np.array(rows, dtype=np.int64).reshape(-1, t)):
+                if isinstance(want, int):
+                    with pytest.raises(EdgeError) as info:
+                        Hypergraph(n, t, edges)
+                    assert (info.value.index, info.value.kind) == (
+                        want, "duplicate")
+                    continue
+                h = Hypergraph(n, t, edges)
+                for got, ref in zip((h.edge_array, h._indptr, h._indices),
+                                    want):
+                    assert got.dtype == ref.dtype and got.shape == ref.shape
+                    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [10, 2 ** 40, 2 ** 62])
+def test_incident_edge_ids_at_every_key_range(n):
+    # at n = 2**62 the keys vertex * m + edge would overflow int64
+    rng = np.random.default_rng(1)
+    edges = np.argsort(rng.random((5000, 10)), axis=1)[:, :3]  # distinct
+    assert np.array_equal(_incident_edge_ids(edges, n),
+                          np.argsort(edges.ravel(), kind="stable") // 3)

@@ -14,14 +14,18 @@ ids (the reference read ``1.5`` as 1).
 """
 
 import io
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgspec import EdgeError, Hypergraph, ParseError, parse_hypergraph
+from hgspec import (EdgeError, Hypergraph, ParseError, complete_uniform,
+                    emit_hypergraph, hypertree_ball, parse_hypergraph,
+                    random_regular_linear)
 from hgspec.cli import run_command
+from hgspec.io import _parse_canonical
 
 
 def reference_constructor(n, t, edges):
@@ -268,3 +272,89 @@ def test_parser_matches_reference(data):
     m = data.draw(st.integers(max(0, k - 2), k + 1))
     text = "\n".join([f"{t} {n} {m}"] + lines) + "\n"
     assert parser_verdict(text) == reference_parser(text)
+
+
+#: ids near the int64 limit, 2**63 - 1 first
+BIG_IDS = ["9223372036854775807", "9223372036854775808",
+           "1234567890123456789", "10000000000000000000",
+           "99999999999999999999"]
+
+
+def canonical(text):
+    """True iff text is a header plus m >= 1 lines of t ids, all in
+    digits, single spaces and newlines."""
+    lines = text.split("\n")
+    if lines[-1] != "" or not all(
+            re.fullmatch(r"\d+( \d+)*", line) for line in lines[:-1]):
+        return False
+    rows = [[int(f) for f in line.split(" ")] for line in lines[:-1]]
+    return (len(rows[0]) == 3 and rows[0][2] == len(rows) - 1 >= 1
+            and all(len(row) == rows[0][0] for row in rows[1:]))
+
+
+@st.composite
+def _digit_texts(draw):
+    """Edge-list texts in the alphabet of digits, spaces and newlines.
+
+    Half are canonical, with a valid or faulty edge set (drawn from
+    distinct ids in range only, half the time); the rest add some of:
+    ragged lines with the token total kept, leading zeros, an id deleted
+    between its spaces, double spaces, a blank line, no final newline,
+    and a header edge count one off.  Ids of 19-20 digits occur in
+    both."""
+    t = draw(st.integers(2, 4))
+    n = draw(st.integers(t, 12))
+    ids = st.one_of(*[st.integers(0, n + 1).map(str)] * 4,
+                    st.sampled_from(BIG_IDS))
+    shuffled = st.permutations(range(n)).map(lambda p: list(map(str, p[:t])))
+    loose = st.lists(ids, min_size=t, max_size=t)
+    clean = draw(st.booleans())
+    rows = draw(st.lists(shuffled if clean else st.one_of(
+        *[shuffled] * 4, loose), min_size=1, max_size=8))
+    for _ in range(0 if clean else draw(st.integers(0, 2))):  # copies
+        copy = list(draw(st.permutations(draw(st.sampled_from(rows)))))
+        rows.insert(draw(st.integers(0, len(rows))), copy)
+    plain = draw(st.booleans())
+    some = st.just(False) if plain else st.sampled_from([True, False, False])
+    if len(rows) > 1 and draw(some):  # ragged, same total
+        i, j = draw(st.permutations(range(len(rows))))[:2]
+        if len(rows[i]) > 1:
+            rows[j].append(rows[i].pop())
+    for prefix in ["0" * draw(st.integers(1, 20)), None]:
+        if draw(some):  # leading zeros, or an id gone but its spaces kept
+            row = draw(st.sampled_from(rows))
+            k = draw(st.integers(0, len(row) - 1))
+            row[k] = "" if prefix is None else prefix + row[k]
+    lines = [" ".join(row) for row in rows]
+    if lines and draw(some):
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = lines[k].replace(" ", "  ", 1)
+    m = len(lines) + (draw(st.sampled_from([-1, 1])) if draw(some) else 0)
+    lines.insert(0, f"{t} {n} {max(m, 0)}")
+    if draw(some):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", " "])))
+    return "\n".join(lines) + ("" if draw(some) else "\n")
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(text=_digit_texts())
+def test_fast_path_matches_reference(text):
+    expected = reference_parser(text)
+    assert parser_verdict(text) == expected
+    if expected[0] == "ok" and canonical(text):
+        h = _parse_canonical(text)
+        assert h is not None and (h.t, h.n, h.edges) == expected[1]
+
+
+@pytest.mark.parametrize("h", [
+    *(random_regular_linear(t, 3, 10 * t, t) for t in (2, 3, 4)),
+    complete_uniform(7, 3), complete_uniform(6, 4), hypertree_ball(3, 3, 4),
+    hypertree_ball(2, 3, 5)], ids=repr)
+def test_emitted_text_takes_the_fast_path(h):
+    text = emit_hypergraph(h)
+    assert _parse_canonical(text) == h
+    assert parse_hypergraph(text) == h
+    commented = "# a comment\n" + text
+    assert _parse_canonical(commented) is None
+    assert parse_hypergraph(commented) == h
