@@ -12,7 +12,12 @@ iteration stops when its relative width (hi - lo)/hi is at most
 and scale.  Each Newton step solves one symmetric M-matrix system,
 shifted by hi, with matrix-free Jacobi-preconditioned conjugate
 gradients on the ``forms`` kernels; 5-9 steps suffice on the hypertree
-balls.
+balls.  The positive eigenvector of a connected hypergraph is unique
+(Friedland, Gaubert & Han, Linear Algebra Appl. 438, 2013), so it is
+constant on the cells of every equitable partition, and the iteration
+runs on one value per cell of the coarsest one, on the edge table of
+``hypergraph._quotient``, with every inner product weighted by cell
+size.  The stop is still taken on all n vertices.
 
 ``lambda2_estimate`` maximizes |x^T((A - (t m / n^t) J) x)| over the unit
 t-norm sphere by seeded multi-start gradient ascent.  A restart ends on
@@ -38,7 +43,8 @@ import numpy as np
 
 from .errors import NoConvergence
 from .forms import _apply_monomials, _jacobian, _shifted_grad, t_norm
-from .hypergraph import Hypergraph, _require_connected
+from .hypergraph import (Hypergraph, _EdgeTable, _equitable_partition,
+                         _quotient, _require_connected)
 
 #: relative gain below which a trial point is rounding noise, not progress
 _GAIN_FLOOR = 1e-13
@@ -49,10 +55,17 @@ _STEP_CAP = 1e3
 #: relative residual at which CG stops solving for a Newton direction
 _CG_RTOL = 1e-4
 
+#: moves of x_0 that may bring the form at a returned x into its bracket
+_NUDGES = 16
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, iteration caps, restart count, seed, and search domain."""
+    """Tolerances, iteration caps, restart count, seed, and search domain.
+
+    ``seed`` drives the lambda2 restarts only; rho starts from the
+    constant vector.
+    """
 
     tol: float = 1e-10
     max_iters: int = 100_000
@@ -79,23 +92,32 @@ class EigenResult:
     residual: float
 
 
-def _cw_bracket(h: Hypergraph, x: np.ndarray):
-    """Collatz-Wielandt bracket at a positive x, with the form and x^e.
+def _cw_bracket(table: _EdgeTable, x: np.ndarray):
+    """Collatz-Wielandt bracket on ``table`` at a positive x.
 
-    Returns (lo, hi, form, prods): the least and greatest of
-    (A x^[t-1])_v / x_v^(t-1), which bracket rho; the form
-    x^T(A x^[t-1]) = t * sum(x^e), which lies between them and is bit
-    for bit ``adjacency_form`` at x; and the per-edge monomials x^e,
-    which the Jacobian products take.
+    Returns (lo, hi, prods): the least and greatest of
+    (A x^[t-1])_v / x_v^(t-1), which bracket rho, and the per-row
+    monomials x^e, which the Jacobian products take.
     """
-    ax, prods = _apply_monomials(h, x)
-    ratios = ax / x ** (h.t - 1)
-    return (float(ratios.min()), float(ratios.max()),
-            h.t * float(np.sum(prods)), prods)
+    ax, prods = _apply_monomials(table, x)
+    ratios = ax / x ** (table.members.shape[1] - 1)
+    return float(ratios.min()), float(ratios.max()), prods
 
 
-def _newton_direction(h: Hypergraph, x: np.ndarray, hi: float,
-                      prods: np.ndarray) -> np.ndarray:
+def _width(lo: float, hi: float) -> float:
+    """The bracket's relative width, 0 when A x vanishes (m = 0)."""
+    return (hi - lo) / hi if hi > 0.0 else 0.0
+
+
+def _cell_t_norm(x: np.ndarray, size: np.ndarray, t: int) -> float:
+    """The t-norm of the vector that is x[c] on each of the size[c]
+    vertices of cell c, max-scaled like ``t_norm``."""
+    peak = float(x.max())
+    return peak * float(np.sum(size * (x / peak) ** t)) ** (1.0 / t)
+
+
+def _newton_direction(table: _EdgeTable, size: np.ndarray, x: np.ndarray,
+                      hi: float, prods: np.ndarray) -> np.ndarray:
     """Approximate solution z of (hi D - M(x)) z = x^[t-1] by Jacobi CG.
 
     D = diag(x^(t-2)), and M(x) is the Jacobian of A x^[t-1] divided by
@@ -107,27 +129,32 @@ def _newton_direction(h: Hypergraph, x: np.ndarray, hi: float,
 
     with S_e the sum of w over e.  That product is matrix-free, divides
     by nothing, and has the diagonal (t - 1) hi x^t, the Jacobi
-    preconditioner.  The buffers are allocated once per call, since
-    fresh arrays on every product cost page faults, and every reduction
-    is ``np.sum``.  CG stops when the residual norm has fallen by the
-    factor ``_CG_RTOL``, on a nonpositive curvature, or after n steps.
+    preconditioner.  x, z and w hold one value per cell; the system
+    maps vectors constant on the cells of an equitable partition to such
+    vectors, and every inner product weights cell c by its vertex count
+    ``size[c]``, so CG takes the steps it would take on the n vertices.
+    The buffers are allocated once per call, since fresh arrays on every
+    product cost page faults, and every reduction is ``np.sum``.  CG
+    stops when the residual norm has fallen by the factor ``_CG_RTOL``,
+    on a nonpositive curvature, or after one step per cell.
     """
-    t, n = h.t, h.n
-    slots = np.empty((h.m, t))
+    t, n, rows = table.members.shape[1], x.size, table.members.shape[0]
+    slots = np.empty((rows, t))
     # the edge sums S and the scratch vector are never needed at once
-    shared = np.empty(max(n, h.m))
-    sums, work = shared[:h.m], shared[:n]
+    shared = np.empty(max(n, rows))
+    sums, work = shared[:rows], shared[:n]
     r = (t - 1) * x ** t
     diag = hi * r
     w = np.zeros(n)
     p = r / diag
-    rz = float(np.sum(r * p))
-    stop = _CG_RTOL ** 2 * float(np.sum(r * r))
+    rz = float(np.sum(size * r * p))
+    stop = _CG_RTOL ** 2 * float(np.sum(size * r * r))
     for _ in range(n):
-        kp = _jacobian(h, prods, p, slots, sums)
+        kp = _jacobian(table, prods, p, slots, sums)
         np.multiply(diag, p, out=work)
         np.subtract(work, kp, out=kp)
         np.multiply(p, kp, out=work)
+        work *= size
         curvature = float(np.sum(work))
         if not curvature > 0.0:
             break
@@ -137,10 +164,12 @@ def _newton_direction(h: Hypergraph, x: np.ndarray, hi: float,
         kp *= alpha
         r -= kp
         np.multiply(r, r, out=work)
+        work *= size
         if float(np.sum(work)) <= stop:
             break
         np.divide(r, diag, out=work)
         np.multiply(r, work, out=kp)
+        kp *= size
         rz, rz_old = float(np.sum(kp)), rz
         del kp  # before the next product allocates its own
         p *= rz / rz_old
@@ -149,60 +178,121 @@ def _newton_direction(h: Hypergraph, x: np.ndarray, hi: float,
     return w
 
 
-def _newton_step(h: Hypergraph, x: np.ndarray, hi: float,
-                 prods: np.ndarray) -> np.ndarray | None:
+def _newton_step(table: _EdgeTable, size: np.ndarray, x: np.ndarray,
+                 hi: float, prods: np.ndarray) -> np.ndarray | None:
     """The next Newton-Noda iterate, or None when no step can be taken.
 
     Moves to ((t-2) x + theta z)/(t-1), theta = x.x / x.z, halving the
     move until the iterate is positive (Liu, Guo & Lin's safeguard), and
-    renormalizes in the t-norm.
+    renormalizes in the t-norm; the inner products weight cells by size.
     """
-    t = h.t
-    z = _newton_direction(h, x, hi, prods)
-    xz = float(np.sum(x * z))
+    t = table.members.shape[1]
+    z = _newton_direction(table, size, x, hi, prods)
+    xz = float(np.sum(size * x * z))
     if not 0.0 < xz < np.inf:
         return None
-    z *= float(np.sum(x * x)) / xz
+    z *= float(np.sum(size * x * x)) / xz
     z -= x
     z /= t - 1
     step = x + z
     while not np.all(step > 0.0):
         z *= 0.5
         np.add(x, z, out=step)
-    step /= t_norm(step, t)
+    step /= _cell_t_norm(step, size, t)
     return step
+
+
+def _newton_noda(table: _EdgeTable, size: np.ndarray, tol: float,
+                 budget: int) -> tuple[np.ndarray, int]:
+    """Newton-Noda iteration on ``table`` from the constant unit vector.
+
+    Each step takes the upper end hi of the Collatz-Wielandt bracket on
+    the table as its shift (``_newton_step``).  Returns the last iterate
+    and the number of steps, at most ``budget``: it stops when the
+    bracket's relative width is at most ``tol``, or earlier when no step
+    can be taken.
+    """
+    t = table.members.shape[1]
+    x = np.ones(size.size)
+    x /= _cell_t_norm(x, size, t)
+    for steps in range(budget + 1):
+        lo, hi, prods = _cw_bracket(table, x)
+        if _width(lo, hi) <= tol or steps == budget:
+            break
+        step = _newton_step(table, size, x, hi, prods)
+        if step is None:
+            break
+        x = step
+    return x, steps
+
+
+def _certified(h: Hypergraph, x: np.ndarray, steps: int) -> EigenResult:
+    """The result at x, its bracket and form taken on all n vertices.
+
+    ``value`` is the form at x, bit for bit ``adjacency_form``, and
+    ``residual`` the relative width of the bracket the public operator
+    gives there.  The form is a mean of the ratios weighted by x^t, so it
+    lies in the bracket up to rounding.  Where rounding puts it outside,
+    as at the constant vector of a regular input, whose bracket has width
+    0, x_0 is raised (form below the bracket) or lowered (above it) by
+    2^-52 relative, then by twice as much, and so on, at most
+    ``_NUDGES`` times: the ratio at vertex 0 then moves past the form,
+    and the form moves the other way.  On 111 regular inputs (cycles,
+    complete and random regular ones) one or two moves sufficed, and the
+    width stayed below 2e-15.
+    """
+    t = h.t
+    for j in range(_NUDGES + 1):
+        lo, hi, prods = _cw_bracket(h._table, x)
+        value = t * float(np.sum(prods))
+        if lo <= value <= hi or j == _NUDGES:
+            break
+        x[0] *= 1.0 + (1.0 if value < lo else -1.0) * 2.0 ** (j - 52)
+    return EigenResult(value=value, vector=x, iterations=steps,
+                       residual=_width(lo, hi))
 
 
 def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResult:
     """Largest eigenvalue of the adjacency tensor, with its Perron vector.
 
-    Newton-Noda iteration from a strictly positive start: each step
-    takes the upper end hi of the Collatz-Wielandt bracket as its shift
-    (``_newton_step``).  It stops when the bracket's relative width
-    (hi - lo)/hi is at most ``cfg.tol``.
+    The Perron vector of a connected hypergraph is unique, so it is
+    constant on the cells of its coarsest equitable partition
+    (``_equitable_partition``).  Newton-Noda iteration runs on one value
+    per cell, from the constant vector, until the Collatz-Wielandt
+    bracket on the cells is at most ``cfg.tol`` wide relative; the cell
+    vector is then lifted to the n vertices, where the bracket is taken
+    again.  The solver returns only when that bracket's relative width
+    (hi - lo)/hi is at most ``cfg.tol``.  Otherwise (a hash collision
+    merged cells, or rounding) it restarts from the constant vector on
+    all n vertices, the partition into singletons.  Inputs whose
+    partition is discrete, or whose refinement gave up, start there.
 
     The returned vector is positive with unit t-norm.  ``value`` is the
     form at it, which lies in the bracket, so |value - rho| <=
-    residual * hi, where ``residual`` is the relative width.
-    ``iterations`` counts Newton steps; ``cfg.max_iters`` caps them.
+    residual * hi, where ``residual`` is the relative width on all n
+    vertices.  ``iterations`` counts steps: the Newton steps on the
+    cells and on the vertices, and the lift from cells to vertices.
+    ``cfg.max_iters`` caps them; ``cfg.seed`` plays no part.
     """
     cfg = cfg or SolverConfig()
     _require_connected(h, "spectral operations")
-    rng = np.random.default_rng(cfg.seed)
-    x = 1.0 + 0.01 * rng.random(h.n)
-    x /= t_norm(x, h.t)
-    for it in range(cfg.max_iters + 1):
-        lo, hi, value, prods = _cw_bracket(h, x)
-        residual = (hi - lo) / hi if hi > 0.0 else 0.0
-        if residual <= cfg.tol:
-            return EigenResult(value=value, vector=x, iterations=it,
-                               residual=residual)
-        if it == cfg.max_iters:
-            break
-        x = _newton_step(h, x, hi, prods)
-        if x is None:
-            raise NoConvergence(it, residual)
-    raise NoConvergence(cfg.max_iters, residual)
+    cell = _equitable_partition(h)
+    steps = 0
+    if cell.max() < h.n - 1:
+        size, table = _quotient(h, cell)
+        x, steps = _newton_noda(table, size, cfg.tol, cfg.max_iters - 1)
+        steps += 1  # the lift to the n vertices
+        result = _certified(h, x[cell], steps)
+        if result.residual <= cfg.tol:
+            return result
+        if steps == cfg.max_iters:
+            raise NoConvergence(steps, result.residual)
+    x, more = _newton_noda(h._table, np.ones(h.n), cfg.tol,
+                           cfg.max_iters - steps)
+    result = _certified(h, x, steps + more)
+    if result.residual <= cfg.tol:
+        return result
+    raise NoConvergence(result.iterations, result.residual)
 
 
 def _ascend(h: Hypergraph, x0: np.ndarray,

@@ -24,21 +24,24 @@ BLAS thread count.  Against 50-digit mpmath the form sum was within
 
 Every evaluation of A, of its Jacobian or of a form in the package is
 one of the private kernels here (``_apply_monomials``, ``_jacobian``,
-``_form``, ``_shifted_grad``), on the hypergraph's private edge index
-``Hypergraph._edge_index``, which is writable, so numpy indexes with it
-without a copy.  One kernel forms the edge products x^e,
-``_edge_products``, and every form is t times their ``np.sum``, so a
-value a solver reports is bit for bit the public form at its vector.
-The public functions are :func:`as_vector` plus a kernel.  The solvers
-call the kernels directly: they pass checked vectors, and a trace of
-the public functions would otherwise count solver steps.
+``_form``, ``_shifted_grad``).  A and its Jacobian run on an edge table
+(``hypergraph._EdgeTable``): the hypergraph's own, ``Hypergraph._table``,
+which holds its private edge index ``Hypergraph._edge_index`` (writable,
+so numpy indexes with it without a copy), or the cell table of a
+partition, on which the rho solver iterates.  One kernel forms the edge
+products x^e, ``_edge_products``, and every form is t times their
+``np.sum``, so a value a solver reports is bit for bit the public form
+at its vector.  The public functions are :func:`as_vector` plus a
+kernel.  The solvers call the kernels directly: they pass checked
+vectors, and a trace of the public functions would otherwise count
+solver steps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _EdgeTable
 
 
 def as_vector(h: Hypergraph, x) -> np.ndarray:
@@ -85,22 +88,23 @@ def _accumulate(arr: np.ndarray):
     return complex(total) if np.iscomplexobj(arr) else float(total)
 
 
-def _scatter_columns(h: Hypergraph, contrib: np.ndarray) -> np.ndarray:
-    """Sum the (m, t) per-position contributions into a length-n vector."""
-    index = h._edge_index.ravel()
+def _scatter_columns(table: _EdgeTable, contrib: np.ndarray) -> np.ndarray:
+    """Sum the per-position contributions into their ``table.bins`` targets."""
+    index = table.targets.ravel()
     flat = contrib.ravel()
+    bins = table.bins
     if not np.iscomplexobj(flat):
-        return np.bincount(index, weights=flat, minlength=h.n)
-    out = np.empty(h.n, dtype=np.complex128)
-    out.real = np.bincount(index, weights=flat.real, minlength=h.n)
-    out.imag = np.bincount(index, weights=flat.imag, minlength=h.n)
+        return np.bincount(index, weights=flat, minlength=bins)[:bins]
+    out = np.empty(bins, dtype=np.complex128)
+    out.real = np.bincount(index, weights=flat.real, minlength=bins)[:bins]
+    out.imag = np.bincount(index, weights=flat.imag, minlength=bins)[:bins]
     return out
 
 
-def _apply_monomials(h: Hypergraph, x: np.ndarray):
-    """A x and the per-edge monomials x^e, for a validated x."""
-    vals = x[h._edge_index]
-    return _scatter_columns(h, _partial_products(vals)), _edge_products(vals)
+def _apply_monomials(table: _EdgeTable, x: np.ndarray):
+    """A x on ``table`` and its per-row monomials x^e, for a validated x."""
+    vals = x[table.members]
+    return _scatter_columns(table, _partial_products(vals)), _edge_products(vals)
 
 
 def _form(h: Hypergraph, x: np.ndarray):
@@ -119,35 +123,37 @@ def _shifted_grad(h: Hypergraph, x: np.ndarray):
     t = h.t
     c = _j_coefficient(h)
     total = _accumulate(x)
-    ax, monomials = _apply_monomials(h, x)
+    ax, monomials = _apply_monomials(h._table, x)
     form = t * _accumulate(monomials)
     return form - c * total ** t, t * (ax - c * total ** (t - 1))
 
 
-def _jacobian(h: Hypergraph, prods: np.ndarray, w: np.ndarray,
+def _jacobian(table: _EdgeTable, prods: np.ndarray, w: np.ndarray,
               slots: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """sum over edges e at v of x^e (S_e - w_v), S_e the sum of w over e.
 
     With ``prods`` the edge products x^e of a positive x, this is
     (t - 1) X M(x) X w, where X = diag(x) and M(x) is the Jacobian of
     A x^[t-1] divided by t - 1; at w = 1 it is (t - 1) x A x^[t-1].
-    ``slots`` (m, t) and ``sums`` (m,) are overwritten scratch space.
+    ``slots`` (rows, t) and ``sums`` (rows,) are overwritten scratch
+    space, rows the length of ``table``.
     """
     # the ids are in range; mode "raise" would fill a temporary first
-    np.take(w, h._edge_index, out=slots, mode="clip")
+    np.take(w, table.members, out=slots, mode="clip")
+    t = slots.shape[1]
     np.add(slots[:, 0], slots[:, 1], out=sums)
-    for j in range(2, h.t):
+    for j in range(2, t):
         sums += slots[:, j]
-    for j in range(h.t):
+    for j in range(t):
         column = slots[:, j]
         np.subtract(sums, column, out=column)
         column *= prods
-    return _scatter_columns(h, slots)
+    return _scatter_columns(table, slots)
 
 
 def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
     """(A x)_v = sum over edges at v of the product of the other entries."""
-    return _apply_monomials(h, as_vector(h, x))[0]
+    return _apply_monomials(h._table, as_vector(h, x))[0]
 
 
 def edge_contributions(h: Hypergraph, x) -> np.ndarray:

@@ -24,11 +24,17 @@ come from a bit-parallel BFS that advances 64 sources per batch, at
 O((n/64) * D * t * m) word operations for diameter D; acyclic inputs
 keep the two-run double-BFS for their diameter instead (see
 :func:`diameter_and_path`).
+
+For the rho solver, colour refinement finds the coarsest equitable
+vertex partition (:func:`_equitable_partition`), and :func:`_quotient`
+builds the edge table on which the ``forms`` kernels evaluate A on one
+value per cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,6 +142,22 @@ def _validated_edges(n: int, t: int, rows) -> np.ndarray:
     }[kind])
 
 
+class _EdgeTable(NamedTuple):
+    """The edge table the ``forms`` kernels evaluate A x and its Jacobian on.
+
+    Position (e, j) reads x at ``members[e, j]`` and adds the product of
+    the other entries of row e into entry ``targets[e, j]`` of a vector
+    of length ``bins``; a target equal to ``bins`` is dropped.  A
+    hypergraph's own table, ``Hypergraph._table``, is its edge index
+    twice, with n bins; :func:`_quotient` builds the table of a
+    partition.
+    """
+
+    members: np.ndarray
+    targets: np.ndarray
+    bins: int
+
+
 class Hypergraph:
     """A finite t-uniform hypergraph.
 
@@ -151,8 +173,8 @@ class Hypergraph:
         (hypergraphs are simple).  Faults raise ``EdgeError``.
     """
 
-    __slots__ = ("n", "t", "_edge_index", "edge_array", "degrees", "_indptr",
-                 "_indices", "_edges", "_connected")
+    __slots__ = ("n", "t", "_edge_index", "_table", "edge_array", "degrees",
+                 "_indptr", "_indices", "_edges", "_connected")
 
     def __init__(self, n, t, edges):
         if not isinstance(n, int) or n < 1:
@@ -164,6 +186,7 @@ class Hypergraph:
         self.n = n
         self.t = t
         self._edge_index = _validated_edges(n, t, edges).reshape(-1, t)
+        self._table = _EdgeTable(self._edge_index, self._edge_index, n)
         #: edges as a read-only (m, t) int64 view (empty (0, t) when m = 0)
         self.edge_array = self._edge_index.view()
         # CSR incidence: the edges of vertex v are
@@ -425,3 +448,80 @@ def min_eccentricity_vertex(h: Hypergraph) -> int:
     if not h.is_connected:
         raise NotConnectedError("eccentricity undefined: disconnected")
     return int(np.argmin(_eccentricities(h)))
+
+
+#: colour refinement rounds before the partition is given up as discrete.
+#: A ball B_r takes r + 1 rounds, a loose path of E edges E/2 + 1 and a
+#: graph path of n vertices n/2.  On a 2-vCPU x86 host a round at r = 8
+#: (n = 131,071) took 4.3 ms, against 5.5 ms for one CG step of the
+#: Newton-Noda solve on all n vertices, which took 141 of them; a
+#: refinement that gives up thus costs at most about 25 CG steps.
+_REFINE_ROUNDS = 32
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, in place: a bijective scramble of uint64s."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _equitable_partition(h: Hypergraph) -> np.ndarray:
+    """The cell of every vertex in the coarsest equitable partition.
+
+    A partition is equitable when all vertices of a cell see the same
+    multiset of other-member cell tuples over their edges.  Colour
+    refinement (Grohe, Kersting, Mladenov & Selman, ESA 2014) finds the
+    coarsest one.  Every vertex starts with the same uint64 key, and
+    each round replaces its key by a hash of that key and of the
+    multiset of its edges' member key multisets (sums of scrambled
+    keys, which wrap).  Vertices with equal keys form a cell; a round
+    that splits no cell ends it.  After ``_REFINE_ROUNDS`` rounds it
+    gives up and returns singletons.
+
+    Cells are numbered 0..p-1 in key order, so the result is
+    deterministic; a hash collision can merge cells that are not
+    equivalent, so callers check what they compute on it.
+    """
+    index = h._edge_index
+    key = np.ones(h.n, dtype=np.uint64)  # _mix maps 0 to 0
+    cells = 1
+    for _ in range(_REFINE_ROUNDS):
+        edge_key = key[index[:, 0]]
+        for j in range(1, h.t):
+            edge_key += key[index[:, j]]
+        _mix(edge_key)
+        seen = key.copy()
+        for j in range(h.t):
+            np.add.at(seen, index[:, j], edge_key)
+        key = _mix(seen)
+        ordered = np.sort(key)
+        fresh = np.r_[True, ordered[1:] != ordered[:-1]]
+        if np.count_nonzero(fresh) == cells:
+            return np.searchsorted(ordered[fresh], key)
+        cells = np.count_nonzero(fresh)
+    return np.arange(h.n)
+
+
+def _quotient(h: Hypergraph, cell: np.ndarray) -> tuple[np.ndarray, _EdgeTable]:
+    """Cell sizes and edge table of the partition with cells 0..p-1.
+
+    The table holds, once each, the edges at the representatives (the
+    lowest vertex id of each cell), their members replaced by cells; a
+    representative's position scatters into its cell and every other
+    position is dropped.  When the partition is equitable and x is
+    constant on its cells, the kernels on the table give the entry of
+    A x (and of the Jacobian products) at each cell's representative,
+    which is its value at every vertex of the cell.
+    """
+    cells = int(cell.max()) + 1
+    rep = np.full(cells, h.n)
+    np.minimum.at(rep, cell, np.arange(h.n))
+    rows = h._edge_index[np.unique(_incident_edges(h, rep))]
+    members = cell[rows]
+    targets = np.where(rows == rep[members], members, cells)
+    size = np.bincount(cell, minlength=cells).astype(np.float64)
+    return size, _EdgeTable(members, targets, cells)

@@ -61,6 +61,25 @@ def adjacency_matrix(h):
     return a
 
 
+def is_equitable(h, cell):
+    """True iff every vertex of a cell sees the same multiset of
+    other-member cell tuples over its edges; exact, in pure Python."""
+    views = [[] for _ in range(h.n)]
+    for edge in h.edges:
+        for v in edge:
+            views[v].append(tuple(sorted(int(cell[u]) for u in edge
+                                         if u != v)))
+    seen = {}
+    return all(seen.setdefault(int(cell[v]), sorted(views[v]))
+               == sorted(views[v]) for v in range(h.n))
+
+
+def same_partition(a, b):
+    """True iff the cell labellings a and b split the vertices alike."""
+    pairs = set(zip(map(int, a), map(int, b)))
+    return len(pairs) == len(set(map(int, a))) == len(set(map(int, b)))
+
+
 def layer_perron_value(t, k, r, dps=50):
     """rho of the hypertree ball B_r(t, k) from its (r+1)-variable layer map.
 

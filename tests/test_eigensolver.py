@@ -16,10 +16,12 @@ from hgspec import (EigenResult, Hypergraph, NoConvergence,
                     hypertree_ball, lambda2_estimate, random_regular_linear,
                     shifted_form, spectral_radius, t_norm)
 from hgspec.forms import _shifted_grad
+from hgspec.hypergraph import _REFINE_ROUNDS, _equitable_partition
 
 from conftest import (adjacency_matrix, cycle_graph, layer_perron_value,
-                      path_graph, petersen, random_connected_graph)
-from test_properties import PROPERTY, connected_graphs
+                      loose_path, path_graph, petersen,
+                      random_connected_graph)
+from test_properties import PROPERTY, coarsest_equitable, connected_graphs
 
 
 def brute_force_single_edge_radius():
@@ -76,6 +78,7 @@ class TestSpectralRadius:
     @pytest.mark.parametrize("tol", [1e-3, 1e-10])
     @pytest.mark.parametrize("build,ball", [
         pytest.param(lambda: path_graph(4), None, id="path4"),
+        pytest.param(lambda: complete_uniform(5, 2), None, id="K5"),
         pytest.param(lambda: cycle_graph(7), None, id="cycle7"),
         pytest.param(petersen, None, id="petersen"),
         pytest.param(lambda: random_connected_graph(9, 0.4, 5), None,
@@ -83,14 +86,20 @@ class TestSpectralRadius:
         pytest.param(lambda: hypertree_ball(3, 3, 2), (3, 3, 2), id="ball332"),
         pytest.param(lambda: hypertree_ball(4, 3, 2), (4, 3, 2), id="ball432"),
         pytest.param(lambda: hypertree_ball(2, 3, 4), (2, 3, 4), id="ball234"),
+        pytest.param(lambda: random_regular_linear(3, 3, 300, 1), 3,
+                     id="rr300_s1"),
+        pytest.param(lambda: complete_uniform(7, 3), 15, id="K7_3"),
     ])
     def test_bracket_contains_oracle(self, build, ball, tol):
         # the Collatz-Wielandt bracket, recomputed from the returned vector
         # with the public operator, holds rho; the oracle is eigvalsh for
-        # graphs and the layer map (t, k, r) for balls
+        # graphs, the layer map (t, k, r) for balls and the degree for
+        # regular hypergraphs
         h = build()
         if ball is None:
             oracle = float(np.linalg.eigvalsh(adjacency_matrix(h))[-1])
+        elif isinstance(ball, int):
+            oracle = float(ball)
         else:
             oracle = float(layer_perron_value(*ball))
         res = spectral_radius(h, SolverConfig(tol=tol))
@@ -103,8 +112,8 @@ class TestSpectralRadius:
         slack = 4 * np.spacing(hi)
         assert lo - slack <= oracle <= hi + slack
 
-    @pytest.mark.parametrize("t,r", [(3, r) for r in range(1, 7)]
-                             + [(4, r) for r in range(1, 5)])
+    @pytest.mark.parametrize("t,r", [(3, r) for r in range(1, 9)]
+                             + [(4, r) for r in range(1, 7)])
     def test_ball_matches_layer_map_oracle(self, t, r):
         res = spectral_radius(hypertree_ball(t, 3, r))
         oracle = layer_perron_value(t, 3, r)
@@ -145,6 +154,57 @@ class TestSpectralRadius:
     def test_single_vertex(self):
         res = spectral_radius(Hypergraph(1, 2, []))
         assert res.value == 0.0
+
+    def test_not_connected_before_refinement(self, monkeypatch):
+        def refine(h):
+            raise AssertionError("refined a disconnected input")
+        monkeypatch.setattr(eigensolver, "_equitable_partition", refine)
+        with pytest.raises(NotConnectedError):
+            spectral_radius(Hypergraph(4, 2, [(0, 1), (2, 3)]))
+
+    def test_unequitable_partition_falls_back_to_the_vertices(self,
+                                                              monkeypatch):
+        # P5's degree partition {ends}, {inner} is not equitable: the
+        # middle vertex sees two inner neighbours, the others an end and
+        # an inner one.  The cell solve cannot certify on all vertices,
+        # so the solver restarts on singletons and returns their result.
+        h = path_graph(5)
+        monkeypatch.setattr(eigensolver, "_equitable_partition",
+                            lambda h: np.arange(h.n))
+        want = spectral_radius(h)
+        monkeypatch.setattr(eigensolver, "_equitable_partition",
+                            lambda h: np.array([0, 1, 1, 1, 0]))
+        got = spectral_radius(h)
+        assert got.value == want.value
+        assert got.vector.tobytes() == want.vector.tobytes()
+        assert got.residual == want.residual <= 1e-10
+        assert got.iterations > want.iterations
+        assert got.value == pytest.approx(np.sqrt(3), rel=1e-10)
+
+    def test_ball_is_certified_on_its_layers(self, monkeypatch):
+        # one Newton-Noda run, on the r + 1 layer values, and no restart
+        tables = []
+        solve = eigensolver._newton_noda
+
+        def spy(table, *args):
+            tables.append(table.bins)
+            return solve(table, *args)
+        monkeypatch.setattr(eigensolver, "_newton_noda", spy)
+        res = spectral_radius(hypertree_ball(3, 3, 6))
+        assert tables == [7]
+        assert res.residual <= 1e-10
+
+    def test_partition_past_the_round_bound(self, monkeypatch):
+        # refinement gives up on a long loose path, and the solve on all
+        # vertices agrees with the solve on the exact partition
+        h = loose_path(4 * _REFINE_ROUNDS)
+        assert _equitable_partition(h).max() == h.n - 1
+        whole = spectral_radius(h)
+        monkeypatch.setattr(eigensolver, "_equitable_partition",
+                            lambda h: np.array(coarsest_equitable(h)))
+        cells = spectral_radius(h)
+        assert max(whole.residual, cells.residual) <= 1e-10
+        assert cells.value == pytest.approx(whole.value, rel=2e-10)
 
 
 class TestLambda2:

@@ -7,9 +7,12 @@ from hgspec import (Hypergraph, adjacency_form, apply_adjacency,
                     complete_uniform, edge_contributions, hypertree_ball,
                     multi_center_vector, random_regular_linear, shifted_form,
                     t_norm, t_norm_pow)
-from hgspec.forms import _edge_products, _jacobian, _partial_products
+from hgspec.forms import (_apply_monomials, _edge_products, _jacobian,
+                          _partial_products)
+from hgspec.hypergraph import _equitable_partition, _quotient
 
-from conftest import adjacency_matrix, cycle_graph, random_connected_graph
+from conftest import (adjacency_matrix, cycle_graph, loose_path, path_graph,
+                      random_connected_graph)
 
 SINGLE = Hypergraph(3, 3, [(0, 1, 2)])
 
@@ -94,10 +97,34 @@ class TestColumnKernels:
         # M(x) x = A x^[t-1], and _jacobian at w = 1 is (t-1) x M(x) x
         x = np.random.default_rng(3).uniform(0.2, 2.0, h.n)
         slots, sums = np.empty((h.m, h.t)), np.empty(h.m)
-        jx = _jacobian(h, edge_contributions(h, x), np.ones(h.n), slots,
+        jx = _jacobian(h._table, edge_contributions(h, x), np.ones(h.n), slots,
                        sums)
         np.testing.assert_allclose(jx / ((h.t - 1) * x),
                                    apply_adjacency(h, x), rtol=1e-13)
+
+    @pytest.mark.parametrize("h", [
+        random_regular_linear(3, 3, 300, 1), hypertree_ball(3, 3, 5),
+        hypertree_ball(4, 3, 3), complete_uniform(7, 3), path_graph(6),
+        loose_path(9)],
+        ids=["rr300", "ball335", "ball433", "K7_3", "P6", "loose9"])
+    def test_cell_table_is_the_operator_on_cell_constant_vectors(self, h):
+        # on the table of an equitable partition, A y and the Jacobian
+        # products are those of the lifted vector y[cell] at every vertex
+        cell = _equitable_partition(h)
+        size, table = _quotient(h, cell)
+        rng = np.random.default_rng(4)
+        y, w = rng.uniform(0.2, 2.0, (2, table.bins))
+        ay, prods = _apply_monomials(table, y)
+        np.testing.assert_allclose(ay[cell], apply_adjacency(h, y[cell]),
+                                   rtol=1e-13)
+        rows = len(table.members)
+        jw = _jacobian(table, prods, w, np.empty((rows, h.t)),
+                       np.empty(rows))
+        x = y[cell]
+        full = _jacobian(h._table, edge_contributions(h, x), w[cell],
+                         np.empty((h.m, h.t)), np.empty(h.m))
+        np.testing.assert_allclose(jw[cell], full, rtol=1e-13)
+        assert size.sum() == h.n
 
 
 class TestForm:

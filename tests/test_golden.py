@@ -18,7 +18,10 @@ predicted gain instead of a step floor.  Eight were recorded again, in
 their last digits only, when every solver value came to be formed by the
 one edge-product kernel of the public forms.  The two Alon-Boppana cases
 on rr300 were recorded again, failing with ``"trivial": true``, when a
-certificate of radius d = 0 stopped counting as a pass.  A change that
+certificate of radius d = 0 stopped counting as a pass.  Six were
+recorded again, in their rho, gap, residual and iterations numbers
+only, when rho came to be solved on one value per cell of the coarsest
+equitable partition and certified on all vertices.  A change that
 alters any byte of them (a different center, diameter path, certificate or solver
 trajectory, or a last bit of rho) fails here.  To record a new golden set on purpose, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the root of a

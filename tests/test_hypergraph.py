@@ -8,9 +8,12 @@ from hgspec import (EdgeError, Hypergraph, NotConnectedError, UNREACHABLE,
                     distances_from, hypertree_ball, is_acyclic, is_linear,
                     min_eccentricity_vertex, random_regular_linear,
                     regular_degree)
-from hgspec.hypergraph import _incident_edge_ids
+from hgspec.hypergraph import (_REFINE_ROUNDS, _equitable_partition,
+                               _incident_edge_ids)
 
-from conftest import cycle_graph, loose_cycle3, loose_path
+from conftest import (cycle_graph, is_equitable, loose_cycle3, loose_path,
+                      path_graph, same_partition)
+from test_properties import coarsest_equitable
 
 
 class TestConstruction:
@@ -305,3 +308,45 @@ def test_incident_edge_ids_at_every_key_range(n):
     edges = np.argsort(rng.random((5000, 10)), axis=1)[:, :3]  # distinct
     assert np.array_equal(_incident_edge_ids(edges, n),
                           np.argsort(edges.ravel(), kind="stable") // 3)
+
+
+class TestEquitablePartition:
+    @pytest.mark.parametrize("t,k,r", [(3, 3, 1), (3, 3, 5), (3, 3, 8),
+                                       (4, 3, 4), (2, 3, 6), (3, 2, 7)])
+    def test_ball_cells_are_the_bfs_layers(self, t, k, r):
+        h = hypertree_ball(t, k, r)
+        cell = _equitable_partition(h)
+        assert cell.max() + 1 == r + 1
+        assert same_partition(cell, distances_from(h, 0).dist)
+        if h.n < 2000:
+            assert is_equitable(h, cell)
+
+    @pytest.mark.parametrize("h", [
+        random_regular_linear(3, 3, 300, 1), random_regular_linear(4, 3, 200, 5),
+        random_regular_linear(2, 3, 50, 0), complete_uniform(7, 3),
+        complete_uniform(5, 2), cycle_graph(9)],
+        ids=["rr300", "rr200_t4", "rr50_t2", "K7_3", "K5", "C9"])
+    def test_regular_inputs_have_one_cell(self, h):
+        assert not _equitable_partition(h).any()
+
+    def test_path_folds_onto_its_middle(self):
+        cell = _equitable_partition(path_graph(5))
+        assert same_partition(cell, [0, 1, 2, 1, 0])
+        assert is_equitable(path_graph(5), cell)
+
+    def test_asymmetric_tree_is_discrete(self):
+        # the 7-vertex tree with no automorphism but the identity
+        h = Hypergraph(7, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
+                              (2, 6)])
+        assert sorted(_equitable_partition(h)) == list(range(7))
+
+    def test_single_vertex(self):
+        assert _equitable_partition(Hypergraph(1, 2, [])).tolist() == [0]
+
+    def test_gives_up_after_the_round_bound(self):
+        # a loose path of E edges folds onto its middle in E/2 + 1 rounds
+        short = loose_path(_REFINE_ROUNDS)
+        assert same_partition(_equitable_partition(short),
+                              coarsest_equitable(short))
+        long = loose_path(4 * _REFINE_ROUNDS)
+        assert _equitable_partition(long).tolist() == list(range(long.n))

@@ -35,8 +35,9 @@ from hgspec import (DiameterTooSmall, GenerationFailed, Hypergraph,
                     spectral_radius, threshold)
 from hgspec.cli import run_command
 from hgspec.forms import _jacobian
+from hgspec.hypergraph import _equitable_partition
 
-from conftest import adjacency_matrix
+from conftest import adjacency_matrix, is_equitable, same_partition
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -102,10 +103,36 @@ def test_jacobian_matches_dense_tensor(data):
     jac = dense_tensor(h)
     for _ in range(h.t - 2):
         jac = jac @ x
-    got = _jacobian(h, edge_contributions(h, x), w, np.empty((h.m, h.t)),
+    got = _jacobian(h._table, edge_contributions(h, x), w, np.empty((h.m, h.t)),
                     np.empty(h.m))
     np.testing.assert_allclose(got, (h.t - 1) * x * (jac @ (x * w)),
                                rtol=1e-12, atol=1e-11)
+
+
+def coarsest_equitable(h):
+    """Colour refinement with exact colours: a vertex's next colour is
+    its colour and the sorted list of its edges' other-member colour
+    tuples, until a round splits no cell."""
+    edges_at = [[] for _ in range(h.n)]
+    for edge in h.edges:
+        for v in edge:
+            edges_at[v].append(edge)
+    colour = [0] * h.n
+    while True:
+        sig = [(colour[v], sorted(tuple(sorted(colour[u] for u in e if u != v))
+                                  for e in edges_at[v])) for v in range(h.n)]
+        keys = sorted({repr(s) for s in sig})
+        if len(keys) == len(set(colour)):
+            return colour
+        colour = [keys.index(repr(s)) for s in sig]
+
+
+@PROPERTY
+@given(h=hypergraphs())
+def test_partition_is_the_coarsest_equitable_one(h):
+    cell = _equitable_partition(h)
+    assert is_equitable(h, cell)
+    assert same_partition(cell, coarsest_equitable(h))
 
 
 @PROPERTY
