@@ -203,14 +203,14 @@ def _newton_step(table: _EdgeTable, size: np.ndarray, x: np.ndarray,
 
 
 def _newton_noda(table: _EdgeTable, size: np.ndarray, tol: float,
-                 budget: int) -> tuple[np.ndarray, int]:
+                 budget: int):
     """Newton-Noda iteration on ``table`` from the constant unit vector.
 
     Each step takes the upper end hi of the Collatz-Wielandt bracket on
-    the table as its shift (``_newton_step``).  Returns the last iterate
-    and the number of steps, at most ``budget``: it stops when the
-    bracket's relative width is at most ``tol``, or earlier when no step
-    can be taken.
+    the table as its shift (``_newton_step``).  Returns the last iterate,
+    the number of steps, at most ``budget``, and the iterate's bracket
+    (``_cw_bracket``): it stops when the bracket's relative width is at
+    most ``tol``, or earlier when no step can be taken.
     """
     t = table.members.shape[1]
     x = np.ones(size.size)
@@ -223,12 +223,14 @@ def _newton_noda(table: _EdgeTable, size: np.ndarray, tol: float,
         if step is None:
             break
         x = step
-    return x, steps
+    return x, steps, (lo, hi, prods)
 
 
-def _certified(h: Hypergraph, x: np.ndarray, steps: int) -> EigenResult:
-    """The result at x, its bracket and form taken on all n vertices.
+def _certified(h: Hypergraph, x: np.ndarray, steps: int,
+               bracket) -> EigenResult:
+    """The result at x, given ``bracket`` = ``_cw_bracket(h._table, x)``.
 
+    The solve on all n vertices has taken that bracket already.
     ``value`` is the form at x, bit for bit ``adjacency_form``, and
     ``residual`` the relative width of the bracket the public operator
     gives there.  The form is a mean of the ratios weighted by x^t, so it
@@ -242,12 +244,13 @@ def _certified(h: Hypergraph, x: np.ndarray, steps: int) -> EigenResult:
     width stayed below 2e-15.
     """
     t = h.t
+    lo, hi, prods = bracket
     for j in range(_NUDGES + 1):
-        lo, hi, prods = _cw_bracket(h._table, x)
         value = t * float(np.sum(prods))
         if lo <= value <= hi or j == _NUDGES:
             break
         x[0] *= 1.0 + (1.0 if value < lo else -1.0) * 2.0 ** (j - 52)
+        lo, hi, prods = _cw_bracket(h._table, x)
     return EigenResult(value=value, vector=x, iterations=steps,
                        residual=_width(lo, hi))
 
@@ -280,16 +283,17 @@ def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     steps = 0
     if cell.max() < h.n - 1:
         size, table = _quotient(h, cell)
-        x, steps = _newton_noda(table, size, cfg.tol, cfg.max_iters - 1)
+        x, steps, _ = _newton_noda(table, size, cfg.tol, cfg.max_iters - 1)
         steps += 1  # the lift to the n vertices
-        result = _certified(h, x[cell], steps)
+        x = x[cell]
+        result = _certified(h, x, steps, _cw_bracket(h._table, x))
         if result.residual <= cfg.tol:
             return result
         if steps == cfg.max_iters:
             raise NoConvergence(steps, result.residual)
-    x, more = _newton_noda(h._table, np.ones(h.n), cfg.tol,
-                           cfg.max_iters - steps)
-    result = _certified(h, x, steps + more)
+    x, more, bracket = _newton_noda(h._table, np.ones(h.n), cfg.tol,
+                                    cfg.max_iters - steps)
+    result = _certified(h, x, steps + more, bracket)
     if result.residual <= cfg.tol:
         return result
     raise NoConvergence(result.iterations, result.residual)

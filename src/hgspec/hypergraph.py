@@ -453,9 +453,9 @@ def min_eccentricity_vertex(h: Hypergraph) -> int:
 #: colour refinement rounds before the partition is given up as discrete.
 #: A ball B_r takes r + 1 rounds, a loose path of E edges E/2 + 1 and a
 #: graph path of n vertices n/2.  On a 2-vCPU x86 host a round at r = 8
-#: (n = 131,071) took 4.3 ms, against 5.5 ms for one CG step of the
+#: (n = 131,071) took 3.4-4.3 ms, about one CG step (3.1 ms) of the
 #: Newton-Noda solve on all n vertices, which took 141 of them; a
-#: refinement that gives up thus costs at most about 25 CG steps.
+#: refinement that gives up thus costs about 32 CG steps.
 _REFINE_ROUNDS = 32
 
 
@@ -479,14 +479,17 @@ def _equitable_partition(h: Hypergraph) -> np.ndarray:
     each round replaces its key by a hash of that key and of the
     multiset of its edges' member key multisets (sums of scrambled
     keys, which wrap).  Vertices with equal keys form a cell; a round
-    that splits no cell ends it.  After ``_REFINE_ROUNDS`` rounds it
-    gives up and returns singletons.
+    that splits no cell ends it, and so do singletons.  After
+    ``_REFINE_ROUNDS`` rounds it gives up and returns singletons.
 
     Cells are numbered 0..p-1 in key order, so the result is
     deterministic; a hash collision can merge cells that are not
     equivalent, so callers check what they compute on it.
     """
     index = h._edge_index
+    # running sums of the edge keys in CSR order: a vertex's sum over its
+    # edges is the difference at the ends of its segment (0 on none)
+    running = np.zeros(h._indices.size + 1, dtype=np.uint64)
     key = np.ones(h.n, dtype=np.uint64)  # _mix maps 0 to 0
     cells = 1
     for _ in range(_REFINE_ROUNDS):
@@ -494,15 +497,16 @@ def _equitable_partition(h: Hypergraph) -> np.ndarray:
         for j in range(1, h.t):
             edge_key += key[index[:, j]]
         _mix(edge_key)
-        seen = key.copy()
-        for j in range(h.t):
-            np.add.at(seen, index[:, j], edge_key)
-        key = _mix(seen)
+        np.cumsum(edge_key[h._indices], out=running[1:])
+        key += np.diff(running[h._indptr])
+        _mix(key)
         ordered = np.sort(key)
         fresh = np.r_[True, ordered[1:] != ordered[:-1]]
         if np.count_nonzero(fresh) == cells:
             return np.searchsorted(ordered[fresh], key)
         cells = np.count_nonzero(fresh)
+        if cells == h.n:
+            break
     return np.arange(h.n)
 
 
