@@ -203,7 +203,7 @@ def _newton_step(table: _EdgeTable, size: np.ndarray, x: np.ndarray,
 
 
 def _newton_noda(table: _EdgeTable, size: np.ndarray, tol: float,
-                 budget: int):
+                 budget: int) -> tuple[np.ndarray, int, tuple]:
     """Newton-Noda iteration on ``table`` from the constant unit vector.
 
     Each step takes the upper end hi of the Collatz-Wielandt bracket on
@@ -227,7 +227,7 @@ def _newton_noda(table: _EdgeTable, size: np.ndarray, tol: float,
 
 
 def _certified(h: Hypergraph, x: np.ndarray, steps: int,
-               bracket) -> EigenResult:
+               bracket: tuple) -> EigenResult:
     """The result at x, given ``bracket`` = ``_cw_bracket(h._table, x)``.
 
     The solve on all n vertices has taken that bracket already.
