@@ -255,16 +255,24 @@ def _parse_range(spec: str) -> list[int]:
     parts = spec.split(":")
     if len(parts) not in (2, 3):
         raise Error(f"bad range {spec!r}; expected A:B, A:B:S, or A:B:*S")
-    lo, hi = int(parts[0]), int(parts[1])
     step = parts[2] if len(parts) == 3 else "1"
-    if not step.startswith("*"):
-        return list(range(lo, hi + 1, int(step)))
-    vals, factor = [], int(step[1:])
-    if lo < 1 or factor < 2:
+    multiply = step.startswith("*")
+    try:
+        lo, hi = int(parts[0]), int(parts[1])
+        by = int(step[1:] if multiply else step)
+    except ValueError:
+        raise Error(f"bad range {spec!r}; A, B and S must be integers") \
+            from None
+    if not multiply:
+        if by == 0:
+            raise Error(f"bad range {spec!r}; A:B:S needs S != 0")
+        return list(range(lo, hi + 1, by))
+    if lo < 1 or by < 2:
         raise Error(f"bad range {spec!r}; A:B:*S needs A >= 1 and S >= 2")
+    vals = []
     while lo <= hi:
         vals.append(lo)
-        lo *= factor
+        lo *= by
     return vals
 
 

@@ -27,8 +27,8 @@ import numpy as np
 from .bounds import g_value, threshold
 from .errors import CertificateError, DiameterTooSmall, NotRegularError
 from .forms import adjacency_form, apply_adjacency, as_vector, t_norm, t_norm_pow
-from .hypergraph import (DistanceMap, Hypergraph, _require_connected,
-                         diameter_and_path, distances_from)
+from .hypergraph import (DistanceMap, Hypergraph, _kept_distances,
+                         _require_connected, diameter_and_path)
 
 #: absolute slack for componentwise and quotient-vs-floor checks
 SLACK_TOL = 1e-9
@@ -119,7 +119,7 @@ def _radial(h: Hypergraph, o: int, radius: int | None,
     _require_connected(h, "certificate constructions")
     if radius is not None and radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    dm = distances_from(h, o)
+    dm = _kept_distances(h, o)
     horizon = dm.eccentricity if radius is None else radius
     inside = dm.ball(horizon)
     k = _resolve_degree(h, k, within=inside)
@@ -284,7 +284,7 @@ def multi_center_vector(h: Hypergraph, k: int | None = None) -> Certificate:
     if d < 0:
         raise DiameterTooSmall(2 * s - 2, diam)
     centers = [path[a * (2 * d + 2)] for a in range(s)]
-    dist_maps = [distances_from(h, c) for c in centers]
+    dist_maps = [_kept_distances(h, c) for c in centers]
     min_sep = _separation(centers, dist_maps)
     if min_sep < 2 * d + 2:
         raise DiameterTooSmall(2 * d + 2, min_sep)
@@ -338,16 +338,16 @@ def _greedy_far_centers(h: Hypergraph, count: int):
     Returns the chosen ids, their distance maps, and the minimum pairwise
     distance achieved.
     """
-    start = int(np.argmax(distances_from(h, 0).dist))
+    start = int(np.argmax(_kept_distances(h, 0).dist))
     chosen = [start]
-    dist_maps = [distances_from(h, start)]
+    dist_maps = [_kept_distances(h, start)]
     min_dist = dist_maps[0].dist.copy()
     while len(chosen) < count:
         nxt = int(np.argmax(min_dist))
         if int(min_dist[nxt]) == 0:
             break
         chosen.append(nxt)
-        dm = distances_from(h, nxt)
+        dm = _kept_distances(h, nxt)
         dist_maps.append(dm)
         np.minimum(min_dist, dm.dist, out=min_dist)
     return chosen, dist_maps, _separation(chosen, dist_maps)

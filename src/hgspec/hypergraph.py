@@ -9,8 +9,15 @@ writable, though nothing writes to it, because numpy copies a read-only
 index array on every ``take``, ``bincount`` or fancy index; the kernels
 in ``forms`` index with it directly.  The constructor is the one place
 edges are validated: whole-array checks that name the input index of
-the first faulty edge, which the parser maps to a line number.  A :class:`Hypergraph` is immutable; all
-operations here are pure.
+the first faulty edge, which the parser maps to a line number.  A
+:class:`Hypergraph` is immutable; all operations here are pure.
+
+A hypergraph keeps up to three read-only BFS maps (n int64 each) once
+they are computed: the one from vertex 0, which ``is_connected`` reads,
+and the two from the ends s and far of the diameter path, which
+:func:`diameter_and_path` computes.  The diameter search reuses the
+first; ``constructions`` reuses all three for certificate centers and
+the radial origin.  Every search runs in :func:`distances_from`.
 
 Distances are measured in edges: ``dist(u, v)`` is the minimum number of
 edges in a walk whose first edge contains ``u`` and whose last contains
@@ -174,7 +181,7 @@ class Hypergraph:
     """
 
     __slots__ = ("n", "t", "_edge_index", "_table", "edge_array", "degrees",
-                 "_indptr", "_indices", "_edges", "_connected")
+                 "_indptr", "_indices", "_edges", "_kept")
 
     def __init__(self, n, t, edges):
         if not isinstance(n, int) or n < 1:
@@ -199,7 +206,7 @@ class Hypergraph:
         for a in (self.edge_array, self._indptr, self._indices, self.degrees):
             a.setflags(write=False)
         self._edges = None
-        self._connected = None
+        self._kept = {}  # BFS maps by source; see the module docstring
 
     @property
     def m(self) -> int:
@@ -215,9 +222,7 @@ class Hypergraph:
     @property
     def is_connected(self) -> bool:
         """Every pair of vertices is joined by a walk (cached)."""
-        if self._connected is None:
-            self._connected = distances_from(self, 0).complete
-        return self._connected
+        return _kept_distances(self, 0, keep=True).complete
 
     def __repr__(self):
         return f"Hypergraph(n={self.n}, t={self.t}, m={self.m})"
@@ -298,7 +303,9 @@ class DistanceMap:
 
     def layer_sizes(self, r_max: int) -> list[int]:
         """[|S_0|, ..., |S_r_max|]."""
-        return [int(np.count_nonzero(self.dist == i)) for i in range(r_max + 1)]
+        # one count over the entries up to r_max; bin 0 counts UNREACHABLE
+        shifted = self.dist[self.dist <= r_max] - UNREACHABLE
+        return np.bincount(shifted, minlength=max(r_max + 2, 1))[1:].tolist()
 
 
 def _incident_edges(h: Hypergraph, vertices: np.ndarray) -> np.ndarray:
@@ -347,6 +354,17 @@ def distances_from(h: Hypergraph, o: int) -> DistanceMap:
         dist[frontier] = level
     dist.setflags(write=False)
     return DistanceMap(source=o, dist=dist)
+
+
+def _kept_distances(h: Hypergraph, o: int, keep: bool = False) -> DistanceMap:
+    """The distance map from o that h keeps, else a fresh
+    :func:`distances_from`, which h keeps from then on if ``keep``."""
+    dm = h._kept.get(o)
+    if dm is None:
+        dm = distances_from(h, o)
+        if keep:
+            h._kept[o] = dm
+    return dm
 
 
 def _eccentricities(h: Hypergraph) -> np.ndarray:
@@ -434,12 +452,13 @@ def diameter_and_path(h: Hypergraph) -> tuple[int, list[int]]:
     if not h.is_connected:
         raise NotConnectedError("diameter undefined: hypergraph is disconnected")
     if (h.t - 1) * h.m == h.n - 1:
-        s = int(np.argmax(distances_from(h, 0).dist))
+        s = int(np.argmax(_kept_distances(h, 0).dist))
     else:
         s = int(np.argmax(_eccentricities(h)))
-    ds = distances_from(h, s)
+    ds = _kept_distances(h, s, keep=True)
     far = int(np.argmax(ds.dist))
-    path = _lex_shortest_path(h, s, far, distances_from(h, far).dist)
+    path = _lex_shortest_path(h, s, far,
+                              _kept_distances(h, far, keep=True).dist)
     return int(ds.dist[far]), path
 
 

@@ -318,6 +318,22 @@ class TestCommands:
         assert proc.stderr == f"hgspec: bad range {spec!r}; A:B:*S needs " \
             "A >= 1 and S >= 2\n"
 
+    @pytest.mark.parametrize("spec, reason", [
+        ("1:3:0", "A:B:S needs S != 0"),
+        ("a:b", "A, B and S must be integers"),
+        ("1:x", "A, B and S must be integers"),
+        ("1:3:s", "A, B and S must be integers"),
+        ("1:8:*", "A, B and S must be integers"),
+        ("1:8:*x", "A, B and S must be integers"),
+    ])
+    def test_exit_1_on_range_with_bad_step_or_bound(self, spec, reason,
+                                                   capsys):
+        code, text = run(["sweep", "hypertree", "--t", "3", "--k", "3",
+                          f"--radii={spec}"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == \
+            f"hgspec: bad range {spec!r}; {reason}\n"
+
 
 class TestDeterminism:
     def test_env_seed_matches_flag(self, tmp_path, monkeypatch):

@@ -165,6 +165,15 @@ class TestDistances:
         assert total == h.n
         assert len(dm.ball(ecc)) == h.n
 
+    def test_layer_sizes_count_each_layer(self):
+        # unreachable vertices lie in no layer; layers past the
+        # eccentricity are empty
+        dm = distances_from(Hypergraph(6, 2, [(0, 1), (1, 2), (3, 4)]), 0)
+        assert dm.layer_sizes(4) == [1, 1, 1, 0, 0]
+        assert dm.layer_sizes(1) == [1, 1]
+        assert dm.layer_sizes(-1) == []
+        assert all(type(size) is int for size in dm.layer_sizes(4))
+
     def test_hypertree_layers_contiguous(self):
         h = hypertree_ball(3, 3, 2)
         dm = distances_from(h, 0)
