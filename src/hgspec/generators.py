@@ -1,11 +1,12 @@
 """Instance factory: hypertree balls, complete uniform, random regular linear.
 
 Randomized generation uses numpy's PCG64 generator (a named 64-bit RNG
-with a published state transition) driven through an explicit in-module
-Fisher-Yates shuffle, so a seed pins down the emitted edge list exactly.
-The sampler draws its bounded integers in arrays: one ``rng.integers(0,
-highs)`` call consumes the stream exactly as one scalar call per bound in
-turn, so batching changes no emitted bit.
+with a published state transition), so a seed pins down the emitted edge
+list exactly.  The random-regular sampler works on whole arrays: one
+``rng.integers(0, highs)`` call draws a batch of bounded integers as one
+scalar call per bound in turn would, :func:`_resolve_swaps` makes a run
+of Fisher-Yates swaps at once, and a batch of proposals is checked at
+once.
 """
 
 from __future__ import annotations
@@ -65,11 +66,72 @@ def complete_uniform(n: int, t: int,
     return Hypergraph(n, t, itertools.combinations(range(n), t))
 
 
-def _fisher_yates(rng: np.random.Generator, items: list) -> None:
-    """In-place Fisher-Yates shuffle, all swaps drawn by one rng.integers."""
-    picks = rng.integers(0, np.arange(len(items), 1, -1)).tolist()
-    for i, j in zip(range(len(items) - 1, 0, -1), picks):
-        items[i], items[j] = items[j], items[i]
+def _resolve_swaps(a: np.ndarray, top: int,
+                   picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The run of swaps ``a[top-1-s] <-> a[picks[s]]``, s = 0, 1, ...,
+    resolved with whole-array operations; needs ``picks[s] <= top-1-s``.
+
+    Returns distinct positions and the values the run leaves there, so
+    ``a[pos] = vals`` makes the run; ``a`` itself is not written.  The
+    last S entries are the positions top-1-s, in order of s.
+
+    No later step touches p = top-1-s, so step s leaves there what sat at
+    its pick just before: the value carried there by the previous step
+    with the same pick, or the original one.  Step s carries away what sat
+    at p: the original a[p], or the value carried by the last step to pick
+    p, which comes no later than s.  (If that is s itself, nothing reads
+    what s carries.)  These links point to earlier steps, and pointer
+    jumping finds the end of every chain in O(log S) passes.  One stable
+    argsort of the picks gives both the previous and the last step.
+    """
+    size = picks.size
+    steps = np.arange(size)
+    order = np.argsort(picks, kind="stable")
+    ranked = picks[order]
+    same = ranked[1:] == ranked[:-1]
+    # the previous step with the same pick, or -1
+    prev = np.full(size, -1)
+    prev[order[1:][same]] = order[:-1][same]
+    last = np.ones(size, dtype=bool)
+    last[:-1] = ~same
+    last_pick, last_step = ranked[last], order[last]
+    # the last step to pick top-1-s, or s itself where none does
+    final = last_pick >= top - size
+    root = steps.copy()
+    root[top - 1 - last_pick[final]] = last_step[final]
+    while True:
+        up = root[root]
+        if (up == root).all():
+            break
+        root = up
+    carried = a[top - 1 - root]
+    landed = np.where(prev < 0, a[picks], carried[prev])
+    early = ~final
+    return (np.concatenate([last_pick[early], top - 1 - steps]),
+            np.concatenate([carried[last_step[early]], landed]))
+
+
+def _first_rejected(rows: np.ndarray, keys: np.ndarray, seen: set) -> int:
+    """Index of the first proposal the one-by-one check rejects, given its
+    sorted ``rows`` and pair ``keys``; ``len(rows)`` when none is.
+
+    A proposal is rejected when it repeats a vertex or has a pair already
+    in ``seen`` or in an earlier proposal.
+    """
+    repeats = (rows[:, 1:] == rows[:, :-1]).any(axis=1).tolist()
+    listed = keys.ravel().tolist()
+    if (not any(repeats) and len(set(listed)) == len(listed)
+            and seen.isdisjoint(listed)):
+        return len(rows)
+    width = keys.shape[1]
+    earlier = set()
+    for p, repeat in enumerate(repeats):
+        pairs = listed[p * width:(p + 1) * width]
+        if repeat or not seen.isdisjoint(pairs) or \
+                not earlier.isdisjoint(pairs):
+            return p
+        earlier.update(pairs)
+    return len(rows)
 
 
 def random_regular_linear(t: int, k: int, n: int, seed: int,
@@ -84,22 +146,29 @@ def random_regular_linear(t: int, k: int, n: int, seed: int,
     is disconnected.  Not a uniform sampler over regular linear
     hypergraphs; adequacy, not uniformity, is the goal here.
 
-    Each proposal moves t random stubs to the tail by a partial
-    Fisher-Yates shuffle.  While proposals are accepted their bounds are
-    known in advance, so one ``rng.integers`` call draws a batch of up to
-    ``_BATCH`` proposals.  A rejection voids the rest of the batch: the
-    generator goes back to its state before the batch and redraws just the
-    prefix used (``advance`` cannot rewind it, since a bounded draw takes a
-    variable number of raw words), and the next batch is as long as the
-    run that ended.  So a seed gives the instance of one scalar draw per
-    stub.
+    The stubs are shuffled by Fisher-Yates, and each proposal moves t
+    random stubs to the tail by a partial Fisher-Yates shuffle.  A seed
+    gives the instance of one scalar draw and one swap per stub, made in
+    turn, but the work is done on whole arrays.  While proposals are
+    accepted their bounds are known in advance, so one ``rng.integers``
+    call draws a batch of up to ``_BATCH`` proposals, and
+    :func:`_resolve_swaps` resolves the shuffle and each batch's swaps at
+    once.  A batch is checked at once too: each pair u < v of a sorted
+    proposal is the key u*n + v, and the batch is accepted when no
+    proposal repeats a vertex and its keys are distinct and unseen.  A
+    rejection voids the rest of the batch: only the swaps up to the
+    rejected proposal are made, the generator goes back to its state
+    before the batch and redraws just that prefix (``advance`` cannot
+    rewind it, since a bounded draw takes a variable number of raw words),
+    and the next batch is as long as the run that ended.
 
     Raises
     ------
     InfeasibleParams
-        If t does not divide n*k, the parameters are out of range, or
-        n < k(t-1)+1: the k edges at a vertex of a linear instance meet
-        only there, so they cover k(t-1)+1 distinct vertices.
+        If t does not divide n*k, the parameters are out of range,
+        ``max_attempts`` is not an integer >= 1, or n < k(t-1)+1: the k
+        edges at a vertex of a linear instance meet only there, so they
+        cover k(t-1)+1 distinct vertices.
     SizeOverflow
         If n or m = n*k/t exceeds ``DEFAULT_SIZE_CAP``.
     GenerationFailed
@@ -112,51 +181,56 @@ def random_regular_linear(t: int, k: int, n: int, seed: int,
     if n < k * (t - 1) + 1:
         raise InfeasibleParams(f"no linear {k}-regular {t}-uniform "
                                f"hypergraph has n={n} < k(t-1)+1 vertices")
+    if not isinstance(max_attempts, (int, np.integer)) or max_attempts < 1:
+        raise InfeasibleParams(f"max_attempts must be an integer >= 1, "
+                               f"got {max_attempts!r}")
     m = n * k // t
     if max(n, m) > DEFAULT_SIZE_CAP:
         raise SizeOverflow(f"random regular instance with n={n}, m={m} "
                            f"exceeds {DEFAULT_SIZE_CAP} vertices or edges")
     rng = np.random.default_rng(seed)
     local_cap = 500
+    # the column pairs i < j of a sorted row
+    first, second = np.triu_indices(t, 1)
 
     for _ in range(max_attempts):
-        stubs = [v for v in range(n) for _ in range(k)]
-        _fisher_yates(rng, stubs)
-        accepted: list[tuple[int, ...]] = []
-        pair_seen: set[tuple[int, int]] = set()
+        stubs = np.repeat(np.arange(n, dtype=np.int64), k)
+        size = n * k
+        pos, vals = _resolve_swaps(
+            stubs, size, rng.integers(0, np.arange(size, 1, -1)))
+        stubs[pos] = vals
+        blocks = []
+        seen: set[int] = set()
         failures = 0
         batch = _BATCH
-        while stubs and failures < local_cap:
-            size = len(stubs)
+        while size and failures < local_cap:
             count = min(batch, size // t)
             # the bounds if every proposal of the batch is accepted
             highs = size - np.arange(count * t)
             saved = rng.bit_generator.state if count > 1 else None
-            picks = rng.integers(0, highs).tolist()
+            picks = rng.integers(0, highs)
             batch = min(2 * batch, _BATCH)
-            for p in range(count):
-                top = size - p * t
-                # partial Fisher-Yates: move t random stubs to the tail
-                for i, j in enumerate(picks[p * t:(p + 1) * t]):
-                    stubs[j], stubs[top - 1 - i] = stubs[top - 1 - i], stubs[j]
-                proposal = tuple(sorted(stubs[top - t:]))
-                pairs = list(itertools.combinations(proposal, 2))
-                # a copy of an accepted edge shares all its pairs with it
-                if len(set(proposal)) == t and pair_seen.isdisjoint(pairs):
-                    accepted.append(proposal)
-                    pair_seen.update(pairs)
-                    del stubs[top - t:]
-                    continue
+            pos, vals = _resolve_swaps(stubs, size, picks)
+            # proposal p is what lands at size-1-p*t down to size-(p+1)*t
+            rows = np.sort(vals[-count * t:].reshape(count, t), axis=1)
+            keys = rows[:, first] * n + rows[:, second]
+            p = _first_rejected(rows, keys, seen)
+            if p < count:
                 failures += 1
                 if p + 1 < count:
                     rng.bit_generator.state = saved
                     rng.integers(0, highs[:(p + 1) * t])
+                    pos, vals = _resolve_swaps(stubs, size,
+                                               picks[:(p + 1) * t])
                 # retry-heavy end-games would waste long batches
                 batch = p + 1
-                break
-        if stubs:
+            stubs[pos] = vals
+            blocks.append(rows[:p])
+            seen.update(keys[:p].ravel().tolist())
+            size -= p * t
+        if size:
             continue
-        h = Hypergraph(n, t, accepted)
+        h = Hypergraph(n, t, np.concatenate(blocks))
         assert h.m == m
         if h.is_connected:
             return h

@@ -277,6 +277,16 @@ class TestCommands:
         assert err.startswith("hgspec: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["gen", "sweep"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_exit_1_on_max_attempts_below_one(self, capsys, command, value):
+        size = ["--n", "30"] if command == "gen" else ["--ns", "30:30"]
+        code, text = run([command, "random-regular", "--t", "3", "--k", "3",
+                          *size, "--max-attempts", value])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == \
+            f"hgspec: max_attempts must be an integer >= 1, got {value}\n"
+
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "the lambda2 ascent ends at 1.1672, below the multi-center "
         "certificate's quotient 1.5225"))

@@ -4,12 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgspec import (GenerationFailed, Hypergraph, InfeasibleParams,
                     SizeOverflow, complete_uniform, distances_from,
                     hypertree_ball, is_acyclic, is_linear,
                     random_regular_linear, regular_degree)
-from hgspec.generators import _fisher_yates
+from hgspec.generators import _resolve_swaps
 
 
 class TestHypertreeBall:
@@ -127,6 +129,17 @@ class TestRandomRegularLinear:
         with pytest.raises(InfeasibleParams, match="k\\(t-1\\)\\+1"):
             random_regular_linear(t, k, n, 0)
 
+    @pytest.mark.parametrize("max_attempts", [0, -3, 2.5, "5", None])
+    def test_max_attempts_below_one_or_not_an_integer(self, monkeypatch,
+                                                      max_attempts):
+        # refused before the generator is even made, naming the value
+        def no_draws(seed):
+            raise AssertionError("a generator was made")
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(InfeasibleParams,
+                           match=f"max_attempts .* got {max_attempts!r}$"):
+            random_regular_linear(3, 3, 30, 0, max_attempts=max_attempts)
+
     def test_generation_failure_on_impossible_corner(self):
         # n = 8 >= k(t-1)+1 = 7, but 8 vertices in 2 edges each make 8
         # edge pairs that meet, and linearity allows one per pair of the
@@ -134,6 +147,73 @@ class TestRandomRegularLinear:
         with pytest.raises(GenerationFailed):
             random_regular_linear(4, 2, 8, 0, max_attempts=20)
 
+
+
+def reference_swaps(a, top, picks):
+    """The swaps ``a[top-1-s] <-> a[picks[s]]`` made one at a time."""
+    a = a.copy()
+    for s, j in enumerate(picks):
+        a[top - 1 - s], a[j] = a[j], a[top - 1 - s]
+    return a
+
+
+def assert_resolves_like_swaps(a, top, picks):
+    before = a.copy()
+    pos, vals = _resolve_swaps(a, top, np.asarray(picks, dtype=np.int64))
+    assert np.array_equal(a, before)
+    # the positions written are distinct, the last S of them top-1-s
+    assert np.unique(pos).size == pos.size
+    assert pos[pos.size - len(picks):].tolist() == \
+        list(range(top - 1, top - 1 - len(picks), -1))
+    got = a.copy()
+    got[pos] = vals
+    assert np.array_equal(got, reference_swaps(a, top, picks))
+
+
+@st.composite
+def swap_runs(draw):
+    """(array, top, picks) with picks[s] <= top-1-s.  Each pick is drawn
+    at random or as the step's own position, the position of the next
+    step (so that the values carried form one chain), an earlier pick or
+    position 0 (so that picks repeat)."""
+    top = draw(st.integers(1, 40))
+    extra = draw(st.integers(0, 3))
+    a = np.array(draw(st.lists(st.integers(-5, 5), min_size=top + extra,
+                               max_size=top + extra)), dtype=np.int64)
+    picks = []
+    for s in range(draw(st.integers(0, top))):
+        p = top - 1 - s
+        kind = draw(st.sampled_from(["any", "own", "next", "earlier",
+                                     "zero"]))
+        if kind == "any":
+            j = draw(st.integers(0, p))
+        elif kind == "own":
+            j = p
+        elif kind == "next":
+            j = max(p - 1, 0)
+        elif kind == "earlier" and picks:
+            j = min(draw(st.sampled_from(picks)), p)
+        else:
+            j = 0
+        picks.append(j)
+    return a, top, picks
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(swap_runs())
+def test_resolver_matches_swap_loop(run):
+    assert_resolves_like_swaps(*run)
+
+
+@pytest.mark.parametrize("pattern", ["next", "own", "zero", "half"])
+def test_resolver_on_long_chains(pattern):
+    # 5000 steps: each picks the next step's position, so the carried
+    # values form one chain, or its own; one pick for all, or per pair
+    top, size = 6000, 5000
+    p = top - 1 - np.arange(size)
+    picks = {"next": p - 1, "own": p, "zero": 0 * p, "half": p // 2}[pattern]
+    assert_resolves_like_swaps(np.arange(top + 7, dtype=np.int64) * 3, top,
+                               picks.tolist())
 
 
 def reference_fisher_yates(rng, items):
@@ -146,13 +226,17 @@ def reference_fisher_yates(rng, items):
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 10, 90_000])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_shuffle_matches_scalar_reference(length, seed):
-    # the one-call shuffle draws the same indices from the same stream
-    # and leaves the generator in the same state
-    got, want = list(range(length)), list(range(length))
+    # the sampler's shuffle: one rng.integers call for every swap, then
+    # the resolver, against one call and one swap per index; the
+    # generators end in the same state
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    _fisher_yates(rng, got)
+    got = np.arange(length, dtype=np.int64)
+    pos, vals = _resolve_swaps(got, length,
+                               rng.integers(0, np.arange(length, 1, -1)))
+    got[pos] = vals
+    want = list(range(length))
     reference_fisher_yates(ref_rng, want)
-    assert got == want
+    assert got.tolist() == want
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -278,7 +362,9 @@ def assert_same_sample(got, want, same_state):
 @pytest.mark.parametrize("t,k,n,seed", [
     (2, 3, 30000, 0), (3, 3, 30000, 0), (3, 3, 3000, 1), (3, 2, 9000, 2),
     (4, 3, 20000, 3), (4, 4, 3000, 7), (5, 5, 2000, 13), (2, 5, 3000, 1),
-    (5, 4, 10000, 2)])
+    (5, 4, 10000, 2),
+    # the benchmark's rr30000 seeds, and a large pair load per edge
+    (3, 3, 30000, 3), (3, 3, 30000, 5), (6, 3, 600, 0)])
 def test_sampler_matches_scalar_reference(monkeypatch, t, k, n, seed):
     got, want, same_state, _ = sample_both_ways(monkeypatch, t, k, n, seed)
     assert want is not None
