@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .forms import _apply_monomials, _jacobian, _shifted_grad, t_norm
+from .forms import (_ShiftedForm, _apply_monomials, _jacobian, _t_norm_of,
+                    t_norm)
 from .hypergraph import (Hypergraph, _EdgeTable, _equitable_partition,
                          _quotient, _require_connected)
 
@@ -299,63 +300,86 @@ def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     raise NoConvergence(result.iterations, result.residual)
 
 
-def _ascend(h: Hypergraph, x0: np.ndarray,
+def _ascend(form: _ShiftedForm, x0: np.ndarray,
             cfg: SolverConfig) -> tuple[EigenResult, bool]:
-    """Gradient ascent on |shifted form| over the t-norm sphere.
+    """Gradient ascent on |shifted form| over the t-norm sphere from x0,
+    which it normalizes in place.
 
     Returns the restart's result and whether it converged.  A trial
     point, renormalized in the t-norm, is accepted when it gains more
     than ``_GAIN_FLOOR`` relative; the step then grows 1.25-fold, up to
-    ``_STEP_CAP``, and a rejected trial halves it.  The restart converges
-    when the KKT defect r drops to ``cfg.tol``, or after a rejection
-    when the halved step's first-order gain, step * t Re<d, r> along the
-    unit direction d, is at most ``_GAIN_FLOOR`` of |form|.  That stop
-    is a first-order prediction, not a proof that no shorter step gains:
-    at a nonpositive slope it ends the restart on its first rejection,
-    at any step size.  It fails on a zero gradient or when its objective
-    evaluations reach ``cfg.max_iters``.
+    ``_STEP_CAP``, and a rejected trial halves it.  Only an accepted
+    point's gradient is evaluated.  The restart converges when the KKT
+    defect r drops to ``cfg.tol``, or after a rejection when the halved
+    step's first-order gain, step * t Re<d, r> along the unit direction
+    d, is at most ``_GAIN_FLOOR`` of |form|.  That stop is a first-order
+    prediction, not a proof that no shorter step gains: at a nonpositive
+    slope it ends the restart on its first rejection, at any step size.
+    It fails on a zero gradient or when its objective evaluations reach
+    ``cfg.max_iters``.  The n-vectors of a step are allocated once and
+    written with ``out=``.
     """
-    t = h.t
-    x = x0 / t_norm(x0, t)
-    f, grad = _shifted_grad(h, x)
+    t = form.h.t
+    x = x0
+    x /= t_norm(x, t)
+    f = form.value(x)
+    grad = form.gradient()
     evals = 1
     eta = 0.1
+    y, psi, r, direction = (np.empty_like(x) for _ in range(4))
+    mags = np.empty(x.size)
 
     def stop(converged):
         return EigenResult(value=float(abs(f)), vector=x, iterations=evals,
                            residual=residual), converged
 
     while True:
-        # the gradient of |f|, and of the t-norm's t-th power over t
+        # grad becomes the gradient of |f|, psi that of the t-norm's t-th
+        # power over t
+        np.abs(x, out=mags)
         if np.iscomplexobj(x):
-            sigma_grad = np.conj(np.conj(f) / abs(f) * grad) if f else grad
-            psi = np.abs(x) ** (t - 2) * x
+            if f:
+                np.multiply(np.conj(f) / abs(f), grad, out=grad)
+                np.conjugate(grad, out=grad)
+            mags **= t - 2
+            np.multiply(mags, x, out=psi)
         else:
-            sigma_grad = grad if f >= 0 else -grad
-            psi = np.sign(x) * np.abs(x) ** (t - 1)
-        r = sigma_grad / t - abs(f) * psi  # the KKT defect
-        residual = float(np.max(np.abs(r)))
+            if f < 0:
+                np.negative(grad, out=grad)
+            mags **= t - 1
+            np.sign(x, out=psi)
+            psi *= mags
+        np.divide(grad, t, out=r)
+        np.multiply(abs(f), psi, out=psi)
+        r -= psi  # the KKT defect
+        residual = float(np.abs(r, out=mags).max())
         if residual <= cfg.tol:
             return stop(True)
-        gnorm = float(np.sqrt(np.sum(np.abs(sigma_grad) ** 2)))
+        np.abs(grad, out=mags)
+        mags *= mags
+        gnorm = float(np.sqrt(np.sum(mags)))
         if gnorm == 0.0:
             return stop(False)
-        direction = sigma_grad / gnorm
+        np.divide(grad, gnorm, out=direction)
         # gain of |f| on the sphere per unit step, to first order
-        slope = t * float(np.sum((np.conj(direction) * r).real))
+        np.conjugate(direction, out=psi)
+        psi *= r
+        slope = t * float(np.sum(psi.real))
         while True:
             if evals >= cfg.max_iters:
                 return stop(False)
-            y = x + eta * direction
-            y /= t_norm(y, t)
-            fy, grad_y = _shifted_grad(h, y)
+            np.multiply(eta, direction, out=y)
+            np.add(x, y, out=y)
+            y /= _t_norm_of(np.abs(y, out=mags), t)
+            fy = form.value(y)
             evals += 1
             if abs(fy) > abs(f) * (1.0 + _GAIN_FLOOR):
                 break
             eta *= 0.5
             if eta * slope <= abs(f) * _GAIN_FLOOR:
                 return stop(True)
-        x, f, grad = y, fy, grad_y
+        x, y, f = y, x, fy
+        grad = form.gradient()
         eta = min(1.25 * eta, _STEP_CAP)
 
 
@@ -370,6 +394,8 @@ def lambda2_estimate(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenRes
     _require_connected(h, "spectral operations")
     n = h.n
     rng = np.random.default_rng(cfg.seed)
+    form = _ShiftedForm(h, np.complex128 if cfg.complex_search
+                        else np.float64)
     best: EigenResult | None = None
     worst_fail: EigenResult | None = None
     for _ in range(cfg.restarts):
@@ -377,7 +403,7 @@ def lambda2_estimate(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenRes
             x0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         else:
             x0 = rng.standard_normal(n)
-        run, converged = _ascend(h, x0, cfg)
+        run, converged = _ascend(form, x0, cfg)
         if converged:
             if best is None or run.value > best.value:
                 best = run

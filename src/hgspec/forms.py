@@ -24,17 +24,21 @@ BLAS thread count.  Against 50-digit mpmath the form sum was within
 
 Every evaluation of A, of its Jacobian or of a form in the package is
 one of the private kernels here (``_apply_monomials``, ``_jacobian``,
-``_form``, ``_shifted_grad``).  A and its Jacobian run on an edge table
-(``hypergraph._EdgeTable``): the hypergraph's own, ``Hypergraph._table``,
-which holds its private edge index ``Hypergraph._edge_index`` (writable,
-so numpy indexes with it without a copy), or the cell table of a
-partition, on which the rho solver iterates.  One kernel forms the edge
-products x^e, ``_edge_products``, and every form is t times their
-``np.sum``, so a value a solver reports is bit for bit the public form
-at its vector.  The public functions are :func:`as_vector` plus a
-kernel.  The solvers call the kernels directly: they pass checked
-vectors, and a trace of the public functions would otherwise count
-solver steps.
+``_form``) or the evaluator ``_ShiftedForm``.  A and its Jacobian run on
+an edge table (``hypergraph._EdgeTable``): the hypergraph's own,
+``Hypergraph._table``, which holds its private edge index
+``Hypergraph._edge_index`` (writable, so numpy indexes with it without a
+copy), or the cell table of a partition, on which the rho solver
+iterates.  One kernel forms the edge products x^e, ``_edge_products``,
+and every form is t times their ``np.sum``, so a value a solver reports
+is bit for bit the public form at its vector.  ``_ShiftedForm`` is the
+shifted form and its gradient on one hypergraph, the objective of the
+lambda2 ascent and of :func:`shifted_form`.  It owns its buffers, lives
+for one solve, and evaluates the gradient only on request, after the
+value at the same point; it gives the bits of the kernels above.  The
+public functions are :func:`as_vector` plus a kernel.  The solvers call
+the kernels directly: they pass checked vectors, and a trace of the
+public functions would otherwise count solver steps.
 """
 
 from __future__ import annotations
@@ -83,6 +87,19 @@ def _edge_products(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a * b into ``out``, which shares no memory with a or b.
+
+    A complex product is formed by its real formula, as numpy's scalar
+    loop forms it.
+    """
+    if not np.iscomplexobj(out):
+        return np.multiply(a, b, out=out)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def _accumulate(arr: np.ndarray):
     total = arr.sum()
     return complex(total) if np.iscomplexobj(arr) else float(total)
@@ -117,15 +134,66 @@ def _j_coefficient(h: Hypergraph) -> float:
     return h.t * h.m / float(h.n) ** h.t
 
 
-def _shifted_grad(h: Hypergraph, x: np.ndarray):
-    """Shifted form and its holomorphic gradient t (A x - c (sum x)^(t-1)),
-    for a validated x."""
-    t = h.t
-    c = _j_coefficient(h)
-    total = _accumulate(x)
-    ax, monomials = _apply_monomials(h._table, x)
-    form = t * _accumulate(monomials)
-    return form - c * total ** t, t * (ax - c * total ** (t - 1))
+class _ShiftedForm:
+    """The shifted form of one hypergraph and its gradient, on owned buffers.
+
+    Built for one dtype, float64 or complex128, and kept for the life of
+    one solve, so an evaluation allocates almost nothing.  ``value`` takes
+    x into a column-major (t, m) array with one ``np.take`` and runs the
+    prefix products across its rows; the last prefix row times the last
+    value row is x^e, bit for bit ``_edge_products``.  ``gradient`` runs
+    the suffix products over the same rows, so it must follow the
+    ``value`` call at its point, and writes each leave-one-out column into
+    a row-major (m, t) array, which ``_scatter_columns`` adds up in the
+    order of ``_apply_monomials``.  A caller that rejects a point never
+    pays for its gradient.
+    """
+
+    def __init__(self, h: Hypergraph, dtype):
+        t, m = h.t, h.m
+        self.h = h
+        self._c = _j_coefficient(h)
+        self._index = np.ascontiguousarray(h._edge_index.T)
+        self._vals = np.empty((t, m), dtype)
+        self._prefix = np.empty((t, m), dtype)
+        self._prefix[0] = 1.0
+        self._loo = np.empty((m, t), dtype)
+        self._total = 0.0
+
+    def value(self, x: np.ndarray):
+        """The shifted form at a validated x of the evaluator's dtype."""
+        t, vals, prefix = self.h.t, self._vals, self._prefix
+        # the ids are in range; mode "raise" would fill a temporary first
+        np.take(x, self._index, out=vals, mode="clip")
+        for j in range(1, t):
+            _product(prefix[j - 1], vals[j - 1], prefix[j])
+        # the gradient rewrites all of the leave-one-out array
+        monomials = self._loo.reshape(-1)[:vals.shape[1]]
+        if np.iscomplexobj(vals):
+            # numpy's vector loop forms these complex products, the
+            # prefix run above takes the real formula of its scalar loop
+            np.multiply(vals[0], vals[1], out=monomials)
+            for j in range(2, t):
+                monomials *= vals[j]
+        else:
+            np.multiply(prefix[t - 1], vals[t - 1], out=monomials)
+        form = t * _accumulate(monomials)
+        self._total = total = _accumulate(x)
+        return form - self._c * total ** t
+
+    def gradient(self) -> np.ndarray:
+        """t (A x - c (sum x)^(t-1)) at the x of the last ``value`` call;
+        the suffix run overwrites the last value row."""
+        t, vals, prefix, loo = self.h.t, self._vals, self._prefix, self._loo
+        loo[:, t - 1] = prefix[t - 1]
+        suffix = vals[t - 1]
+        for j in range(t - 2, -1, -1):
+            np.multiply(prefix[j], suffix, out=loo[:, j])
+            if j:
+                suffix *= vals[j]
+        grad = _scatter_columns(self.h._table, loo)
+        grad -= self._c * self._total ** (t - 1)
+        return np.multiply(t, grad, out=grad)
 
 
 def _jacobian(table: _EdgeTable, prods: np.ndarray, w: np.ndarray,
@@ -178,7 +246,8 @@ def shifted_form(h: Hypergraph, x) -> float | complex:
     all-ones vector of a regular hypergraph, and coincides with the plain
     adjacency form whenever the entries of x sum to zero.
     """
-    return _shifted_grad(h, as_vector(h, x))[0]
+    x = as_vector(h, x)
+    return _ShiftedForm(h, x.dtype).value(x)
 
 
 def t_norm(x, t: int) -> float:
@@ -186,11 +255,17 @@ def t_norm(x, t: int) -> float:
     if t < 2:
         raise ValueError(f"t-norm needs t >= 2, got {t}")
     arr = np.asarray(x)
-    mags = np.abs(arr).astype(np.float64, copy=False)
+    return _t_norm_of(np.abs(arr).astype(np.float64, copy=False), t)
+
+
+def _t_norm_of(mags: np.ndarray, t: int) -> float:
+    """``t_norm`` of the magnitudes ``mags``, which it overwrites."""
     peak = mags.max(initial=0.0)
     if peak == 0.0:
         return 0.0
-    return float(peak * (np.sum((mags / peak) ** t)) ** (1.0 / t))
+    mags /= peak
+    mags **= t
+    return float(peak * (np.sum(mags)) ** (1.0 / t))
 
 
 def t_norm_pow(x, t: int) -> float:

@@ -15,7 +15,6 @@ from hgspec import (EigenResult, Hypergraph, NoConvergence,
                     apply_adjacency, complete_uniform, eigensolver,
                     hypertree_ball, lambda2_estimate, random_regular_linear,
                     shifted_form, spectral_radius, t_norm)
-from hgspec.forms import _shifted_grad
 from hgspec.hypergraph import _REFINE_ROUNDS, _equitable_partition
 
 from conftest import (adjacency_matrix, cycle_graph, layer_perron_value,
@@ -345,20 +344,32 @@ def reference_sphere_residual(x, f_abs, sigma_grad, t):
     return float(np.max(np.abs(sigma_grad / t - f_abs * psi)))
 
 
-def reference_ascend(h, x0, cfg, step_cap=np.inf):
-    """The earlier ``eigensolver._ascend``, verbatim but for its names
-    and ``step_cap``.
+def reference_shifted_grad(h, x):
+    """The shifted form at x and its gradient t (A x - c (sum x)^(t-1)),
+    c = t m / n^t, from the public operators."""
+    t = h.t
+    c = t * h.m / float(h.n) ** t
+    total = complex(x.sum()) if np.iscomplexobj(x) else float(x.sum())
+    return (shifted_form(h, x),
+            t * (apply_adjacency(h, x) - c * total ** (t - 1)))
+
+
+def reference_ascend(form, x0, cfg, step_cap=np.inf):
+    """The earlier ``eigensolver._ascend``, verbatim but for its names,
+    ``step_cap`` and the evaluator ``form`` that ``lambda2_estimate``
+    passes, of which it reads only the hypergraph.
 
     It ended a restart only when step halving ran the step below
     ``REF_STEP_FLOOR``, and grew the step without bound; ``step_cap``
     bounds it as the ascent now does, so that the stop alone is compared.
-    Its trials are evaluated with the public ``shifted_form``: the form
-    has one product order, so that gives the bits of the private kernel
-    the copy called.
+    It evaluates with the public ``shifted_form`` and ``apply_adjacency``
+    (``reference_shifted_grad``): they form the products in the order of
+    the ascent's evaluator, so they give its bits.
     """
+    h = form.h
     t = h.t
     x = x0 / t_norm(x0, t)
-    f, grad = _shifted_grad(h, x)
+    f, grad = reference_shifted_grad(h, x)
     evals = 1
     eta = 0.1
     converged = False
@@ -387,7 +398,7 @@ def reference_ascend(h, x0, cfg, step_cap=np.inf):
             evals += 1
             if abs(fy) > abs(f) * (1.0 + REF_GAIN_FLOOR):
                 x = y
-                f, grad = _shifted_grad(h, x)
+                f, grad = reference_shifted_grad(h, x)
                 eta = min(eta * 1.25, step_cap)
                 accepted = True
                 break
