@@ -26,7 +26,8 @@ import numpy as np
 
 from .bounds import g_value, threshold
 from .errors import CertificateError, DiameterTooSmall, NotRegularError
-from .forms import adjacency_form, apply_adjacency, as_vector, t_norm, t_norm_pow
+from .forms import (_magnitude, _power, adjacency_form, apply_adjacency,
+                    as_vector, t_norm, t_norm_pow)
 from .hypergraph import (DistanceMap, Hypergraph, _kept_distances,
                          _require_connected, diameter_and_path)
 
@@ -105,7 +106,7 @@ def _analytic_slack(t: int, k: int, d: int, weights: list[float],
     den = 0.0
     for c_j, sizes in zip(weights, layer_sizes):
         num += c_j ** t * sizes[d] * profile[d] ** t
-        den += c_j ** t * float(np.dot(sizes, profile ** t))
+        den += c_j ** t * float(np.dot(sizes, _power(profile, t)))
     return float(t * (k - 1) * num / den)
 
 
@@ -147,7 +148,7 @@ def verify_radial_inequality(h: Hypergraph, o: int) -> RadialCheckResult:
     """
     x, _, k = _radial(h, o, None, None)
     rho = threshold(h.t, k)
-    slack = apply_adjacency(h, x) - rho * x ** (h.t - 1)
+    slack = apply_adjacency(h, x) - rho * _power(x, h.t - 1)
     worst = int(np.argmin(slack))
     min_slack = float(slack[worst])
     return RadialCheckResult(passed=min_slack >= -SLACK_TOL,
@@ -168,7 +169,8 @@ def rho_lower_certificate(h: Hypergraph, o: int, radius: int,
     """
     x, dm, k = _radial(h, o, radius, k)
     layer_sizes = dm.layer_sizes(radius)
-    norm_pow = float(np.dot(layer_sizes, _g_profile(h.t, k, radius) ** h.t))
+    profile = _g_profile(h.t, k, radius)
+    norm_pow = float(np.dot(layer_sizes, _power(profile, h.t)))
     quotient = float(adjacency_form(h, x)) / norm_pow
     rho = threshold(h.t, k)
     floor = rho - _analytic_slack(h.t, k, radius, [1.0], [layer_sizes])
@@ -290,7 +292,7 @@ def multi_center_vector(h: Hypergraph, k: int | None = None) -> Certificate:
         raise DiameterTooSmall(2 * d + 2, min_sep)
     y, meta = _phased_ball_vector(h, centers, d, k, dist_maps)
     entry_sum = complex(y.sum())
-    scale = float(np.abs(y).sum())
+    scale = float(_magnitude(y).sum())
     if abs(entry_sum) > EXACTNESS_TOL * scale:
         raise CertificateError(
             f"multi-center entries sum to {entry_sum} (scale {scale}); the "

@@ -27,12 +27,18 @@ map is not nonnegative, so no Perron-style power iteration applies; the
 returned value is a certified lower estimate of the shifted spectral
 norm (the best feasible point seen), not a claimed global optimum.  The
 search runs over real vectors by default, over complex ones behind
-``SolverConfig.complex_search``.
+``SolverConfig.complex_search``.  One ``forms._ShiftedForm`` per call
+evaluates the objective; the ascent asks it for the gradient only at a
+trial point it accepts.
 
 Both solvers, CG included, sum with numpy's pairwise ``np.sum`` only,
 never a BLAS dot product or norm, so a seeded run gives the same bits
 under any BLAS thread count; ``_GAIN_FLOOR`` keeps the ascent from
-taking the rounding noise of those sums for progress.
+taking the rounding noise of those sums for progress.  Every power of
+an array is ``forms._power``, a product in a fixed order, and every
+complex product and magnitude is formed by real operations
+(``forms._product``, ``forms._magnitude``): numpy's own loops for those
+are chosen by CPU, and their last bits with them.
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .forms import (_ShiftedForm, _apply_monomials, _jacobian, _t_norm_of,
-                    t_norm)
+from .forms import (_ShiftedForm, _apply_monomials, _jacobian, _magnitude,
+                    _power, _product, _t_norm_of, t_norm)
 from .hypergraph import (Hypergraph, _EdgeTable, _equitable_partition,
                          _quotient, _require_connected)
 
@@ -101,7 +107,7 @@ def _cw_bracket(table: _EdgeTable, x: np.ndarray):
     monomials x^e, which the Jacobian products take.
     """
     ax, prods = _apply_monomials(table, x)
-    ratios = ax / x ** (table.members.shape[1] - 1)
+    ratios = ax / _power(x, table.members.shape[1] - 1)
     return float(ratios.min()), float(ratios.max()), prods
 
 
@@ -114,7 +120,7 @@ def _cell_t_norm(x: np.ndarray, size: np.ndarray, t: int) -> float:
     """The t-norm of the vector that is x[c] on each of the size[c]
     vertices of cell c, max-scaled like ``t_norm``."""
     peak = float(x.max())
-    return peak * float(np.sum(size * (x / peak) ** t)) ** (1.0 / t)
+    return peak * float(np.sum(size * _power(x / peak, t))) ** (1.0 / t)
 
 
 def _newton_direction(table: _EdgeTable, size: np.ndarray, x: np.ndarray,
@@ -144,7 +150,7 @@ def _newton_direction(table: _EdgeTable, size: np.ndarray, x: np.ndarray,
     # the edge sums S and the scratch vector are never needed at once
     shared = np.empty(max(n, rows))
     sums, work = shared[:rows], shared[:n]
-    r = (t - 1) * x ** t
+    r = (t - 1) * _power(x, t)
     diag = hi * r
     w = np.zeros(n)
     p = r / diag
@@ -327,50 +333,43 @@ def _ascend(form: _ShiftedForm, x0: np.ndarray,
     evals = 1
     eta = 0.1
     y, psi, r, direction = (np.empty_like(x) for _ in range(4))
-    mags = np.empty(x.size)
+    mags, work = np.empty(x.size), np.empty(x.size)
 
     def stop(converged):
         return EigenResult(value=float(abs(f)), vector=x, iterations=evals,
                            residual=residual), converged
 
     while True:
-        # grad becomes the gradient of |f|, psi that of the t-norm's t-th
-        # power over t
-        np.abs(x, out=mags)
+        # grad becomes the gradient of |f|
         if np.iscomplexobj(x):
             if f:
-                np.multiply(np.conj(f) / abs(f), grad, out=grad)
+                _product(np.conj(f) / abs(f), grad, grad)
                 np.conjugate(grad, out=grad)
-            mags **= t - 2
-            np.multiply(mags, x, out=psi)
-        else:
-            if f < 0:
-                np.negative(grad, out=grad)
-            mags **= t - 1
-            np.sign(x, out=psi)
-            psi *= mags
+        elif f < 0:
+            np.negative(grad, out=grad)
+        # psi = |x|^(t-2) x, the gradient of the t-norm's t-th power over t
+        np.multiply(_power(_magnitude(x, mags), t - 2, work), x, out=psi)
         np.divide(grad, t, out=r)
         np.multiply(abs(f), psi, out=psi)
         r -= psi  # the KKT defect
-        residual = float(np.abs(r, out=mags).max())
+        residual = float(_magnitude(r, mags).max())
         if residual <= cfg.tol:
             return stop(True)
-        np.abs(grad, out=mags)
+        _magnitude(grad, mags)
         mags *= mags
         gnorm = float(np.sqrt(np.sum(mags)))
         if gnorm == 0.0:
             return stop(False)
         np.divide(grad, gnorm, out=direction)
         # gain of |f| on the sphere per unit step, to first order
-        np.conjugate(direction, out=psi)
-        psi *= r
+        _product(np.conjugate(direction, out=psi), r, psi)
         slope = t * float(np.sum(psi.real))
         while True:
             if evals >= cfg.max_iters:
                 return stop(False)
             np.multiply(eta, direction, out=y)
             np.add(x, y, out=y)
-            y /= _t_norm_of(np.abs(y, out=mags), t)
+            y /= _t_norm_of(_magnitude(y, mags), t, work)
             fy = form.value(y)
             evals += 1
             if abs(fy) > abs(f) * (1.0 + _GAIN_FLOOR):

@@ -22,6 +22,13 @@ flattened edges; neither calls BLAS, so results do not depend on the
 BLAS thread count.  Against 50-digit mpmath the form sum was within
 2.4e-16 relative on up to 65,535 edges (exact rounding: 2.5e-16).
 
+Results do not depend on numpy's CPU dispatch either.  numpy picks its
+loops for array powers, complex products and complex magnitudes by
+CPU, and their last bits differ, so the package forms each of them from
+operations that every CPU rounds alike: ``_power`` multiplies in a
+fixed order, ``_product`` takes the real formula of a complex product
+and ``_magnitude`` calls ``np.hypot``.
+
 Every evaluation of A, of its Jacobian or of a form in the package is
 one of the private kernels here (``_apply_monomials``, ``_jacobian``,
 ``_form``) or the evaluator ``_ShiftedForm``.  A and its Jacobian run on
@@ -68,14 +75,14 @@ def _partial_products(values: np.ndarray) -> np.ndarray:
     """
     t = values.shape[1]
     out = np.empty_like(values)
-    out[:, 0] = 1.0
-    for j in range(1, t):
-        np.multiply(out[:, j - 1], values[:, j - 1], out=out[:, j])
+    out[:, 1] = values[:, 0]
+    for j in range(2, t):
+        _product(out[:, j - 1], values[:, j - 1], out[:, j])
     suffix = values[:, t - 1].copy()
-    for j in range(t - 2, -1, -1):
-        out[:, j] *= suffix
-        if j:
-            suffix *= values[:, j]
+    for j in range(t - 2, 0, -1):
+        _product(out[:, j], suffix, out[:, j])
+        _product(suffix, values[:, j], suffix)
+    out[:, 0] = suffix
     return out
 
 
@@ -83,21 +90,57 @@ def _edge_products(values: np.ndarray) -> np.ndarray:
     """Row products of an (m, t) array, one column multiply at a time."""
     out = values[:, 0].copy()
     for j in range(1, values.shape[1]):
-        out *= values[:, j]
+        _product(out, values[:, j], out)
     return out
 
 
-def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a * b into ``out``, which shares no memory with a or b.
+def _product(a, b, out: np.ndarray) -> np.ndarray:
+    """a * b into ``out``, which may be a or b.
 
-    A complex product is formed by its real formula, as numpy's scalar
-    loop forms it.
+    A complex product is its real formula (ac - bd) + (ad + bc)i, each
+    product rounded on its own: numpy's vector loop fuses them into
+    multiply-adds on CPUs that have those, so its last bits depend on the
+    CPU.  Real products, and products of a real and a complex factor,
+    have no such choice.
     """
     if not np.iscomplexobj(out):
         return np.multiply(a, b, out=out)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+    real = a.real * b.real
+    real -= a.imag * b.imag
+    imag = a.real * b.imag
+    imag += a.imag * b.real
+    out.real = real
+    out.imag = imag
     return out
+
+
+def _power(base: np.ndarray, k: int, out: np.ndarray | None = None
+           ) -> np.ndarray:
+    """base**k for an integer k >= 0, multiplied from the left, into
+    ``out`` (not ``base``) if given.
+
+    Every array power in the package is this product: numpy's ``**``
+    calls a vectorized pow whose last bits can depend on the CPU.
+    """
+    out = np.empty_like(base) if out is None else out
+    if k == 0:
+        out.fill(1.0)
+    elif k == 1:
+        np.copyto(out, base)
+    else:
+        np.multiply(base, base, out=out)
+        for _ in range(k - 2):
+            out *= base
+    return out
+
+
+def _magnitude(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|z| entrywise; a complex one by ``np.hypot``, since numpy's
+    complex absolute value has a vector loop whose last bits depend on
+    the CPU."""
+    if np.iscomplexobj(z):
+        return np.hypot(z.real, z.imag, out=out)
+    return np.abs(z, out=out)
 
 
 def _accumulate(arr: np.ndarray):
@@ -144,9 +187,9 @@ class _ShiftedForm:
     value row is x^e, bit for bit ``_edge_products``.  ``gradient`` runs
     the suffix products over the same rows, so it must follow the
     ``value`` call at its point, and writes each leave-one-out column into
-    a row-major (m, t) array, which ``_scatter_columns`` adds up in the
-    order of ``_apply_monomials``.  A caller that rejects a point never
-    pays for its gradient.
+    a row-major (m, t) array: the bits of ``_partial_products``, which
+    ``_scatter_columns`` adds up in the order of ``_apply_monomials``.  A
+    caller that rejects a point never pays for its gradient.
     """
 
     def __init__(self, h: Hypergraph, dtype):
@@ -155,28 +198,25 @@ class _ShiftedForm:
         self._c = _j_coefficient(h)
         self._index = np.ascontiguousarray(h._edge_index.T)
         self._vals = np.empty((t, m), dtype)
-        self._prefix = np.empty((t, m), dtype)
-        self._prefix[0] = 1.0
+        self._prefix = np.empty((t - 2, m), dtype)
         self._loo = np.empty((m, t), dtype)
         self._total = 0.0
 
+    def _prefixes(self) -> list:
+        """Row j is the product of value rows 0 to j, for j < t - 1."""
+        return [self._vals[0], *self._prefix]
+
     def value(self, x: np.ndarray):
         """The shifted form at a validated x of the evaluator's dtype."""
-        t, vals, prefix = self.h.t, self._vals, self._prefix
+        t, vals = self.h.t, self._vals
         # the ids are in range; mode "raise" would fill a temporary first
         np.take(x, self._index, out=vals, mode="clip")
-        for j in range(1, t):
-            _product(prefix[j - 1], vals[j - 1], prefix[j])
+        prefix = self._prefixes()
+        for j in range(1, t - 1):
+            _product(prefix[j - 1], vals[j], prefix[j])
         # the gradient rewrites all of the leave-one-out array
         monomials = self._loo.reshape(-1)[:vals.shape[1]]
-        if np.iscomplexobj(vals):
-            # numpy's vector loop forms these complex products, the
-            # prefix run above takes the real formula of its scalar loop
-            np.multiply(vals[0], vals[1], out=monomials)
-            for j in range(2, t):
-                monomials *= vals[j]
-        else:
-            np.multiply(prefix[t - 1], vals[t - 1], out=monomials)
+        _product(prefix[t - 2], vals[t - 1], monomials)
         form = t * _accumulate(monomials)
         self._total = total = _accumulate(x)
         return form - self._c * total ** t
@@ -184,13 +224,14 @@ class _ShiftedForm:
     def gradient(self) -> np.ndarray:
         """t (A x - c (sum x)^(t-1)) at the x of the last ``value`` call;
         the suffix run overwrites the last value row."""
-        t, vals, prefix, loo = self.h.t, self._vals, self._prefix, self._loo
-        loo[:, t - 1] = prefix[t - 1]
+        t, vals, loo = self.h.t, self._vals, self._loo
+        prefix = self._prefixes()
+        loo[:, t - 1] = prefix[t - 2]
         suffix = vals[t - 1]
-        for j in range(t - 2, -1, -1):
-            np.multiply(prefix[j], suffix, out=loo[:, j])
-            if j:
-                suffix *= vals[j]
+        for j in range(t - 2, 0, -1):
+            _product(prefix[j - 1], suffix, loo[:, j])
+            _product(suffix, vals[j], suffix)
+        loo[:, 0] = suffix
         grad = _scatter_columns(self.h._table, loo)
         grad -= self._c * self._total ** (t - 1)
         return np.multiply(t, grad, out=grad)
@@ -254,23 +295,24 @@ def t_norm(x, t: int) -> float:
     """(sum |x_v|^t)^(1/t), guarded against overflow by max-scaling."""
     if t < 2:
         raise ValueError(f"t-norm needs t >= 2, got {t}")
-    arr = np.asarray(x)
-    return _t_norm_of(np.abs(arr).astype(np.float64, copy=False), t)
+    mags = _magnitude(np.asarray(x)).astype(np.float64, copy=False)
+    return _t_norm_of(mags, t)
 
 
-def _t_norm_of(mags: np.ndarray, t: int) -> float:
-    """``t_norm`` of the magnitudes ``mags``, which it overwrites."""
+def _t_norm_of(mags: np.ndarray, t: int,
+               out: np.ndarray | None = None) -> float:
+    """``t_norm`` of the magnitudes ``mags``, which it overwrites; the
+    powers go to ``out`` if given."""
     peak = mags.max(initial=0.0)
     if peak == 0.0:
         return 0.0
     mags /= peak
-    mags **= t
-    return float(peak * (np.sum(mags)) ** (1.0 / t))
+    return float(peak * np.sum(_power(mags, t, out)) ** (1.0 / t))
 
 
 def t_norm_pow(x, t: int) -> float:
     """sum |x_v|^t, the t-th power of the t-norm without the root."""
     if t < 2:
         raise ValueError(f"t-norm needs t >= 2, got {t}")
-    mags = np.abs(np.asarray(x)).astype(np.float64, copy=False)
-    return float(np.sum(mags ** t))
+    mags = _magnitude(np.asarray(x)).astype(np.float64, copy=False)
+    return float(np.sum(_power(mags, t)))

@@ -8,7 +8,9 @@ reference was recorded before the radial vector, the boundary slack and
 the centre separation were each merged into one helper in
 ``hgspec.constructions``; one complex form value was recorded again,
 in its rounding noise, when the operator kernels moved to column-wise
-multiplies.  Floats are compared through their shortest
+multiplies, and one quotient and that form value again when array
+powers, complex products and complex magnitudes stopped depending on
+numpy's CPU dispatch.  Floats are compared through their shortest
 round-trip text, so any change of a last bit fails here; so does a new,
 missing or reordered metadata key.  To record it again on purpose, run
 ``PYTHONPATH=src python tests/test_certificate_reference.py`` from the

@@ -1,5 +1,8 @@
 """Adjacency operator, multilinear form, and t-norm tests."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,8 +10,9 @@ from hgspec import (Hypergraph, adjacency_form, apply_adjacency,
                     complete_uniform, edge_contributions, hypertree_ball,
                     multi_center_vector, random_regular_linear, shifted_form,
                     t_norm, t_norm_pow)
-from hgspec.forms import (_apply_monomials, _edge_products, _jacobian,
-                          _partial_products)
+from hgspec.forms import (_ShiftedForm, _apply_monomials, _edge_products,
+                          _jacobian, _magnitude, _partial_products, _power,
+                          _product)
 from hgspec.hypergraph import _equitable_partition, _quotient
 
 from conftest import (adjacency_matrix, cycle_graph, loose_path, path_graph,
@@ -125,6 +129,85 @@ class TestColumnKernels:
                          np.empty((h.m, h.t)), np.empty(h.m))
         np.testing.assert_allclose(jw[cell], full, rtol=1e-13)
         assert size.sum() == h.n
+
+
+class TestShiftedFormEvaluator:
+    @pytest.mark.parametrize("complex_entries", [False, True],
+                             ids=["real", "complex"])
+    @pytest.mark.parametrize("h", [
+        cycle_graph(9), random_regular_linear(3, 3, 300, 1),
+        random_regular_linear(4, 3, 200, 5), complete_uniform(7, 5)],
+        ids=["C9", "rr300", "rr200_t4", "K7_5"])
+    def test_bits_of_the_public_kernels(self, h, complex_entries):
+        # the value is the public shifted form and the gradient
+        # t (A x - c (sum x)^(t-1)) from the public operator, bit for bit,
+        # at the point of the last value call, zeros of either sign included
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(h.n)
+        if complex_entries:
+            x = x + 1j * rng.standard_normal(h.n)
+        x[rng.random(h.n) < 0.1] = -0.0
+        x[rng.random(h.n) < 0.1] = 0.0
+        t, c = h.t, h.t * h.m / float(h.n) ** h.t
+        form = _ShiftedForm(h, x.dtype)
+        for y in (x, -2 * x):
+            form.value(rng.standard_normal(h.n).astype(x.dtype))
+            total = complex(y.sum()) if complex_entries else float(y.sum())
+            assert form.value(y) == adjacency_form(h, y) - c * total ** t
+            expected = t * (apply_adjacency(h, y) - c * total ** (t - 1))
+            assert form.gradient().tobytes() == expected.tobytes()
+
+
+class TestExactArithmetic:
+    """The helpers that keep the bits of every CPU alike."""
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_power_multiplies_from_the_left(self, k):
+        base = np.random.default_rng(k).uniform(0.1, 3.0, 500)
+        expected = np.ones_like(base)
+        if k:
+            expected = base.copy()
+            for _ in range(k - 1):
+                expected = expected * base
+        assert _power(base, k).tobytes() == expected.tobytes()
+        out = np.empty_like(base)
+        assert _power(base, k, out) is out
+        assert out.tobytes() == expected.tobytes()
+        if k == 2:
+            assert out.tobytes() == (base ** 2).tobytes()
+
+    def test_complex_product_rounds_each_product(self):
+        rng = np.random.default_rng(12)
+        a, b = rng.standard_normal((2, 300)) + 1j * rng.standard_normal(
+            (2, 300))
+        expected = np.array([
+            complex(p.real * q.real - p.imag * q.imag,
+                    p.real * q.imag + p.imag * q.real)
+            for p, q in zip(a.tolist(), b.tolist())])
+        assert _product(a, b, np.empty_like(a)).tobytes() == \
+            expected.tobytes()
+        scalar = complex(a[0])
+        assert _product(scalar, b, b.copy()).tobytes() == np.array([
+            complex(scalar.real * q.real - scalar.imag * q.imag,
+                    scalar.real * q.imag + scalar.imag * q.real)
+            for q in b.tolist()]).tobytes()
+        # out may be either factor
+        first, second = a.copy(), b.copy()
+        _product(first, b, first)
+        _product(a, second, second)
+        assert first.tobytes() == second.tobytes() == expected.tobytes()
+
+    def test_magnitude_is_hypot(self):
+        rng = np.random.default_rng(13)
+        z = rng.standard_normal(300) * 10.0 ** rng.uniform(-200, 200, 300) \
+            + 1j * rng.standard_normal(300)
+        mags = _magnitude(z)
+        with mpmath.workdps(50):
+            for v, mag in zip(z.tolist(), mags.tolist()):
+                exact = mpmath.sqrt(mpmath.mpf(v.real) ** 2
+                                    + mpmath.mpf(v.imag) ** 2)
+                assert abs(mpmath.mpf(mag) - exact) <= math.ulp(mag)
+        assert _magnitude(z.real).tobytes() == np.abs(z.real).tobytes()
 
 
 class TestForm:

@@ -21,13 +21,16 @@ on rr300 were recorded again, failing with ``"trivial": true``, when a
 certificate of radius d = 0 stopped counting as a pass.  Six were
 recorded again, in their rho, gap, residual and iterations numbers
 only, when rho came to be solved on one value per cell of the coarsest
-equitable partition and certified on all vertices.  A change that
-alters any byte of them (a different center, diameter path, certificate or solver
-trajectory, or a last bit of rho) fails here.  To record a new golden set on purpose, run
-``PYTHONPATH=src python tests/test_golden.py`` from the root of a
-checkout.  For each file it rewrites, it lists every number that
-changed, old -> new with the relative change, or the whole diff when
-more than numbers changed.
+equitable partition and certified on all vertices.  Four were
+recorded again, in their last digits only, when every array power came
+to be formed by multiplies and every complex product and magnitude by
+real operations, so that no output depends on numpy's CPU dispatch.  A
+change that alters any byte of them (a different center, diameter path,
+certificate or solver trajectory, or a last bit of rho) fails here.
+To record a new golden set on purpose, run ``PYTHONPATH=src python
+tests/test_golden.py`` from the root of a checkout.  For each file it
+rewrites, it lists every number that changed, old -> new with the
+relative change, or the whole diff when more than numbers changed.
 """
 
 import difflib
