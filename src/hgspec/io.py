@@ -8,10 +8,10 @@ produce byte-identical files.
 
 Canonical text (ASCII digits, single spaces and newlines only: a header
 plus m >= 1 lines of t ids, each line ending in a newline) is read with
-one tokenization: one ``split`` of the whole text, one conversion of all
-tokens to an int64 array, and one check of the text with its digits
-deleted, which pins every line to its token count.  The ``(m, t)`` table
-then goes to the ``Hypergraph`` constructor as it is.  Any other text,
+one tokenization: t and m from the header line, one check of the text
+with its digits deleted, which pins every line to its token count, and
+one ``np.fromstring`` of the whole text into an int64 array.  The
+``(m, t)`` table then goes to the ``Hypergraph`` constructor as it is.  Any other text,
 and any canonical text with a fault, is read by the line parser, which
 checks the header, integer fields and the number of edge lines.  The
 edges are validated by the ``Hypergraph`` constructor, and the line
@@ -42,20 +42,19 @@ def _parse_canonical(text: str) -> Hypergraph | None:
     if not text.isascii():
         return None
     raw = text.encode("ascii")
-    try:
-        values = np.array(raw.split(), dtype=np.int64)
-    except (ValueError, OverflowError):  # a non-integer token, or >= 2**63
+    header = raw[:raw.find(b"\n")].split(b" ")
+    if len(header) != 3 or not all(field.isdigit() for field in header):
         return None
-    if values.size < 3:
+    t, n, m = map(int, header)
+    # a skeleton line of s spaces holds at most s + 1 ids, so the token
+    # count below puts exactly t ids on every edge line
+    skeleton = raw.translate(None, b"0123456789")
+    if t < 2 or n < 1 or m < 1 or len(skeleton) != 3 + t * m \
+            or skeleton != b"  \n" + (b" " * (t - 1) + b"\n") * m:
         return None
-    t, n, m = values[:3].tolist()
-    # the count keeps the skeleton below no longer than the token list;
-    # a skeleton line of s spaces holds at most s + 1 tokens, so the
-    # count also puts exactly t ids on every edge line
-    if t < 2 or n < 1 or m < 1 or values.size != 3 + t * m:
-        return None
-    if raw.translate(None, b"0123456789") != (b"  \n"
-                                              + (b" " * (t - 1) + b"\n") * m):
+    values = np.fromstring(raw, dtype=np.int64, sep=" ")
+    # fromstring saturates ids beyond int64 at 2**63 - 1
+    if values.size != 3 + t * m or values.max() == 2 ** 63 - 1:
         return None
     try:
         return Hypergraph(n, t, values[3:].reshape(m, t))

@@ -276,7 +276,8 @@ def test_parser_matches_reference(data):
 
 #: ids near the int64 limit, 2**63 - 1 first
 BIG_IDS = ["9223372036854775807", "9223372036854775808",
-           "1234567890123456789", "10000000000000000000",
+           "9223372036854775806", "1234567890123456789",
+           "9999999999999999999", "10000000000000000000",
            "99999999999999999999"]
 
 
@@ -300,8 +301,8 @@ def _digit_texts(draw):
     distinct ids in range only, half the time); the rest add some of:
     ragged lines with the token total kept, leading zeros, an id deleted
     between its spaces, double spaces, a blank line, no final newline,
-    and a header edge count one off.  Ids of 19-20 digits occur in
-    both."""
+    a header edge count one off or of 19-20 digits, and a header vertex
+    count beyond int64.  Ids of 19-20 digits occur in both."""
     t = draw(st.integers(2, 4))
     n = draw(st.integers(t, 12))
     ids = st.one_of(*[st.integers(0, n + 1).map(str)] * 4,
@@ -330,7 +331,13 @@ def _digit_texts(draw):
         k = draw(st.integers(0, len(lines) - 1))
         lines[k] = lines[k].replace(" ", "  ", 1)
     m = len(lines) + (draw(st.sampled_from([-1, 1])) if draw(some) else 0)
-    lines.insert(0, f"{t} {n} {max(m, 0)}")
+    header = [str(t), str(n), str(max(m, 0))]
+    if draw(some):  # m near the int64 limit, or n beyond it
+        header[2] = draw(st.sampled_from(BIG_IDS))
+    if draw(some):
+        header[1] = draw(st.sampled_from(
+            [v for v in BIG_IDS if int(v) >= 2 ** 63]))
+    lines.insert(0, " ".join(header))
     if draw(some):
         lines.insert(draw(st.integers(0, len(lines))),
                      draw(st.sampled_from(["", " "])))
