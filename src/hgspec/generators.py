@@ -81,13 +81,17 @@ def _resolve_swaps(a: np.ndarray, top: int,
     at p: the original a[p], or the value carried by the last step to pick
     p, which comes no later than s.  (If that is s itself, nothing reads
     what s carries.)  These links point to earlier steps, and pointer
-    jumping finds the end of every chain in O(log S) passes.  One stable
-    argsort of the picks gives both the previous and the last step.
+    jumping finds the end of every chain in O(log S) passes.  One sort of
+    the keys pick * S + step, which orders the steps by pick and then by
+    step, gives both the previous and the last step; the keys stay below
+    top * S, which must fit in int64.
     """
     size = picks.size
     steps = np.arange(size)
-    order = np.argsort(picks, kind="stable")
-    ranked = picks[order]
+    keys = picks * size
+    keys += steps
+    keys.sort()
+    ranked, order = np.divmod(keys, size)
     same = ranked[1:] == ranked[:-1]
     # the previous step with the same pick, or -1
     prev = np.full(size, -1)
@@ -170,7 +174,9 @@ def random_regular_linear(t: int, k: int, n: int, seed: int,
         edges at a vertex of a linear instance meet only there, so they
         cover k(t-1)+1 distinct vertices.
     SizeOverflow
-        If n or m = n*k/t exceeds ``DEFAULT_SIZE_CAP``.
+        If n or m = n*k/t exceeds ``DEFAULT_SIZE_CAP``, or the stub count
+        n*k reaches 2**31, where the keys of :func:`_resolve_swaps` could
+        overflow int64 (its stub array alone would take 16 GB).
     GenerationFailed
         After ``max_attempts`` abandoned samples.
     """
@@ -188,6 +194,9 @@ def random_regular_linear(t: int, k: int, n: int, seed: int,
     if max(n, m) > DEFAULT_SIZE_CAP:
         raise SizeOverflow(f"random regular instance with n={n}, m={m} "
                            f"exceeds {DEFAULT_SIZE_CAP} vertices or edges")
+    if n * k >= 2 ** 31:
+        raise SizeOverflow(f"random regular instance with n={n}, k={k} "
+                           f"has n*k = {n * k} >= 2**31 stubs")
     rng = np.random.default_rng(seed)
     local_cap = 500
     # the column pairs i < j of a sorted row

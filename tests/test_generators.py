@@ -122,6 +122,15 @@ class TestRandomRegularLinear:
         with pytest.raises(SizeOverflow):
             random_regular_linear(t, k, n, 0)
 
+    @pytest.mark.parametrize("t,k,n", [(1100, 1100, 1_999_999),
+                                       (1076, 1076, 1_995_840)])
+    def test_stub_count_overflow(self, t, k, n):
+        # n and m = n below the cap, but n k >= 2**31 stubs, whose sort
+        # keys could overflow int64; raised before any stub is made
+        assert max(n, n * k // t) <= 2_000_000 and n * k >= 2 ** 31
+        with pytest.raises(SizeOverflow, match="2\\*\\*31 stubs"):
+            random_regular_linear(t, k, n, 0)
+
     @pytest.mark.parametrize("t,k,n", [(3, 2, 3), (2, 3, 2), (4, 2, 6),
                                        (4, 3, 8), (3, 4, 6)])
     def test_too_few_vertices_for_a_linear_instance(self, t, k, n):
