@@ -13,14 +13,15 @@ are supported throughout (the root-of-unity certificates need them),
 real float64 is the fast path.
 
 Per-edge products are computed branch-free (no sparsity shortcut, no
-division) by loops over the t edge columns: a prefix and a suffix run of
-whole-column multiplies, never a reduction along the short rows, which
-would run one tiny inner loop per edge.  On real input they give the
-bits of a row-wise cumulative product.  Every sum, at every size,
-is numpy's pairwise ``np.sum``, and A x is one ``np.bincount`` over the
-flattened edges; neither calls BLAS, so results do not depend on the
-BLAS thread count.  Against 50-digit mpmath the form sum was within
-2.4e-16 relative on up to 65,535 edges (exact rounding: 2.5e-16).
+division) by ``_Products``, over a column-major copy of the edge values:
+a prefix and a suffix run of whole-row multiplies, never a reduction
+along the short edge tuples, which would run one tiny inner loop per
+edge.  On real input they give the bits of a cumulative product along
+each edge.  Every sum, at every size, is numpy's pairwise ``np.sum``,
+and A x is one ``np.bincount`` over the flattened edges; neither calls
+BLAS, so results do not depend on the BLAS thread count.  Against
+50-digit mpmath the form sum was within 2.4e-16 relative on up to
+65,535 edges (exact rounding: 2.5e-16).
 
 Results do not depend on numpy's CPU dispatch either.  numpy picks its
 loops for array powers, complex products and complex magnitudes by
@@ -29,23 +30,18 @@ operations that every CPU rounds alike: ``_power`` multiplies in a
 fixed order, ``_product`` takes the real formula of a complex product
 and ``_magnitude`` calls ``np.hypot``.
 
-Every evaluation of A, of its Jacobian or of a form in the package is
-one of the private kernels here (``_apply_monomials``, ``_jacobian``,
-``_form``) or the evaluator ``_ShiftedForm``.  A and its Jacobian run on
-an edge table (``hypergraph._EdgeTable``): the hypergraph's own,
-``Hypergraph._table``, which holds its private edge index
-``Hypergraph._edge_index`` (writable, so numpy indexes with it without a
-copy), or the cell table of a partition, on which the rho solver
-iterates.  One kernel forms the edge products x^e, ``_edge_products``,
-and every form is t times their ``np.sum``, so a value a solver reports
-is bit for bit the public form at its vector.  ``_ShiftedForm`` is the
-shifted form and its gradient on one hypergraph, the objective of the
-lambda2 ascent and of :func:`shifted_form`.  It owns its buffers, lives
-for one solve, and evaluates the gradient only on request, after the
-value at the same point; it gives the bits of the kernels above.  The
-public functions are :func:`as_vector` plus a kernel.  The solvers call
-the kernels directly: they pass checked vectors, and a trace of the
-public functions would otherwise count solver steps.
+Every evaluation of A, of its Jacobian or of a form in the package goes
+through ``_Products`` or ``_jacobian``.  Both run on an edge table
+(``hypergraph._EdgeTable``): the hypergraph's own, ``Hypergraph._table``,
+or the cell table of a partition, on which the rho solver iterates.
+Every form is t times the ``np.sum`` of the edge products x^e of one
+``_Products``, so a value a solver reports is bit for bit the public
+form at its vector.  A solve keeps its ``_Products`` (the lambda2
+ascent through ``_ShiftedForm``, the shifted form and its gradient) and
+asks for A x only where it needs it; one-off evaluations build one per
+call.  The public functions are :func:`as_vector` plus a kernel.  The
+solvers call the kernels directly: they pass checked vectors, and a
+trace of the public functions would otherwise count solver steps.
 """
 
 from __future__ import annotations
@@ -65,33 +61,6 @@ def as_vector(h: Hypergraph, x) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector has non-finite entries")
     return arr
-
-
-def _partial_products(values: np.ndarray) -> np.ndarray:
-    """Leave-one-out products of the t columns of an (m, t) array.
-
-    A prefix run of whole-column multiplies, then a suffix run from the
-    right, each in the order of a cumulative product along the rows.
-    """
-    t = values.shape[1]
-    out = np.empty_like(values)
-    out[:, 1] = values[:, 0]
-    for j in range(2, t):
-        _product(out[:, j - 1], values[:, j - 1], out[:, j])
-    suffix = values[:, t - 1].copy()
-    for j in range(t - 2, 0, -1):
-        _product(out[:, j], suffix, out[:, j])
-        _product(suffix, values[:, j], suffix)
-    out[:, 0] = suffix
-    return out
-
-
-def _edge_products(values: np.ndarray) -> np.ndarray:
-    """Row products of an (m, t) array, one column multiply at a time."""
-    out = values[:, 0].copy()
-    for j in range(1, values.shape[1]):
-        _product(out, values[:, j], out)
-    return out
 
 
 def _product(a, b, out: np.ndarray) -> np.ndarray:
@@ -161,15 +130,66 @@ def _scatter_columns(table: _EdgeTable, contrib: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Products:
+    """The products of x over the rows of an edge table, on owned buffers.
+
+    Built for one table and one dtype, float64 or complex128; a solver
+    keeps one for the life of a solve, so an evaluation allocates almost
+    nothing.  ``monomials`` takes x into a column-major (t, rows) array
+    with one ``np.take`` and runs the prefix products down its rows; the
+    last prefix row times the last value row is x^e.  ``apply`` runs the
+    suffix products over the same rows, writes each leave-one-out column
+    into a row-major (rows, t) array and adds it up into A x.  It must
+    follow the ``monomials`` call at its point, so a caller that rejects
+    a point never pays for A x there.
+    """
+
+    def __init__(self, table: _EdgeTable, dtype):
+        rows, t = table.members.shape
+        self.table = table
+        self._index = np.ascontiguousarray(table.members.T)
+        self._vals = np.empty((t, rows), dtype)
+        self._prefix = np.empty((t - 2, rows), dtype)
+        self._loo = np.empty((rows, t), dtype)
+
+    def _prefixes(self) -> list:
+        """Row j is the product of value rows 0 to j, for j < t - 1."""
+        return [self._vals[0], *self._prefix]
+
+    def monomials(self, x: np.ndarray) -> np.ndarray:
+        """x^e of every row, for a validated x of the table's dtype; the
+        next call overwrites it, and so does ``apply``."""
+        vals = self._vals
+        t = len(vals)
+        # the ids are in range; mode "raise" would fill a temporary first
+        np.take(x, self._index, out=vals, mode="clip")
+        prefix = self._prefixes()
+        for j in range(1, t - 1):
+            _product(prefix[j - 1], vals[j], prefix[j])
+        # apply rewrites all of the leave-one-out array
+        return _product(prefix[t - 2], vals[t - 1],
+                        self._loo.reshape(-1)[:vals.shape[1]])
+
+    def apply(self) -> np.ndarray:
+        """A x at the x of the last ``monomials`` call, a new array; the
+        suffix run overwrites the last value row."""
+        vals, loo = self._vals, self._loo
+        t = len(vals)
+        prefix = self._prefixes()
+        loo[:, t - 1] = prefix[t - 2]
+        suffix = vals[t - 1]
+        for j in range(t - 2, 0, -1):
+            _product(prefix[j - 1], suffix, loo[:, j])
+            _product(suffix, vals[j], suffix)
+        loo[:, 0] = suffix
+        return _scatter_columns(self.table, loo)
+
+
 def _apply_monomials(table: _EdgeTable, x: np.ndarray):
     """A x on ``table`` and its per-row monomials x^e, for a validated x."""
-    vals = x[table.members]
-    return _scatter_columns(table, _partial_products(vals)), _edge_products(vals)
-
-
-def _form(h: Hypergraph, x: np.ndarray):
-    """x^T(A x) = t * sum over edges of x^e, for a validated x."""
-    return h.t * _accumulate(_edge_products(x[h._edge_index]))
+    products = _Products(table, x.dtype)
+    monomials = products.monomials(x).copy()
+    return products.apply(), monomials
 
 
 def _j_coefficient(h: Hypergraph) -> float:
@@ -178,61 +198,30 @@ def _j_coefficient(h: Hypergraph) -> float:
 
 
 class _ShiftedForm:
-    """The shifted form of one hypergraph and its gradient, on owned buffers.
+    """The shifted form of one hypergraph and its gradient.
 
-    Built for one dtype, float64 or complex128, and kept for the life of
-    one solve, so an evaluation allocates almost nothing.  ``value`` takes
-    x into a column-major (t, m) array with one ``np.take`` and runs the
-    prefix products across its rows; the last prefix row times the last
-    value row is x^e, bit for bit ``_edge_products``.  ``gradient`` runs
-    the suffix products over the same rows, so it must follow the
-    ``value`` call at its point, and writes each leave-one-out column into
-    a row-major (m, t) array: the bits of ``_partial_products``, which
-    ``_scatter_columns`` adds up in the order of ``_apply_monomials``.  A
-    caller that rejects a point never pays for its gradient.
+    One ``_Products`` on the hypergraph's table evaluates both; the
+    gradient is asked for after the value at the same point, and only
+    where the caller wants it.
     """
 
     def __init__(self, h: Hypergraph, dtype):
-        t, m = h.t, h.m
         self.h = h
         self._c = _j_coefficient(h)
-        self._index = np.ascontiguousarray(h._edge_index.T)
-        self._vals = np.empty((t, m), dtype)
-        self._prefix = np.empty((t - 2, m), dtype)
-        self._loo = np.empty((m, t), dtype)
+        self._products = _Products(h._table, dtype)
         self._total = 0.0
-
-    def _prefixes(self) -> list:
-        """Row j is the product of value rows 0 to j, for j < t - 1."""
-        return [self._vals[0], *self._prefix]
 
     def value(self, x: np.ndarray):
         """The shifted form at a validated x of the evaluator's dtype."""
-        t, vals = self.h.t, self._vals
-        # the ids are in range; mode "raise" would fill a temporary first
-        np.take(x, self._index, out=vals, mode="clip")
-        prefix = self._prefixes()
-        for j in range(1, t - 1):
-            _product(prefix[j - 1], vals[j], prefix[j])
-        # the gradient rewrites all of the leave-one-out array
-        monomials = self._loo.reshape(-1)[:vals.shape[1]]
-        _product(prefix[t - 2], vals[t - 1], monomials)
-        form = t * _accumulate(monomials)
+        t = self.h.t
+        form = t * _accumulate(self._products.monomials(x))
         self._total = total = _accumulate(x)
         return form - self._c * total ** t
 
     def gradient(self) -> np.ndarray:
-        """t (A x - c (sum x)^(t-1)) at the x of the last ``value`` call;
-        the suffix run overwrites the last value row."""
-        t, vals, loo = self.h.t, self._vals, self._loo
-        prefix = self._prefixes()
-        loo[:, t - 1] = prefix[t - 2]
-        suffix = vals[t - 1]
-        for j in range(t - 2, 0, -1):
-            _product(prefix[j - 1], suffix, loo[:, j])
-            _product(suffix, vals[j], suffix)
-        loo[:, 0] = suffix
-        grad = _scatter_columns(self.h._table, loo)
+        """t (A x - c (sum x)^(t-1)) at the x of the last ``value`` call."""
+        t = self.h.t
+        grad = self._products.apply()
         grad -= self._c * self._total ** (t - 1)
         return np.multiply(t, grad, out=grad)
 
@@ -267,7 +256,8 @@ def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
 
 def edge_contributions(h: Hypergraph, x) -> np.ndarray:
     """Per-edge monomials x^e = prod_{u in e} x_u, in edge-list order."""
-    return _edge_products(as_vector(h, x)[h._edge_index])
+    x = as_vector(h, x)
+    return _Products(h._table, x.dtype).monomials(x).copy()
 
 
 def adjacency_form(h: Hypergraph, x) -> float | complex:
@@ -276,7 +266,8 @@ def adjacency_form(h: Hypergraph, x) -> float | complex:
     Degree-t homogeneous; for real x it equals the inner product of x
     with ``apply_adjacency(h, x)``.
     """
-    return _form(h, as_vector(h, x))
+    x = as_vector(h, x)
+    return h.t * _accumulate(_Products(h._table, x.dtype).monomials(x))
 
 
 def shifted_form(h: Hypergraph, x) -> float | complex:

@@ -10,10 +10,9 @@ from hgspec import (Hypergraph, adjacency_form, apply_adjacency,
                     complete_uniform, edge_contributions, hypertree_ball,
                     multi_center_vector, random_regular_linear, shifted_form,
                     t_norm, t_norm_pow)
-from hgspec.forms import (_ShiftedForm, _apply_monomials, _edge_products,
-                          _jacobian, _magnitude, _partial_products, _power,
-                          _product)
-from hgspec.hypergraph import _equitable_partition, _quotient
+from hgspec.forms import (_Products, _ShiftedForm, _apply_monomials,
+                          _jacobian, _magnitude, _power, _product)
+from hgspec.hypergraph import _EdgeTable, _equitable_partition, _quotient
 
 from conftest import (adjacency_matrix, cycle_graph, loose_path, path_graph,
                       random_connected_graph)
@@ -70,7 +69,8 @@ class TestApply:
 
 
 def cumprod_partial_products(values):
-    """Frozen row-wise version of ``_partial_products`` (np.cumprod)."""
+    """Leave-one-out products of the rows of an (m, t) array, by
+    np.cumprod along the rows."""
     t = values.shape[1]
     prefix = np.ones_like(values)
     suffix = np.ones_like(values)
@@ -88,10 +88,14 @@ class TestColumnKernels:
         values = rng.standard_normal((m, t)) * np.exp(
             rng.uniform(-30, 30, (m, t)))
         values[rng.random((m, t)) < 0.05] = 0.0
-        assert _partial_products(values).tobytes() == \
-            cumprod_partial_products(values).tobytes()
-        assert _edge_products(values).tobytes() == \
+        # position (e, j) of the table reads entry (e, j) of the values
+        index = np.arange(m * t).reshape(m, t)
+        products = _Products(_EdgeTable(index, index, m * t), values.dtype)
+        assert products.monomials(values.ravel()).tobytes() == \
             np.prod(values, axis=1).tobytes()
+        products.apply()
+        assert products._loo.tobytes() == \
+            cumprod_partial_products(values).tobytes()
 
     @pytest.mark.parametrize("h", [
         random_regular_linear(3, 3, 300, 1), random_regular_linear(4, 3, 200, 5),
