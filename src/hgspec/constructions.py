@@ -106,7 +106,7 @@ def _analytic_slack(t: int, k: int, d: int, weights: list[float],
     den = 0.0
     for c_j, sizes in zip(weights, layer_sizes):
         num += c_j ** t * sizes[d] * profile[d] ** t
-        den += c_j ** t * float(np.dot(sizes, _power(profile, t)))
+        den += c_j ** t * float(np.sum(sizes * _power(profile, t)))
     return float(t * (k - 1) * num / den)
 
 
@@ -170,7 +170,7 @@ def rho_lower_certificate(h: Hypergraph, o: int, radius: int,
     x, dm, k = _radial(h, o, radius, k)
     layer_sizes = dm.layer_sizes(radius)
     profile = _g_profile(h.t, k, radius)
-    norm_pow = float(np.dot(layer_sizes, _power(profile, h.t)))
+    norm_pow = float(np.sum(layer_sizes * _power(profile, h.t)))
     quotient = float(adjacency_form(h, x)) / norm_pow
     rho = threshold(h.t, k)
     floor = rho - _analytic_slack(h.t, k, radius, [1.0], [layer_sizes])

@@ -146,7 +146,7 @@ class _Products:
 
     def __init__(self, table: _EdgeTable, dtype):
         rows, t = table.members.shape
-        self.table = table
+        self._table = table
         self._index = np.ascontiguousarray(table.members.T)
         self._vals = np.empty((t, rows), dtype)
         self._prefix = np.empty((t - 2, rows), dtype)
@@ -182,7 +182,7 @@ class _Products:
             _product(prefix[j - 1], suffix, loo[:, j])
             _product(suffix, vals[j], suffix)
         loo[:, 0] = suffix
-        return _scatter_columns(self.table, loo)
+        return _scatter_columns(self._table, loo)
 
 
 def _apply_monomials(table: _EdgeTable, x: np.ndarray):

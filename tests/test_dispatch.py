@@ -1,4 +1,4 @@
-"""Seeded CLI output does not depend on numpy's CPU dispatch.
+"""Seeded output does not depend on the CPU's choice of kernels.
 
 numpy picks some of its loops at import from the CPU it runs on: the
 array power, the complex product and the complex absolute value among
@@ -7,7 +7,10 @@ below runs in a fresh interpreter with every dispatched feature turned
 off (``NPY_DISABLE_CPU_FEATURES``, which leaves numpy its baseline
 loops) and must print what the default run prints.  The commands cover
 rho on the hypertree balls, a real and a complex certificate family,
-and a real and a complex lambda2 search.
+and a real and a complex lambda2 search.  OpenBLAS picks its kernels by
+CPU too; the radial certificates, which once summed with a BLAS dot
+product, must print the same numbers under its oldest x86-64 kernel
+(``OPENBLAS_CORETYPE=Prescott``).
 """
 
 import os
@@ -25,17 +28,25 @@ except ImportError:  # numpy 1.x
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _hgspec(argv, cwd, disabled=()):
+def _python(args, cwd, **settings):
+    """stdout of a fresh interpreter run with the environment ``settings``
+    added to a clean one."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    env.pop("HGSPEC_SEED", None)
-    env.pop("NPY_DISABLE_CPU_FEATURES", None)
-    if disabled:
-        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
-    proc = subprocess.run([sys.executable, "-m", "hgspec.cli", *argv], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=300)
+    for name in ("HGSPEC_SEED", "NPY_DISABLE_CPU_FEATURES",
+                 "OPENBLAS_CORETYPE"):
+        env.pop(name, None)
+    env.update(settings)
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _hgspec(argv, cwd, disabled=()):
+    settings = {"NPY_DISABLE_CPU_FEATURES": " ".join(disabled)} \
+        if disabled else {}
+    return _python(["-m", "hgspec.cli", *argv], cwd, **settings)
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +72,21 @@ def workdir(tmp_path_factory):
         "lambda2-complex"])
 def test_stdout_independent_of_cpu_dispatch(workdir, argv):
     assert _hgspec(argv, workdir) == _hgspec(argv, workdir, __cpu_dispatch__)
+
+
+#: radial certificates of balls and of a random regular instance, with
+#: the analytic floors whose slack sums over the layers
+CERTIFICATES = """
+from hgspec import hypertree_ball, random_regular_linear, rho_lower_certificate
+cases = [(hypertree_ball(4, 3, 4), r) for r in (2, 3)]
+cases += [(hypertree_ball(3, 3, 5), r) for r in (3, 4)]
+cases += [(random_regular_linear(3, 3, 300, 1), r) for r in (2, 3)]
+for h, r in cases:
+    cert = rho_lower_certificate(h, 0, r, k=3)
+    print(repr(cert.quotient), repr(cert.metadata["analytic_floor"]))
+"""
+
+
+def test_certificates_independent_of_blas_kernel(tmp_path):
+    assert _python(["-c", CERTIFICATES], tmp_path) == \
+        _python(["-c", CERTIFICATES], tmp_path, OPENBLAS_CORETYPE="Prescott")
