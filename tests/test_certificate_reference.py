@@ -10,7 +10,9 @@ the centre separation were each merged into one helper in
 in its rounding noise, when the operator kernels moved to column-wise
 multiplies, and one quotient and that form value again when array
 powers, complex products and complex magnitudes stopped depending on
-numpy's CPU dispatch.  Floats are compared through their shortest
+numpy's CPU dispatch.  Five radial quotients and four analytic floors
+were recorded again, in their last digits, when their layer sums moved
+from a BLAS dot product to ``np.sum``.  Floats are compared through their shortest
 round-trip text, so any change of a last bit fails here; so does a new,
 missing or reordered metadata key.  To record it again on purpose, run
 ``PYTHONPATH=src python tests/test_certificate_reference.py`` from the
