@@ -31,15 +31,17 @@ fixed order, ``_product`` takes the real formula of a complex product
 and ``_magnitude`` calls ``np.hypot``.
 
 Every evaluation of A, of its Jacobian or of a form in the package goes
-through ``_Products`` or ``_jacobian``.  Both run on an edge table
-(``hypergraph._EdgeTable``): the hypergraph's own, ``Hypergraph._table``,
-or the cell table of a partition, on which the rho solver iterates.
-Every form is t times the ``np.sum`` of the edge products x^e of one
-``_Products``, so a value a solver reports is bit for bit the public
-form at its vector.  A solve keeps its ``_Products`` (the lambda2
-ascent through ``_ShiftedForm``, the shifted form and its gradient) and
-asks for A x only where it needs it; one-off evaluations build one per
-call.  The public functions are :func:`as_vector` plus a kernel.  The
+through ``_Products``, ``_jacobian`` or, for a form alone,
+``_edge_products``.  ``_Products`` and ``_jacobian`` run on an edge
+table (``hypergraph._EdgeTable``): the hypergraph's own,
+``Hypergraph._table``, or the cell table of a partition, on which the
+rho solver iterates.  Every form is t times the ``np.sum`` of the edge
+products x^e, which ``_Products`` and ``_edge_products`` multiply in
+one order, so a value a solver reports is bit for bit the public form
+at its vector.  A solve keeps its ``_Products`` (the lambda2 ascent
+through ``_ShiftedForm``, the shifted form and its gradient) and asks
+for A x only where it needs it; a one-off A x builds one per call, and
+a one-off form needs no more than the gathered (m, t) values.  The public functions are :func:`as_vector` plus a kernel.  The
 solvers call the kernels directly: they pass checked vectors, and a
 trace of the public functions would otherwise count solver steps.
 """
@@ -185,6 +187,15 @@ class _Products:
         return _scatter_columns(self._table, loo)
 
 
+def _edge_products(values: np.ndarray) -> np.ndarray:
+    """Row products of an (m, t) array, one column multiply at a time, in
+    the order of ``_Products.monomials``."""
+    out = values[:, 0].copy()
+    for j in range(1, values.shape[1]):
+        _product(out, values[:, j], out)
+    return out
+
+
 def _apply_monomials(table: _EdgeTable, x: np.ndarray):
     """A x on ``table`` and its per-row monomials x^e, for a validated x."""
     products = _Products(table, x.dtype)
@@ -256,8 +267,7 @@ def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
 
 def edge_contributions(h: Hypergraph, x) -> np.ndarray:
     """Per-edge monomials x^e = prod_{u in e} x_u, in edge-list order."""
-    x = as_vector(h, x)
-    return _Products(h._table, x.dtype).monomials(x).copy()
+    return _edge_products(as_vector(h, x)[h._edge_index])
 
 
 def adjacency_form(h: Hypergraph, x) -> float | complex:
@@ -266,8 +276,7 @@ def adjacency_form(h: Hypergraph, x) -> float | complex:
     Degree-t homogeneous; for real x it equals the inner product of x
     with ``apply_adjacency(h, x)``.
     """
-    x = as_vector(h, x)
-    return h.t * _accumulate(_Products(h._table, x.dtype).monomials(x))
+    return h.t * _accumulate(_edge_products(as_vector(h, x)[h._edge_index]))
 
 
 def shifted_form(h: Hypergraph, x) -> float | complex:

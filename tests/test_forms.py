@@ -11,7 +11,8 @@ from hgspec import (Hypergraph, adjacency_form, apply_adjacency,
                     multi_center_vector, random_regular_linear, shifted_form,
                     t_norm, t_norm_pow)
 from hgspec.forms import (_Products, _ShiftedForm, _apply_monomials,
-                          _jacobian, _magnitude, _power, _product)
+                          _edge_products, _jacobian, _magnitude, _power,
+                          _product)
 from hgspec.hypergraph import _EdgeTable, _equitable_partition, _quotient
 
 from conftest import (adjacency_matrix, cycle_graph, loose_path, path_graph,
@@ -92,6 +93,7 @@ class TestColumnKernels:
         index = np.arange(m * t).reshape(m, t)
         products = _Products(_EdgeTable(index, index, m * t), values.dtype)
         assert products.monomials(values.ravel()).tobytes() == \
+            _edge_products(values).tobytes() == \
             np.prod(values, axis=1).tobytes()
         products.apply()
         assert products._loo.tobytes() == \
