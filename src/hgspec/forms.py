@@ -41,9 +41,10 @@ one order, so a value a solver reports is bit for bit the public form
 at its vector.  A solve keeps its ``_Products`` (the lambda2 ascent
 through ``_ShiftedForm``, the shifted form and its gradient) and asks
 for A x only where it needs it; a one-off A x builds one per call, and
-a one-off form needs no more than the gathered (m, t) values.  The public functions are :func:`as_vector` plus a kernel.  The
-solvers call the kernels directly: they pass checked vectors, and a
-trace of the public functions would otherwise count solver steps.
+a one-off form needs no more than the gathered (m, t) values.  The
+public functions are :func:`as_vector` plus a kernel.  The solvers call
+the kernels directly: they pass checked vectors, and a trace of the
+public functions would otherwise count solver steps.
 """
 
 from __future__ import annotations
@@ -76,11 +77,12 @@ def _product(a, b, out: np.ndarray) -> np.ndarray:
     """
     if not np.iscomplexobj(out):
         return np.multiply(a, b, out=out)
-    real = a.real * b.real
-    real -= a.imag * b.imag
     imag = a.real * b.imag
     imag += a.imag * b.real
-    out.real = real
+    # out may be a or b: no part of it is written before the last read
+    # of that part of a and b (the real parts in the same pass)
+    real = np.multiply(a.real, b.real, out=out.real)
+    real -= a.imag * b.imag
     out.imag = imag
     return out
 

@@ -11,12 +11,12 @@ plus m >= 1 lines of t ids, each line ending in a newline) is read with
 one tokenization: t and m from the header line, one check of the text
 with its digits deleted, which pins every line to its token count, and
 one ``np.fromstring`` of the whole text into an int64 array.  The
-``(m, t)`` table then goes to the ``Hypergraph`` constructor as it is.  Any other text,
-and any canonical text with a fault, is read by the line parser, which
-checks the header, integer fields and the number of edge lines.  The
-edges are validated by the ``Hypergraph`` constructor, and the line
-parser maps the first faulty edge to its line, so every error comes from
-the line parser.
+``(m, t)`` table then goes to the ``Hypergraph`` constructor as it is.
+Any other text, and any canonical text with a fault, is read by the
+line parser, which checks the header, integer fields and the number of
+edge lines.  The edges are validated by the ``Hypergraph``
+constructor, and the line parser maps the first faulty edge to its
+line, so every error comes from the line parser.
 """
 
 from __future__ import annotations
