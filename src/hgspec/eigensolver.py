@@ -48,10 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .forms import (_ShiftedForm, _apply_monomials, _jacobian, _magnitude,
-                    _power, _product, _t_norm_of, t_norm)
-from .hypergraph import (Hypergraph, _EdgeTable, _equitable_partition,
-                         _quotient, _require_connected)
+from .forms import (_Products, _ShiftedForm, _magnitude, _power, _product,
+                    _t_norm_of, t_norm)
+from .hypergraph import (Hypergraph, _equitable_partition, _quotient,
+                         _require_connected)
 
 #: relative gain below which a trial point is rounding noise, not progress
 _GAIN_FLOOR = 1e-13
@@ -99,16 +99,17 @@ class EigenResult:
     residual: float
 
 
-def _cw_bracket(table: _EdgeTable, x: np.ndarray):
-    """Collatz-Wielandt bracket on ``table`` at a positive x.
+def _cw_bracket(products: _Products, x: np.ndarray) -> tuple[float, float]:
+    """Collatz-Wielandt bracket on the table of ``products`` at a positive x.
 
-    Returns (lo, hi, prods): the least and greatest of
-    (A x^[t-1])_v / x_v^(t-1), which bracket rho, and the per-row
-    monomials x^e, which the Jacobian products take.
+    Returns (lo, hi), the least and greatest of (A x^[t-1])_v / x_v^(t-1),
+    which bracket rho; ``products`` is left at x for the Jacobian.
     """
-    ax, prods = _apply_monomials(table, x)
-    ratios = ax / _power(x, table.members.shape[1] - 1)
-    return float(ratios.min()), float(ratios.max()), prods
+    products.monomials(x)
+    ratios = _power(x, products.table.members.shape[1] - 1)
+    # into the float powers: A x is int64 when the table has no rows
+    np.divide(products.apply(), ratios, out=ratios)
+    return float(ratios.min()), float(ratios.max())
 
 
 def _width(lo: float, hi: float) -> float:
@@ -123,8 +124,8 @@ def _cell_t_norm(x: np.ndarray, size: np.ndarray, t: int) -> float:
     return peak * float(np.sum(size * _power(x / peak, t))) ** (1.0 / t)
 
 
-def _newton_direction(table: _EdgeTable, size: np.ndarray, x: np.ndarray,
-                      hi: float, prods: np.ndarray) -> np.ndarray:
+def _newton_direction(products: _Products, size: np.ndarray, x: np.ndarray,
+                      hi: float) -> np.ndarray:
     """Approximate solution z of (hi D - M(x)) z = x^[t-1] by Jacobi CG.
 
     D = diag(x^(t-2)), and M(x) is the Jacobian of A x^[t-1] divided by
@@ -136,20 +137,16 @@ def _newton_direction(table: _EdgeTable, size: np.ndarray, x: np.ndarray,
 
     with S_e the sum of w over e.  That product is matrix-free, divides
     by nothing, and has the diagonal (t - 1) hi x^t, the Jacobi
-    preconditioner.  x, z and w hold one value per cell; the system
-    maps vectors constant on the cells of an equitable partition to such
-    vectors, and every inner product weights cell c by its vertex count
-    ``size[c]``, so CG takes the steps it would take on the n vertices.
-    The buffers are allocated once per call, since fresh arrays on every
-    product cost page faults, and every reduction is ``np.sum``.  CG
+    preconditioner; ``products``, left at x, forms it.  x, z and w hold
+    one value per cell; the system maps vectors constant on the cells of
+    an equitable partition to such vectors, and every inner product
+    weights cell c by its vertex count ``size[c]``, so CG takes the steps
+    it would take on the n vertices.  Every reduction is ``np.sum``.  CG
     stops when the residual norm has fallen by the factor ``_CG_RTOL``,
     on a nonpositive curvature, or after one step per cell.
     """
-    t, n, rows = table.members.shape[1], x.size, table.members.shape[0]
-    slots = np.empty((rows, t))
-    # the edge sums S and the scratch vector are never needed at once
-    shared = np.empty(max(n, rows))
-    sums, work = shared[:rows], shared[:n]
+    t, n = products.table.members.shape[1], x.size
+    work = np.empty(n)
     r = (t - 1) * _power(x, t)
     diag = hi * r
     w = np.zeros(n)
@@ -157,7 +154,7 @@ def _newton_direction(table: _EdgeTable, size: np.ndarray, x: np.ndarray,
     rz = float(np.sum(size * r * p))
     stop = _CG_RTOL ** 2 * float(np.sum(size * r * r))
     for _ in range(n):
-        kp = _jacobian(table, prods, p, slots, sums)
+        kp = products.jacobian(p)
         np.multiply(diag, p, out=work)
         np.subtract(work, kp, out=kp)
         np.multiply(p, kp, out=work)
@@ -185,16 +182,16 @@ def _newton_direction(table: _EdgeTable, size: np.ndarray, x: np.ndarray,
     return w
 
 
-def _newton_step(table: _EdgeTable, size: np.ndarray, x: np.ndarray,
-                 hi: float, prods: np.ndarray) -> np.ndarray | None:
+def _newton_step(products: _Products, size: np.ndarray, x: np.ndarray,
+                 hi: float) -> np.ndarray | None:
     """The next Newton-Noda iterate, or None when no step can be taken.
 
     Moves to ((t-2) x + theta z)/(t-1), theta = x.x / x.z, halving the
     move until the iterate is positive (Liu, Guo & Lin's safeguard), and
     renormalizes in the t-norm; the inner products weight cells by size.
     """
-    t = table.members.shape[1]
-    z = _newton_direction(table, size, x, hi, prods)
+    t = products.table.members.shape[1]
+    z = _newton_direction(products, size, x, hi)
     xz = float(np.sum(size * x * z))
     if not 0.0 < xz < np.inf:
         return None
@@ -209,33 +206,37 @@ def _newton_step(table: _EdgeTable, size: np.ndarray, x: np.ndarray,
     return step
 
 
-def _newton_noda(table: _EdgeTable, size: np.ndarray, tol: float,
-                 budget: int) -> tuple[np.ndarray, int, tuple]:
-    """Newton-Noda iteration on ``table`` from the constant unit vector.
+def _newton_noda(products: _Products, size: np.ndarray, tol: float,
+                 budget: int) -> tuple[np.ndarray, int, tuple[float, float]]:
+    """Newton-Noda on the table of ``products`` from the constant vector.
 
     Each step takes the upper end hi of the Collatz-Wielandt bracket on
     the table as its shift (``_newton_step``).  Returns the last iterate,
     the number of steps, at most ``budget``, and the iterate's bracket
-    (``_cw_bracket``): it stops when the bracket's relative width is at
-    most ``tol``, or earlier when no step can be taken.
+    (``_cw_bracket``), with ``products`` left at the iterate: it stops
+    when the bracket's relative width is at most ``tol``, or earlier
+    when no step can be taken or an iterate equals, bit for bit, the
+    last one kept at a power-of-two step: it would then repeat for ever.
     """
-    t = table.members.shape[1]
+    t = products.table.members.shape[1]
     x = np.ones(size.size)
     x /= _cell_t_norm(x, size, t)
     for steps in range(budget + 1):
-        lo, hi, prods = _cw_bracket(table, x)
+        if steps & (steps - 1) == 0:  # 0 or a power of 2
+            kept = x
+        lo, hi = _cw_bracket(products, x)
         if _width(lo, hi) <= tol or steps == budget:
             break
-        step = _newton_step(table, size, x, hi, prods)
-        if step is None:
+        step = _newton_step(products, size, x, hi)
+        if step is None or np.array_equal(step, kept):
             break
         x = step
-    return x, steps, (lo, hi, prods)
+    return x, steps, (lo, hi)
 
 
-def _certified(h: Hypergraph, x: np.ndarray, steps: int,
-               bracket: tuple) -> EigenResult:
-    """The result at x, given ``bracket`` = ``_cw_bracket(h._table, x)``.
+def _certified(products: _Products, x: np.ndarray, steps: int,
+               bracket: tuple[float, float]) -> EigenResult:
+    """The result at x, given ``bracket`` = ``_cw_bracket(products, x)``.
 
     The solve on all n vertices has taken that bracket already.
     ``value`` is the form at x, bit for bit ``adjacency_form``, and
@@ -250,14 +251,14 @@ def _certified(h: Hypergraph, x: np.ndarray, steps: int,
     complete and random regular ones) one or two moves sufficed, and the
     width stayed below 2e-15.
     """
-    t = h.t
-    lo, hi, prods = bracket
+    t = products.table.members.shape[1]
+    lo, hi = bracket
     for j in range(_NUDGES + 1):
-        value = t * float(np.sum(prods))
+        value = t * float(np.sum(products.xe))
         if lo <= value <= hi or j == _NUDGES:
             break
         x[0] *= 1.0 + (1.0 if value < lo else -1.0) * 2.0 ** (j - 52)
-        lo, hi, prods = _cw_bracket(h._table, x)
+        lo, hi = _cw_bracket(products, x)
     return EigenResult(value=value, vector=x, iterations=steps,
                        residual=_width(lo, hi))
 
@@ -282,7 +283,8 @@ def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     residual * hi, where ``residual`` is the relative width on all n
     vertices.  ``iterations`` counts steps: the Newton steps on the
     cells and on the vertices, and the lift from cells to vertices.
-    ``cfg.max_iters`` caps them; ``cfg.seed`` plays no part.
+    ``cfg.max_iters`` caps them; ``cfg.seed`` plays no part.  A solve
+    whose iterates repeat raises ``NoConvergence`` at once.
     """
     cfg = cfg or SolverConfig()
     _require_connected(h, "spectral operations")
@@ -290,17 +292,22 @@ def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     steps = 0
     if cell.max() < h.n - 1:
         size, table = _quotient(h, cell)
-        x, steps, _ = _newton_noda(table, size, cfg.tol, cfg.max_iters - 1)
+        x, steps, _ = _newton_noda(_Products(table, np.float64), size,
+                                   cfg.tol, cfg.max_iters - 1)
         steps += 1  # the lift to the n vertices
         x = x[cell]
-        result = _certified(h, x, steps, _cw_bracket(h._table, x))
+    # the cell solve's arrays go before the operator on the n vertices
+    cell = size = table = None
+    products = _Products(h._table, np.float64)
+    if steps:
+        result = _certified(products, x, steps, _cw_bracket(products, x))
         if result.residual <= cfg.tol:
             return result
         if steps == cfg.max_iters:
             raise NoConvergence(steps, result.residual)
-    x, more, bracket = _newton_noda(h._table, np.ones(h.n), cfg.tol,
+    x, more, bracket = _newton_noda(products, np.ones(h.n), cfg.tol,
                                     cfg.max_iters - steps)
-    result = _certified(h, x, steps + more, bracket)
+    result = _certified(products, x, steps + more, bracket)
     if result.residual <= cfg.tol:
         return result
     raise NoConvergence(result.iterations, result.residual)

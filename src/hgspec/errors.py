@@ -31,7 +31,7 @@ class DomainError(Error):
 
 
 class NoConvergence(Error):
-    """Iterative solver exhausted its iteration budget."""
+    """Iterative solver exhausted its budget, or its iterates repeat."""
 
     def __init__(self, iterations: int, residual: float):
         super().__init__(

@@ -31,20 +31,18 @@ fixed order, ``_product`` takes the real formula of a complex product
 and ``_magnitude`` calls ``np.hypot``.
 
 Every evaluation of A, of its Jacobian or of a form in the package goes
-through ``_Products``, ``_jacobian`` or, for a form alone,
-``_edge_products``.  ``_Products`` and ``_jacobian`` run on an edge
-table (``hypergraph._EdgeTable``): the hypergraph's own,
+through ``_Products`` or, for a form alone, ``_edge_products``, which
+multiply the edge products x^e in one order.  ``_Products`` runs on an
+edge table (``hypergraph._EdgeTable``): the hypergraph's own,
 ``Hypergraph._table``, or the cell table of a partition, on which the
-rho solver iterates.  Every form is t times the ``np.sum`` of the edge
-products x^e, which ``_Products`` and ``_edge_products`` multiply in
-one order, so a value a solver reports is bit for bit the public form
-at its vector.  A solve keeps its ``_Products`` (the lambda2 ascent
-through ``_ShiftedForm``, the shifted form and its gradient) and asks
-for A x only where it needs it; a one-off A x builds one per call, and
-a one-off form needs no more than the gathered (m, t) values.  The
-public functions are :func:`as_vector` plus a kernel.  The solvers call
-the kernels directly: they pass checked vectors, and a trace of the
-public functions would otherwise count solver steps.
+rho solver iterates.  Every form is t times the ``np.sum`` of the x^e,
+so a value a solver reports is bit for bit the public form at its
+vector.  A solve keeps one ``_Products`` per table and asks for A x
+only where it needs it; a one-off A x builds one per call, and a
+one-off form needs no more than the gathered (m, t) values.  The public
+functions are :func:`as_vector` plus a kernel.  The solvers call the
+kernels directly: they pass checked vectors, and a trace of the public
+functions would otherwise count solver steps.
 """
 
 from __future__ import annotations
@@ -141,28 +139,30 @@ class _Products:
     keeps one for the life of a solve, so an evaluation allocates almost
     nothing.  ``monomials`` takes x into a column-major (t, rows) array
     with one ``np.take`` and runs the prefix products down its rows; the
-    last prefix row times the last value row is x^e.  ``apply`` runs the
-    suffix products over the same rows, writes each leave-one-out column
-    into a row-major (rows, t) array and adds it up into A x.  It must
-    follow the ``monomials`` call at its point, so a caller that rejects
-    a point never pays for A x there.
+    last prefix row times the last value row is x^e, kept in ``xe``.
+    ``apply`` runs the suffix products over the same rows, writes each
+    leave-one-out column into a row-major (rows, t) array and adds it up
+    into A x.  It must follow the ``monomials`` call at its point, so a
+    caller that rejects a point never pays for A x there.  ``jacobian``
+    gathers into the value rows, so it comes after ``apply``.
     """
 
     def __init__(self, table: _EdgeTable, dtype):
         rows, t = table.members.shape
-        self._table = table
+        self.table = table
         self._index = np.ascontiguousarray(table.members.T)
         self._vals = np.empty((t, rows), dtype)
         self._prefix = np.empty((t - 2, rows), dtype)
         self._loo = np.empty((rows, t), dtype)
+        self.xe = np.empty(rows, dtype)
 
     def _prefixes(self) -> list:
         """Row j is the product of value rows 0 to j, for j < t - 1."""
         return [self._vals[0], *self._prefix]
 
     def monomials(self, x: np.ndarray) -> np.ndarray:
-        """x^e of every row, for a validated x of the table's dtype; the
-        next call overwrites it, and so does ``apply``."""
+        """x^e of every row, for a validated x of the table's dtype, in
+        ``xe``; the next call overwrites it."""
         vals = self._vals
         t = len(vals)
         # the ids are in range; mode "raise" would fill a temporary first
@@ -170,9 +170,7 @@ class _Products:
         prefix = self._prefixes()
         for j in range(1, t - 1):
             _product(prefix[j - 1], vals[j], prefix[j])
-        # apply rewrites all of the leave-one-out array
-        return _product(prefix[t - 2], vals[t - 1],
-                        self._loo.reshape(-1)[:vals.shape[1]])
+        return _product(prefix[t - 2], vals[t - 1], self.xe)
 
     def apply(self) -> np.ndarray:
         """A x at the x of the last ``monomials`` call, a new array; the
@@ -186,7 +184,26 @@ class _Products:
             _product(prefix[j - 1], suffix, loo[:, j])
             _product(suffix, vals[j], suffix)
         loo[:, 0] = suffix
-        return _scatter_columns(self._table, loo)
+        return _scatter_columns(self.table, loo)
+
+    def jacobian(self, w: np.ndarray) -> np.ndarray:
+        """sum over rows e at v of x^e (S_e - w_v), a new array, with x
+        the last ``monomials`` point and S_e the sum of w over e.
+
+        For real w at a positive x this is (t - 1) X M(x) X w, where
+        X = diag(x) and M(x) is the Jacobian of A x^[t-1] over t - 1; at
+        w = 1 it is (t - 1) x A x^[t-1].
+        """
+        vals, loo = self._vals, self._loo
+        np.take(w, self._index, out=vals, mode="clip")
+        # S_e waits in the last column, which is written last
+        sums = np.add(vals[0], vals[1], out=loo[:, -1])
+        for row in vals[2:]:
+            sums += row
+        for column, row in zip(loo.T, vals):
+            np.subtract(sums, row, out=column)
+            column *= self.xe
+        return _scatter_columns(self.table, loo)
 
 
 def _edge_products(values: np.ndarray) -> np.ndarray:
@@ -196,13 +213,6 @@ def _edge_products(values: np.ndarray) -> np.ndarray:
     for j in range(1, values.shape[1]):
         _product(out, values[:, j], out)
     return out
-
-
-def _apply_monomials(table: _EdgeTable, x: np.ndarray):
-    """A x on ``table`` and its per-row monomials x^e, for a validated x."""
-    products = _Products(table, x.dtype)
-    monomials = products.monomials(x).copy()
-    return products.apply(), monomials
 
 
 def _j_coefficient(h: Hypergraph) -> float:
@@ -239,32 +249,12 @@ class _ShiftedForm:
         return np.multiply(t, grad, out=grad)
 
 
-def _jacobian(table: _EdgeTable, prods: np.ndarray, w: np.ndarray,
-              slots: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """sum over edges e at v of x^e (S_e - w_v), S_e the sum of w over e.
-
-    With ``prods`` the edge products x^e of a positive x, this is
-    (t - 1) X M(x) X w, where X = diag(x) and M(x) is the Jacobian of
-    A x^[t-1] divided by t - 1; at w = 1 it is (t - 1) x A x^[t-1].
-    ``slots`` (rows, t) and ``sums`` (rows,) are overwritten scratch
-    space, rows the length of ``table``.
-    """
-    # the ids are in range; mode "raise" would fill a temporary first
-    np.take(w, table.members, out=slots, mode="clip")
-    t = slots.shape[1]
-    np.add(slots[:, 0], slots[:, 1], out=sums)
-    for j in range(2, t):
-        sums += slots[:, j]
-    for j in range(t):
-        column = slots[:, j]
-        np.subtract(sums, column, out=column)
-        column *= prods
-    return _scatter_columns(table, slots)
-
-
 def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
     """(A x)_v = sum over edges at v of the product of the other entries."""
-    return _apply_monomials(h._table, as_vector(h, x))[0]
+    x = as_vector(h, x)
+    products = _Products(h._table, x.dtype)
+    products.monomials(x)
+    return products.apply()
 
 
 def edge_contributions(h: Hypergraph, x) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hgspec import (EigenResult, Hypergraph, NoConvergence,
                     NotConnectedError, SolverConfig, adjacency_form,
-                    apply_adjacency, complete_uniform, eigensolver,
+                    apply_adjacency, complete_uniform, eigensolver, forms,
                     hypertree_ball, lambda2_estimate, random_regular_linear,
                     shifted_form, spectral_radius, t_norm)
 from hgspec.forms import _magnitude, _power, _product
@@ -22,6 +22,19 @@ from conftest import (adjacency_matrix, cycle_graph, layer_perron_value,
                       loose_path, path_graph, petersen,
                       random_connected_graph)
 from test_properties import PROPERTY, coarsest_equitable, connected_graphs
+
+
+def tree_with_chords_and_tail(n, chords, tail, seed):
+    """A seeded random tree on n vertices (vertex i hangs from a uniform
+    earlier one), plus up to ``chords`` random edges, plus a path of
+    ``tail`` new vertices hung from vertex 0."""
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
+    for a, b in rng.integers(0, n, (chords, 2)).tolist():
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    edges |= {(0, n)} | {(n + i, n + i + 1) for i in range(tail - 1)}
+    return Hypergraph(n + tail, 2, sorted(edges))
 
 
 def brute_force_single_edge_radius():
@@ -186,13 +199,41 @@ class TestSpectralRadius:
         tables = []
         solve = eigensolver._newton_noda
 
-        def spy(table, *args):
-            tables.append(table.bins)
-            return solve(table, *args)
+        def spy(products, *args):
+            tables.append(products.table.bins)
+            return solve(products, *args)
         monkeypatch.setattr(eigensolver, "_newton_noda", spy)
         res = spectral_radius(hypertree_ball(3, 3, 6))
         assert tables == [7]
         assert res.residual <= 1e-10
+
+    @pytest.mark.parametrize("build,built", [
+        (lambda: hypertree_ball(3, 3, 6), 2),
+        (lambda: loose_path(4 * _REFINE_ROUNDS), 1)], ids=["ball336", "loose"])
+    def test_one_operator_per_table(self, monkeypatch, build, built):
+        # the ball solves on its layers and lifts; refinement gives up on
+        # the loose path, which solves on its vertices alone
+        tables = []
+
+        def spy(table, dtype):
+            tables.append(table.bins)
+            return forms._Products(table, dtype)
+        monkeypatch.setattr(eigensolver, "_Products", spy)
+        h = build()
+        assert spectral_radius(h).residual <= 1e-10
+        assert len(tables) == built and tables[-1] == h.n
+
+    @pytest.mark.parametrize("build", [
+        lambda: loose_path(2000),
+        lambda: tree_with_chords_and_tail(2000, 10_000, 100, 1)],
+        ids=["loose2000", "tree2000"])
+    def test_repeating_iterates_end_the_solve(self, build):
+        # the iterates repeat bit for bit, with period 1 from step 119 and
+        # period 2 from step 293, far from the tolerance; without a stop
+        # at the first repeat seen the solve runs all 100,000 steps
+        with pytest.raises(NoConvergence) as err:
+            spectral_radius(build())
+        assert err.value.iterations <= 2048
 
     def test_partition_past_the_round_bound(self, monkeypatch):
         # refinement gives up on a long loose path, and the solve on all

@@ -10,9 +10,8 @@ from hgspec import (Hypergraph, adjacency_form, apply_adjacency,
                     complete_uniform, edge_contributions, hypertree_ball,
                     multi_center_vector, random_regular_linear, shifted_form,
                     t_norm, t_norm_pow)
-from hgspec.forms import (_Products, _ShiftedForm, _apply_monomials,
-                          _edge_products, _jacobian, _magnitude, _power,
-                          _product)
+from hgspec.forms import (_Products, _ShiftedForm, _edge_products,
+                          _magnitude, _power, _product)
 from hgspec.hypergraph import _EdgeTable, _equitable_partition, _quotient
 
 from conftest import (adjacency_matrix, cycle_graph, loose_path, path_graph,
@@ -104,11 +103,12 @@ class TestColumnKernels:
         hypertree_ball(3, 3, 5), complete_uniform(7, 3), cycle_graph(9)],
         ids=["rr300", "rr200_t4", "ball335", "K7_3", "C9"])
     def test_jacobian_at_x_is_the_operator(self, h):
-        # M(x) x = A x^[t-1], and _jacobian at w = 1 is (t-1) x M(x) x
+        # M(x) x = A x^[t-1], and the Jacobian product at w = 1 is
+        # (t-1) x M(x) x
         x = np.random.default_rng(3).uniform(0.2, 2.0, h.n)
-        slots, sums = np.empty((h.m, h.t)), np.empty(h.m)
-        jx = _jacobian(h._table, edge_contributions(h, x), np.ones(h.n), slots,
-                       sums)
+        products = _Products(h._table, np.float64)
+        products.monomials(x)
+        jx = products.jacobian(np.ones(h.n))
         np.testing.assert_allclose(jx / ((h.t - 1) * x),
                                    apply_adjacency(h, x), rtol=1e-13)
 
@@ -124,15 +124,14 @@ class TestColumnKernels:
         size, table = _quotient(h, cell)
         rng = np.random.default_rng(4)
         y, w = rng.uniform(0.2, 2.0, (2, table.bins))
-        ay, prods = _apply_monomials(table, y)
-        np.testing.assert_allclose(ay[cell], apply_adjacency(h, y[cell]),
-                                   rtol=1e-13)
-        rows = len(table.members)
-        jw = _jacobian(table, prods, w, np.empty((rows, h.t)),
-                       np.empty(rows))
-        x = y[cell]
-        full = _jacobian(h._table, edge_contributions(h, x), w[cell],
-                         np.empty((h.m, h.t)), np.empty(h.m))
+        cells = _Products(table, np.float64)
+        cells.monomials(y)
+        np.testing.assert_allclose(cells.apply()[cell],
+                                   apply_adjacency(h, y[cell]), rtol=1e-13)
+        jw = cells.jacobian(w)
+        vertices = _Products(h._table, np.float64)
+        vertices.monomials(y[cell])
+        full = vertices.jacobian(w[cell])
         np.testing.assert_allclose(jw[cell], full, rtol=1e-13)
         assert size.sum() == h.n
 

@@ -28,13 +28,13 @@ from hypothesis import strategies as st
 
 from hgspec import (DiameterTooSmall, GenerationFailed, Hypergraph,
                     InfeasibleParams, SolverConfig, adjacency_form,
-                    apply_adjacency, distances_from, edge_contributions,
-                    emit_hypergraph, g_value, lambda2_estimate,
+                    apply_adjacency, distances_from, emit_hypergraph,
+                    g_value, lambda2_estimate,
                     lambda2_lower_certificate, parse_hypergraph,
                     random_regular_linear, rho_lower_certificate,
                     spectral_radius, threshold)
 from hgspec.cli import run_command
-from hgspec.forms import _jacobian
+from hgspec.forms import _Products
 from hgspec.hypergraph import _equitable_partition
 
 from conftest import adjacency_matrix, is_equitable, same_partition
@@ -103,8 +103,9 @@ def test_jacobian_matches_dense_tensor(data):
     jac = dense_tensor(h)
     for _ in range(h.t - 2):
         jac = jac @ x
-    got = _jacobian(h._table, edge_contributions(h, x), w, np.empty((h.m, h.t)),
-                    np.empty(h.m))
+    products = _Products(h._table, np.float64)
+    products.monomials(x)
+    got = products.jacobian(w)
     np.testing.assert_allclose(got, (h.t - 1) * x * (jac @ (x * w)),
                                rtol=1e-12, atol=1e-11)
 
