@@ -175,14 +175,12 @@ def _check_acyclic_bound(h, args, cfg) -> dict:
 def _check_alon_boppana(h, args, cfg) -> dict:
     cert = lambda2_lower_certificate(h, k=args.k)
     estimate = lambda2_estimate(h, cfg)
-    floor = cert.metadata["analytic_floor"]
-    floor_ok = cert.quotient >= floor - 1e-9
     dominated = estimate.value >= cert.quotient - 1e-6
     # at radius d = 0 the quotient is 0, which certifies nothing
     trivial = {"trivial": True} if cert.metadata["d"] == 0 else {}
     return {
         "check": "alon-boppana",
-        "passed": bool(floor_ok and dominated and not trivial),
+        "passed": bool(dominated and not trivial),
         **trivial,
         "certificate": certificate_entry(cert),
         "lambda2_estimate": estimate.value,
@@ -317,13 +315,10 @@ def _add_solver_flags(parser):
     parser.add_argument("--max-iters", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
-    parser.add_argument("--timings", action="store_true",
-                        help="include wall-clock timing in the output "
-                             "(breaks byte-for-byte determinism)")
 
 
 def _add_families(sub, func, radius_flag, n_flag) -> list:
-    """The three generator family parsers under ``sub``.
+    """The hypertree, complete and random-regular parsers under ``sub``.
 
     Each size flag is a (name, argparse keywords) pair.
     """
@@ -388,18 +383,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate an instance")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
-    for sp in _add_families(gen_sub, cmd_gen, ("--radius", {"type": int}),
-                            ("--n", {"type": int})):
-        sp.add_argument("--seed", type=int, default=None)
+    gens = _add_families(gen_sub, cmd_gen, ("--radius", {"type": int}),
+                         ("--n", {"type": int}))
+    for sp in gens:
         sp.add_argument("-o", "--output", default=None)
+    # random-regular, the one family that draws
+    gens[-1].add_argument("--seed", type=int, default=None)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over a family")
     sweep_sub = p_sweep.add_subparsers(dest="family", required=True)
-    for sp in _add_families(sweep_sub, cmd_sweep,
-                            ("--radii", {"help": "range A:B"}),
-                            ("--ns", {"help": "range A:B[:S|:*S]"})):
+    sweeps = _add_families(sweep_sub, cmd_sweep,
+                           ("--radii", {"help": "range A:B"}),
+                           ("--ns", {"help": "range A:B[:S|:*S]"}))
+    for sp in sweeps:
         _add_solver_flags(sp)
 
+    for sp in (p_radius, p_l2, *sweeps):  # the commands that report a time
+        sp.add_argument("--timings", action="store_true",
+                        help="include wall-clock timing in the output "
+                             "(breaks byte-for-byte determinism)")
     return parser
 
 

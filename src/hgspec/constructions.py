@@ -174,7 +174,7 @@ def rho_lower_certificate(h: Hypergraph, o: int, radius: int,
     quotient = float(adjacency_form(h, x)) / norm_pow
     rho = threshold(h.t, k)
     floor = rho - _analytic_slack(h.t, k, radius, [1.0], [layer_sizes])
-    if quotient < floor - SLACK_TOL:
+    if not quotient >= floor - SLACK_TOL:  # a NaN fails too
         raise CertificateError(
             f"radial quotient {quotient!r} fell below its analytic floor "
             f"{floor!r} at radius {radius}"
@@ -319,14 +319,15 @@ def multi_center_vector(h: Hypergraph, k: int | None = None) -> Certificate:
 def lambda2_lower_certificate(h: Hypergraph, k: int | None = None) -> Certificate:
     """Multi-center vector checked against its analytic floor.
 
-    Guarantees quotient >= rho(t,k) - slack (up to 1e-9), with
+    Raises ``CertificateError`` unless quotient >= rho(t,k) - slack - 1e-9
+    (a NaN quotient or floor fails), with
 
         slack = t (k-1) sum_j c_j^t |S_d^j| g(d)^t
                 / sum_j c_j^t sum_i |S_i^j| g(i)^t.
     """
     cert = multi_center_vector(h, k=k)
     floor = cert.metadata["analytic_floor"]
-    if cert.quotient < floor - SLACK_TOL:
+    if not cert.quotient >= floor - SLACK_TOL:  # a NaN fails too
         raise CertificateError(
             f"multi-center quotient {cert.quotient!r} fell below its "
             f"analytic floor {floor!r}"

@@ -106,22 +106,14 @@ def _cw_bracket(products: _Products, x: np.ndarray) -> tuple[float, float]:
     which bracket rho; ``products`` is left at x for the Jacobian.
     """
     products.monomials(x)
-    ratios = _power(x, products.table.members.shape[1] - 1)
-    # into the float powers: A x is int64 when the table has no rows
-    np.divide(products.apply(), ratios, out=ratios)
+    ratios = products.apply()
+    ratios /= _power(x, products.table.members.shape[1] - 1)
     return float(ratios.min()), float(ratios.max())
 
 
 def _width(lo: float, hi: float) -> float:
     """The bracket's relative width, 0 when A x vanishes (m = 0)."""
     return (hi - lo) / hi if hi > 0.0 else 0.0
-
-
-def _cell_t_norm(x: np.ndarray, size: np.ndarray, t: int) -> float:
-    """The t-norm of the vector that is x[c] on each of the size[c]
-    vertices of cell c, max-scaled like ``t_norm``."""
-    peak = float(x.max())
-    return peak * float(np.sum(size * _power(x / peak, t))) ** (1.0 / t)
 
 
 def _newton_direction(products: _Products, size: np.ndarray, x: np.ndarray,
@@ -202,7 +194,7 @@ def _newton_step(products: _Products, size: np.ndarray, x: np.ndarray,
     while not np.all(step > 0.0):
         z *= 0.5
         np.add(x, z, out=step)
-    step /= _cell_t_norm(step, size, t)
+    step /= _t_norm_of(step.copy(), t, weights=size)
     return step
 
 
@@ -220,7 +212,7 @@ def _newton_noda(products: _Products, size: np.ndarray, tol: float,
     """
     t = products.table.members.shape[1]
     x = np.ones(size.size)
-    x /= _cell_t_norm(x, size, t)
+    x /= _t_norm_of(x.copy(), t, weights=size)
     for steps in range(budget + 1):
         if steps & (steps - 1) == 0:  # 0 or a power of 2
             kept = x

@@ -124,8 +124,8 @@ def _scatter_columns(table: _EdgeTable, contrib: np.ndarray) -> np.ndarray:
     index = table.targets.ravel()
     flat = contrib.ravel()
     bins = table.bins
-    if not np.iscomplexobj(flat):
-        return np.bincount(index, weights=flat, minlength=bins)[:bins]
+    if not np.iscomplexobj(flat):  # np.bincount of no weights is int64
+        return np.bincount(index, flat, bins)[:bins].astype(float, copy=False)
     out = np.empty(bins, dtype=np.complex128)
     out.real = np.bincount(index, weights=flat.real, minlength=bins)[:bins]
     out.imag = np.bincount(index, weights=flat.imag, minlength=bins)[:bins]
@@ -291,15 +291,19 @@ def t_norm(x, t: int) -> float:
     return _t_norm_of(mags, t)
 
 
-def _t_norm_of(mags: np.ndarray, t: int,
-               out: np.ndarray | None = None) -> float:
+def _t_norm_of(mags: np.ndarray, t: int, out: np.ndarray | None = None,
+               weights: np.ndarray | None = None) -> float:
     """``t_norm`` of the magnitudes ``mags``, which it overwrites; the
-    powers go to ``out`` if given."""
+    powers go to ``out`` if given.  With ``weights``, entry v counts
+    weights[v] times, as a cell of that many vertices does."""
     peak = mags.max(initial=0.0)
     if peak == 0.0:
         return 0.0
     mags /= peak
-    return float(peak * np.sum(_power(mags, t, out)) ** (1.0 / t))
+    powers = _power(mags, t, out)
+    if weights is not None:
+        powers *= weights
+    return float(peak * np.sum(powers) ** (1.0 / t))
 
 
 def t_norm_pow(x, t: int) -> float:

@@ -238,6 +238,18 @@ class TestCommands:
         code, _ = run(["nonsense"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "F", "--check", "radial", "--timings"],
+        ["gen", "hypertree", "--t", "3", "--k", "3", "--radius", "2",
+         "--seed", "1"],
+        ["gen", "complete", "--t", "3", "--n", "5", "--seed", "1"]],
+        ids=["verify-timings", "hypertree-seed", "complete-seed"])
+    def test_exit_2_on_a_flag_the_command_never_reads(self, argv, capsys):
+        # no check emits a time, and neither generator draws
+        code, text = run(argv)
+        assert (code, text) == (2, "")
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_exit_1_on_construction_failure(self, tmp_path):
         path = tmp_path / "k43.txt"
         path.write_text(emit_hypergraph(Hypergraph(4, 3, [(0, 1, 2),
@@ -368,3 +380,10 @@ class TestDeterminism:
         code, text = run(["radius", instance_file, "--timings"])
         assert code == 0
         assert json.loads(text)["wall_time_seconds"] is not None
+
+    def test_timings_flag_fills_the_sweep_seconds(self):
+        code, text = run(["sweep", "hypertree", "--t", "3", "--k", "3",
+                          "--radii", "2:2", "--timings"])
+        assert code == 0
+        row = dict(zip(SWEEP_COLUMNS, text.splitlines()[1].split(",")))
+        assert float(row["seconds"]) > 0

@@ -6,7 +6,7 @@ import pytest
 from hgspec import (CertificateError, DiameterTooSmall, Hypergraph,
                     NotRegularError, adjacency_form, apply_adjacency,
                     build_strong_orthogonal_family, complete_uniform,
-                    distances_from, g_value, hypertree_ball,
+                    constructions, distances_from, g_value, hypertree_ball,
                     lambda2_estimate, lambda2_lower_certificate,
                     mu_lower_certificate, multi_center_vector, radial_vector,
                     random_regular_linear, rho_lower_certificate,
@@ -236,6 +236,17 @@ class TestLambda2Certificate:
         cert = multi_center_vector(cycle_graph(31), k=3)
         for key in ("analytic_slack", "analytic_floor", "threshold"):
             assert type(cert.metadata[key]) is float
+
+    @pytest.mark.parametrize("build", [
+        lambda: lambda2_lower_certificate(cycle_graph(24)),
+        lambda: rho_lower_certificate(cycle_graph(24), 0, 3)],
+        ids=["lambda2", "rho"])
+    def test_nan_floor_fails_the_certificate(self, monkeypatch, build):
+        # a comparison with NaN is false either way round
+        monkeypatch.setattr(constructions, "_analytic_slack",
+                            lambda *args: float("nan"))
+        with pytest.raises(CertificateError):
+            build()
 
 
 class TestStrongOrthogonalFamily:

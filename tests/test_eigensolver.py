@@ -235,6 +235,28 @@ class TestSpectralRadius:
             spectral_radius(build())
         assert err.value.iterations <= 2048
 
+    @pytest.mark.xfail(strict=True, raises=NoConvergence,
+                       reason="ROADMAP item 4: Newton-Noda stalls on the "
+                              "paper's acyclic inputs")
+    def test_loose_path_meets_its_closed_form(self):
+        # a t = 3 loose path with E edges is the power hypergraph of the
+        # graph path on E + 1 vertices: rho = (2 cos(pi / (E + 2)))^(2/3)
+        res = spectral_radius(loose_path(2000))
+        want = (2.0 * np.cos(np.pi / 2002)) ** (2.0 / 3.0)
+        assert res.value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=NoConvergence,
+                       reason="ROADMAP item 4: Newton-Noda stalls on the "
+                              "paper's acyclic inputs")
+    def test_random_hypertree_certifies(self):
+        # edge i hangs two new vertices from a uniform earlier vertex
+        rng = np.random.default_rng(0)
+        edges = [(int(rng.integers(0, 2 * i + 1)), 2 * i + 1, 2 * i + 2)
+                 for i in range(10_000)]
+        res = spectral_radius(Hypergraph(20_001, 3, edges),
+                              SolverConfig(tol=1e-10))
+        assert res.residual <= 1e-10
+
     def test_partition_past_the_round_bound(self, monkeypatch):
         # refinement gives up on a long loose path, and the solve on all
         # vertices agrees with the solve on the exact partition

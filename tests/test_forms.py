@@ -11,7 +11,7 @@ from hgspec import (Hypergraph, adjacency_form, apply_adjacency,
                     multi_center_vector, random_regular_linear, shifted_form,
                     t_norm, t_norm_pow)
 from hgspec.forms import (_Products, _ShiftedForm, _edge_products,
-                          _magnitude, _power, _product)
+                          _magnitude, _power, _product, _t_norm_of)
 from hgspec.hypergraph import _EdgeTable, _equitable_partition, _quotient
 
 from conftest import (adjacency_matrix, cycle_graph, loose_path, path_graph,
@@ -60,6 +60,11 @@ class TestApply:
         xp[perm] = x
         assert np.allclose(apply_adjacency(relabeled, xp)[perm],
                            apply_adjacency(h, x), atol=1e-12)
+
+    def test_edgeless_real_input_stays_float(self):
+        # np.bincount of no weights gives integers
+        out = apply_adjacency(Hypergraph(2, 2, []), [1.0, 2.0])
+        assert out.dtype == np.float64 and np.array_equal(out, [0.0, 0.0])
 
     def test_shape_and_finiteness_validation(self):
         with pytest.raises(ValueError):
@@ -328,3 +333,11 @@ class TestTNorm:
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
             t_norm(np.ones(3), 1)
+
+    @pytest.mark.parametrize("t", [2, 3, 5])
+    def test_weights_count_entries_as_cells(self, t):
+        # entry v stands for weights[v] vertices of the same value
+        rng = np.random.default_rng(t)
+        x, size = rng.random(30) + 0.1, rng.integers(1, 9, 30)
+        got = _t_norm_of(x.copy(), t, weights=size.astype(np.float64))
+        assert got == pytest.approx(t_norm(np.repeat(x, size), t), rel=1e-14)
