@@ -19,7 +19,8 @@ import time
 from . import bounds as bounds_mod
 from .constructions import (lambda2_lower_certificate, mu_lower_certificate,
                             multi_center_vector, verify_radial_inequality)
-from .eigensolver import SolverConfig, lambda2_estimate, spectral_radius
+from .eigensolver import (_EVALS_PER_RESTART, _PRODUCTS_PER_RESTART,
+                          SolverConfig, lambda2_estimate, spectral_radius)
 from .errors import Error, ParseError
 from .generators import complete_uniform, hypertree_ball, random_regular_linear
 from .hypergraph import (Hypergraph, is_acyclic, min_eccentricity_vertex,
@@ -215,8 +216,9 @@ def cmd_verify(args, out) -> int:
     return 0 if payload["passed"] else 1
 
 
-def _generate(args, size: int, seed: int) -> Hypergraph:
-    """The ``args.family`` instance of the given radius or vertex count."""
+def _generate(args, size: int, seed: int | None) -> Hypergraph:
+    """The ``args.family`` instance of the given radius or vertex count;
+    only random-regular reads ``seed``."""
     if args.family == "hypertree":
         return hypertree_ball(args.t, args.k, size)
     if args.family == "complete":
@@ -226,7 +228,8 @@ def _generate(args, size: int, seed: int) -> Hypergraph:
 
 
 def cmd_gen(args, out) -> int:
-    seed = _resolve_seed(args)
+    # the families that draw nothing read neither --seed nor HGSPEC_SEED
+    seed = _resolve_seed(args) if args.family == "random-regular" else None
     size_key = "radius" if args.family == "hypertree" else "n"
     size = getattr(args, size_key)
     h = _generate(args, size, seed)
@@ -234,7 +237,7 @@ def cmd_gen(args, out) -> int:
     if args.family != "complete":
         params["k"] = args.k
     params[size_key] = size
-    if args.family == "random-regular":
+    if seed is not None:
         params["seed"] = seed
     text = emit_hypergraph(h)
     if args.output:
@@ -311,7 +314,8 @@ def _add_solver_flags(parser):
     parser.add_argument("--tol", type=float, default=1e-10,
                         help="stopping tolerance: for rho the relative "
                              "width of the Collatz-Wielandt bracket, for "
-                             "lambda2 the KKT residual (default 1e-10)")
+                             "lambda2 the relative KKT residual "
+                             "(default 1e-10)")
     parser.add_argument("--max-iters", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
@@ -379,7 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     for sp in (p_l2, p_verify):  # the commands that run lambda2
-        sp.add_argument("--restarts", type=int, default=SolverConfig.restarts)
+        sp.add_argument("--restarts", type=int, default=SolverConfig.restarts,
+                        help="lambda2 random starts, which also set its "
+                             "evaluation budget: "
+                             f"{_EVALS_PER_RESTART} per restart, or "
+                             f"{_PRODUCTS_PER_RESTART:,} edge products per "
+                             "restart on small inputs (default %(default)s)")
 
     p_gen = sub.add_parser("gen", help="generate an instance")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)

@@ -20,25 +20,29 @@ runs on one value per cell of the coarsest one, on the edge table of
 size.  The stop is still taken on all n vertices.
 
 ``lambda2_estimate`` maximizes |x^T((A - (t m / n^t) J) x)| over the unit
-t-norm sphere by seeded multi-start gradient ascent.  A restart ends on
-a KKT residual of at most ``SolverConfig.tol``, or when the first-order
-gain of its next step is at most ``_GAIN_FLOOR`` of |form|.  The shifted
-map is not nonnegative, so no Perron-style power iteration applies; the
-returned value is a certified lower estimate of the shifted spectral
+t-norm sphere by seeded multi-start shifted power steps: SS-HOPM (Kolda
+& Mayo, SIAM J. Matrix Anal. Appl. 32, 2011) with an adaptive shift as
+in GEAP (Kolda & Mayo, SIAM J. Matrix Anal. Appl. 35, 2014).  Each step
+maps x to sign(G) |G|^(1/(t-1)), renormalized, where G is the gradient
+of the objective plus a shift times t |x|^(t-2) x, the sphere's normal;
+it has no step size.  One evaluation budget covers all restarts.  The
+shifted map is not nonnegative, so no Perron-style certificate applies;
+the returned value is a certified lower estimate of the shifted spectral
 norm (the best feasible point seen), not a claimed global optimum.  The
 search runs over real vectors by default, over complex ones behind
 ``SolverConfig.complex_search``.  One ``forms._ShiftedForm`` per call
-evaluates the objective; the ascent asks it for the gradient only at a
-trial point it accepts.
+evaluates the objective; a run asks it for the gradient only at a trial
+point it accepts.
 
 Both solvers, CG included, sum with numpy's pairwise ``np.sum`` only,
 never a BLAS dot product or norm, so a seeded run gives the same bits
 under any BLAS thread count; ``_GAIN_FLOOR`` keeps the ascent from
 taking the rounding noise of those sums for progress.  Every power of
-an array is ``forms._power``, a product in a fixed order, and every
-complex product and magnitude is formed by real operations
-(``forms._product``, ``forms._magnitude``): numpy's own loops for those
-are chosen by CPU, and their last bits with them.
+an array is ``forms._power``, a product in a fixed order, every root
+``forms._root``, a square root or Newton steps, and every complex
+product and magnitude is formed by real operations (``forms._product``,
+``forms._magnitude``): numpy's own loops for those are chosen by CPU,
+and their last bits with them.
 """
 
 from __future__ import annotations
@@ -49,15 +53,22 @@ import numpy as np
 
 from .errors import NoConvergence
 from .forms import (_Products, _ShiftedForm, _magnitude, _power, _product,
-                    _t_norm_of, t_norm)
+                    _root, _t_norm_of, t_norm)
 from .hypergraph import (Hypergraph, _equitable_partition, _quotient,
                          _require_connected)
 
 #: relative gain below which a trial point is rounding noise, not progress
 _GAIN_FLOOR = 1e-13
 
-#: largest ascent step; accepted steps grow it by 1.25 up to this bound
-_STEP_CAP = 1e3
+#: evaluations per restart in the lambda2 budget ...
+_EVALS_PER_RESTART = 12
+
+#: ... raised on small inputs to this many edge products per restart
+_PRODUCTS_PER_RESTART = 36_000
+
+#: max-norm distance, relative to the point, within which a lambda2 run
+#: joins a point where an earlier run ended without gain
+_JOIN_RADIUS = 1e-3
 
 #: relative residual at which CG stops solving for a Newton direction
 _CG_RTOL = 1e-4
@@ -70,6 +81,11 @@ _NUDGES = 16
 class SolverConfig:
     """Tolerances, iteration caps, restart count, seed, and search domain.
 
+    ``tol`` ends rho at that relative width of its Collatz-Wielandt
+    bracket and a lambda2 run at that relative KKT residual.
+    ``max_iters`` caps rho's steps and lambda2's evaluations in all.
+    ``restarts`` is lambda2's search effort: its number of seeded starts,
+    and with them its evaluation budget (``_budget`` per restart).
     ``seed`` drives the lambda2 restarts only; rho starts from the
     constant vector.
     """
@@ -255,6 +271,12 @@ def _certified(products: _Products, x: np.ndarray, steps: int,
                        residual=_width(lo, hi))
 
 
+def _budget(h: Hypergraph) -> int:
+    """Evaluations per lambda2 restart: ``_EVALS_PER_RESTART``, or enough
+    for ``_PRODUCTS_PER_RESTART`` edge products on a small input."""
+    return max(_EVALS_PER_RESTART, -(-_PRODUCTS_PER_RESTART // max(h.m, 1)))
+
+
 def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResult:
     """Largest eigenvalue of the adjacency tensor, with its Perron vector.
 
@@ -305,88 +327,175 @@ def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     raise NoConvergence(result.iterations, result.residual)
 
 
-def _ascend(form: _ShiftedForm, x0: np.ndarray,
-            cfg: SolverConfig) -> tuple[EigenResult, bool]:
-    """Gradient ascent on |shifted form| over the t-norm sphere from x0,
-    which it normalizes in place.
+class _Ends:
+    """The points where earlier runs of a real lambda2 search ended
+    without gain, with the objective g there.
 
-    Returns the restart's result and whether it converged.  A trial
-    point, renormalized in the t-norm, is accepted when it gains more
-    than ``_GAIN_FLOOR`` relative; the step then grows 1.25-fold, up to
-    ``_STEP_CAP``, and a rejected trial halves it.  Only an accepted
-    point's gradient is evaluated.  The restart converges when the KKT
-    defect r drops to ``cfg.tol``, or after a rejection when the halved
-    step's first-order gain, step * t Re<d, r> along the unit direction
-    d, is at most ``_GAIN_FLOOR`` of |form|.  That stop is a first-order
-    prediction, not a proof that no shorter step gains: at a nonpositive
-    slope it ends the restart on its first rejection, at any step size.
-    It fails on a zero gradient or when its objective evaluations reach
-    ``cfg.max_iters``.  The n-vectors of a step are allocated once and
-    written with ``out=``.
+    A point is kept in the frame where the objective is f: for odd t as
+    sign x, since f(-x) = -f(x), and for even t under its sign, x and -x
+    alike, since f(-x) = f(x).  A run at a point within ``_JOIN_RADIUS``
+    of a kept one, at an objective no higher, would climb to it again:
+    near a point where the steps stopped they contract towards it.
+    """
+
+    def __init__(self, t: int):
+        self._odd = t % 2 == 1
+        self._kept = {1: [], -1: []}
+
+    def _frame(self, x: np.ndarray, sign: int):
+        return (sign * x, 1) if self._odd else (x, sign)
+
+    def add(self, x: np.ndarray, g: float, sign: int) -> None:
+        point, key = self._frame(x, sign)
+        self._kept[key].append((point.copy(), g))
+
+    def joins(self, x: np.ndarray, g: float, sign: int) -> bool:
+        point, key = self._frame(x, sign)
+        for kept, value in self._kept[key]:
+            # within the radius, g is within about its square of value
+            if not 0.0 <= value - g <= _JOIN_RADIUS * value:
+                continue
+            radius = _JOIN_RADIUS * float(np.abs(kept).max())
+            if float(np.abs(point - kept).max()) <= radius or (
+                    not self._odd
+                    and float(np.abs(point + kept).max()) <= radius):
+                return True
+        return False
+
+
+def _ascend(form: _ShiftedForm, x: np.ndarray, sign: int, budget: int,
+            tol: float, ends: _Ends | None = None) -> EigenResult:
+    """Shifted power steps on the t-norm sphere from x, which it
+    normalizes in place, in at most ``budget`` evaluations.
+
+    The objective g is |f| on a complex search and sign f on a real one,
+    with sign 0 standing for the sign of f at x.  Its gradient plus the
+    shift, G = grad g(x) + alpha t |x|^(t-2) x, gives the trial point
+    sign(G) |G|^(1/(t-1)) (the phase of G on a complex search), in the
+    t-norm.  A trial that gains more than ``_GAIN_FLOOR`` relative is
+    accepted, and alpha halves, or drops to 0 once it is below |g|.  A
+    rejected trial sets alpha to |g| (at g = 0, to the pull
+    max_v |grad g|_v / (t max_v |x_v|^(t-1)), which is |g| at a KKT
+    point), or doubles it from there.  Only an accepted point's gradient
+    is evaluated.
+
+    The run ends when the relative KKT residual
+    max_v |r_v| / (|g| max_v |x_v|^(t-1)), r = grad g / t - g |x|^(t-2) x,
+    is at most ``tol``; when the budget is spent; or when no shift can
+    gain: a rejected trial whose shift is so large that the first-order
+    gain of any larger one, t sum_v |r_v|^2 / |x_v|^(t-2) / (|g| + alpha)
+    or less, is at most ``_GAIN_FLOOR`` |g|, or is 2^53 times the pull,
+    past which the shift term rounds the gradient away (the first test
+    alone would wait for ever as g nears 0).  A run that ends on the
+    residual or on no gain is kept in ``ends``, if given, and a run ends
+    at an accepted point where ``ends.joins`` it to an earlier one.
+    ``iterations`` counts the evaluations and ``residual`` is the
+    relative KKT residual at the returned x (1 where g = 0 and r is
+    not).  The n-vectors of a step
+    are allocated once and written with ``out=``.
     """
     t = form.h.t
-    x = x0
     x /= t_norm(x, t)
+    complex_search = np.iscomplexobj(x)
     f = form.value(x)
-    grad = form.gradient()
+    if not complex_search:
+        sign = sign or (-1 if f < 0 else 1)
+    g = abs(f) if complex_search else sign * f
     evals = 1
-    eta = 0.1
-    y, psi, r, direction = (np.empty_like(x) for _ in range(4))
+    alpha = 0.0
+    y, psi, r = (np.empty_like(x) for _ in range(3))
     mags, work = np.empty(x.size), np.empty(x.size)
-
-    def stop(converged):
-        return EigenResult(value=float(abs(f)), vector=x, iterations=evals,
-                           residual=residual), converged
-
     while True:
-        # grad becomes the gradient of |f|
-        if np.iscomplexobj(x):
+        # grad becomes the gradient of g
+        grad = form.gradient()
+        if complex_search:
             if f:
                 _product(np.conj(f) / abs(f), grad, grad)
                 np.conjugate(grad, out=grad)
-        elif f < 0:
+        elif sign < 0:
             np.negative(grad, out=grad)
         # psi = |x|^(t-2) x, the gradient of the t-norm's t-th power over t
-        np.multiply(_power(_magnitude(x, mags), t - 2, work), x, out=psi)
+        _magnitude(x, mags)
+        peak = float(mags.max())
+        np.multiply(_power(mags, t - 2, work), x, out=psi)
         np.divide(grad, t, out=r)
-        np.multiply(abs(f), psi, out=psi)
-        r -= psi  # the KKT defect
-        residual = float(_magnitude(r, mags).max())
-        if residual <= cfg.tol:
-            return stop(True)
-        _magnitude(grad, mags)
+        np.multiply(g, psi, out=y)
+        r -= y  # the KKT defect
+        _magnitude(r, mags)
+        defect, scale = float(mags.max()), abs(g) * peak ** (t - 1)
+        # at g = 0 all of grad g / t is defect: residual 1
+        residual = defect / scale if scale else float(defect > 0.0)
+        if ends is not None and ends.joins(x, g, sign):
+            break
+        if residual <= tol:
+            return _ended(ends, x, g, sign, evals, residual)
+        # t sum |r_v|^2 / |x_v|^(t-2); a zero x_v counts |r_v|^2
         mags *= mags
-        gnorm = float(np.sqrt(np.sum(mags)))
-        if gnorm == 0.0:
-            return stop(False)
-        np.divide(grad, gnorm, out=direction)
-        # gain of |f| on the sphere per unit step, to first order
-        _product(np.conjugate(direction, out=psi), r, psi)
-        slope = t * float(np.sum(psi.real))
-        while True:
-            if evals >= cfg.max_iters:
-                return stop(False)
-            np.multiply(eta, direction, out=y)
-            np.add(x, y, out=y)
-            y /= _t_norm_of(_magnitude(y, mags), t, work)
+        np.divide(mags, work, out=mags, where=work > 0.0)
+        reach = t * float(np.sum(mags))
+        if alpha < abs(g):
+            alpha = 0.0
+        while evals < budget:
+            np.multiply(alpha * t, psi, out=y)
+            y += grad
+            # y becomes the sign or phase of G times |G|^(1/(t-1)), whose
+            # magnitudes, in work, give its t-norm
+            _root(_magnitude(y, mags), t - 1, work)
+            if complex_search:
+                np.divide(work, mags, out=mags, where=mags > 0.0)
+                y.real *= mags
+                y.imag *= mags
+            elif t > 2:
+                np.copysign(work, y, out=y)
+            y /= _t_norm_of(work, t, mags)
             fy = form.value(y)
             evals += 1
-            if abs(fy) > abs(f) * (1.0 + _GAIN_FLOOR):
+            gy = abs(fy) if complex_search else sign * fy
+            if gy > g + abs(g) * _GAIN_FLOOR:
                 break
-            eta *= 0.5
-            if eta * slope <= abs(f) * _GAIN_FLOOR:
-                return stop(True)
-        x, y, f = y, x, fy
-        grad = form.gradient()
-        eta = min(1.25 * eta, _STEP_CAP)
+            # the largest entry of grad g / t over that of the normal
+            pull = float(_magnitude(grad, mags).max()) / (t * peak ** (t - 1))
+            if reach <= (abs(g) + alpha) * abs(g) * _GAIN_FLOOR \
+                    or alpha >= 2.0 ** 53 * pull:
+                return _ended(ends, x, g, sign, evals, residual)
+            alpha = max(2.0 * alpha, abs(g)) or pull
+        else:
+            break
+        x, y, f, g = y, x, fy, gy
+        alpha /= 2.0
+    return EigenResult(abs(g), x, evals, residual)
+
+
+def _ended(ends: _Ends | None, x: np.ndarray, g: float, sign: int,
+           evals: int, residual: float) -> EigenResult:
+    """The result of a run that ended without gain, kept in ``ends``."""
+    if ends is not None:
+        ends.add(x, g, sign)
+    return EigenResult(abs(g), x, evals, residual)
 
 
 def lambda2_estimate(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResult:
-    """Best-over-restarts lower estimate of the shifted spectral norm.
+    """Best-over-runs lower estimate of the shifted spectral norm.
 
-    Each restart ascends from a seeded random start; the winner is the
-    largest value, ties broken by lowest restart index.  Raises
-    ``NoConvergence`` when no restart converged at all.
+    Each of ``cfg.restarts`` seeded random starts runs ``_ascend``.  On a
+    real search with even t it runs twice, for g = f and for g = -f: an
+    ascent of |f| never changes the sign of f.  With odd t, f(-x) =
+    -f(x), so one run on the sign of f at the start covers both.  One
+    budget of ``_budget`` evaluations per restart, at most
+    ``cfg.max_iters``, covers all runs.  Restarts run in turn, each on
+    what the earlier ones left; the first run of an even-t pair takes at
+    most half of it, and the second what is then left.  On a real search
+    a run also ends where it joins a point at which an earlier run ended
+    without gain (``_Ends``); on the small inputs whose runs end that
+    way, most restarts climb to the points found first, and this halves
+    their evaluations.  The winner is the largest value, ties broken by
+    the earliest run.
+
+    ``iterations`` is the total number of evaluations and ``residual``
+    the relative KKT residual at the returned vector (see ``_ascend``).
+    Every run ends at a feasible point, so ``value`` is a certified lower
+    estimate however the runs end, and nothing is raised when
+    ``residual`` is above ``cfg.tol``.
     """
     cfg = cfg or SolverConfig()
     _require_connected(h, "spectral operations")
@@ -394,19 +503,27 @@ def lambda2_estimate(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenRes
     rng = np.random.default_rng(cfg.seed)
     form = _ShiftedForm(h, np.complex128 if cfg.complex_search
                         else np.float64)
+    pool = min(cfg.restarts * _budget(h), cfg.max_iters)
+    ends = None if cfg.complex_search else _Ends(h.t)
     best: EigenResult | None = None
-    worst_fail: EigenResult | None = None
+    spent = 0
     for _ in range(cfg.restarts):
+        if spent == pool:
+            break
         if cfg.complex_search:
             x0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         else:
             x0 = rng.standard_normal(n)
-        run, converged = _ascend(form, x0, cfg)
-        if converged:
+        if cfg.complex_search or h.t % 2:
+            runs = [(x0, 0, pool)]
+        else:
+            runs = [(x0.copy(), 1, spent + (pool - spent + 1) // 2),
+                    (x0, -1, pool)]
+        for x, sign, end in runs:
+            if spent == end:
+                break
+            run = _ascend(form, x, sign, end - spent, cfg.tol, ends)
+            spent += run.iterations
             if best is None or run.value > best.value:
                 best = run
-        elif worst_fail is None or run.value > worst_fail.value:
-            worst_fail = run
-    if best is None:
-        raise NoConvergence(worst_fail.iterations, worst_fail.residual)
-    return best
+    return EigenResult(best.value, best.vector, spent, best.residual)

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import GenerationFailed, InfeasibleParams, SizeOverflow
 from .hypergraph import Hypergraph
 
-#: default cap on generated vertex / edge counts
+#: cap on the vertex and edge counts of a generated instance, and on the
+#: header fields of a parsed one
 DEFAULT_SIZE_CAP = 2_000_000
 #: proposals drawn ahead per rng call in ``random_regular_linear``
 _BATCH = 256

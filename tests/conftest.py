@@ -1,4 +1,7 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders and references for the test suite."""
+
+import functools
+import math
 
 import mpmath
 import numpy as np
@@ -110,6 +113,158 @@ def layer_perron_value(t, k, r, dps=50):
         sol = mpmath.findroot(defect, [mpmath.mpf(v) for v in start])
         assert all(v > 0 for v in sol), "not the Perron solution"
         return sol[0]
+
+
+def _partitions(total, parts, cap=None):
+    """Non-increasing tuples of at most ``parts`` positive integers with
+    the sum ``total``, none above ``cap``."""
+    cap = total if cap is None else cap
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, cap), 0, -1):
+        if parts:
+            for rest in _partitions(total - first, parts - 1, first):
+                yield (first,) + rest
+
+
+def _complete_reduced_form(c, mult, n, t):
+    """The shifted form of K_n^(t) at the vectors with mult[..., i]
+    entries c[..., i] and zeros elsewhere (rows of c and mult), with its
+    gradient in c and the t-th power of the t-norm.
+
+    On K_n^(t) the form is t e_t(x) - t m (sum x / n)^t, m = C(n, t);
+    e_0..e_t come from the product of (1 + c_i z)^mult_i truncated at
+    z^t, and entry v of the gradient in x is t e_(t-1) of x without x_v,
+    minus t^2 m / n (sum x / n)^(t-1).
+    """
+    e = np.zeros(c.shape[:-1] + (t + 1,))
+    e[..., 0] = 1.0
+    for i in range(c.shape[-1]):
+        # mult choose j, then the coefficients of (1 + c_i z)^mult_i
+        choose = [np.ones_like(mult[..., i])]
+        for j in range(1, t + 1):
+            choose.append(choose[-1] * (mult[..., i] - j + 1) / j)
+        factor = [choose[j] * c[..., i] ** j for j in range(t + 1)]
+        e = np.stack([sum(e[..., a] * factor[j - a] for a in range(j + 1))
+                      for j in range(t + 1)], axis=-1)
+    m = math.comb(n, t)
+    mean = (c * mult).sum(-1) / n
+    value = t * e[..., t] - t * m * mean ** t
+    drop = sum((-c) ** j * e[..., t - 1 - j, None] for j in range(t))
+    grad = mult * (t * drop - t * t * m / n * mean[..., None] ** (t - 1))
+    return value, grad, (mult * np.abs(c) ** t).sum(-1)
+
+
+def _polish_complete_kkt(c, mult, n, t, dps):
+    """The KKT point of K_n^(t) near the reduced vector (c, mult), by
+    mpmath's Newton solver at ``dps`` digits: (|form|, KKT residual).
+
+    Classes that agree to 1e-6 are merged first, and classes of no
+    entries dropped.  The unknowns are the class values and the
+    multiplier; the equations are the gradient entry of each class equal
+    to the multiplier times t |c|^(t-2) c, and unit t-norm.
+    """
+    vals, counts = [], []
+    for ci, mi in sorted(zip(c.tolist(), mult.tolist())):
+        if not mi:
+            continue
+        if vals and abs(ci - vals[-1]) <= 1e-6 * np.abs(c).max():
+            vals[-1] = (vals[-1] * counts[-1] + ci * mi) / (counts[-1] + mi)
+            counts[-1] += mi
+        else:
+            vals.append(ci)
+            counts.append(mi)
+    counts = [int(k) for k in counts]
+    m, k = math.comb(n, t), len(vals)
+    with mpmath.workdps(dps):
+        def form(cs):
+            e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * t
+            for ci, mi in zip(cs, counts):
+                factor = [mpmath.binomial(mi, j) * ci ** j
+                          for j in range(t + 1)]
+                e = [mpmath.fsum(e[a] * factor[j - a] for a in range(j + 1))
+                     for j in range(t + 1)]
+            return e, mpmath.fsum(mi * ci for mi, ci in zip(counts, cs)) / n
+
+        def kkt(*unknowns):
+            cs, lam = unknowns[:k], unknowns[k]
+            e, mean = form(cs)
+            rows = [t * mpmath.fsum((-ci) ** j * e[t - 1 - j]
+                                    for j in range(t))
+                    - t * t * m / n * mean ** (t - 1)
+                    - lam * t * abs(ci) ** (t - 2) * ci for ci in cs]
+            return rows + [mpmath.fsum(mi * abs(ci) ** t
+                                       for mi, ci in zip(counts, cs)) - 1]
+
+        norm = sum(mi * abs(ci) ** t for mi, ci in zip(counts, vals))
+        start = [mpmath.mpf(ci) / mpmath.mpf(norm) ** (mpmath.mpf(1) / t)
+                 for ci in vals]
+        e, mean = form(start)
+        start.append(t * e[t] - t * m * mean ** t)
+        root = mpmath.findroot(kkt, start)
+        return abs(root[k]), max(abs(r) for r in kkt(*root))
+
+
+@functools.lru_cache(maxsize=None)
+def complete_lambda2_reference(n, t, dps=50, starts=16, steps=150):
+    """lambda2 of the complete hypergraph K_n^(t) over real vectors: the
+    largest |shifted form| on the unit t-norm sphere, at ``dps`` digits.
+
+    Entry v of the form's gradient is a polynomial of degree t - 1 in
+    x_v whose coefficients are symmetric functions of all of x, and the
+    multiplier condition puts lambda t |x_v|^(t-2) x_v on the other
+    side.  On x_v > 0 and on x_v < 0 that is a polynomial equation of
+    degree t - 1 in x_v, so a KKT point takes at most t - 1 positive
+    values, t - 1 negative ones and 0, unless one of the two polynomials
+    vanishes identically.  The leading coefficients are
+    t ((-1)^(t-1) - lambda) on x_v > 0 and t (-1)^(t-1) (1 + lambda) on
+    x_v < 0, so that needs |lambda| = 1, and lambda is the form at a KKT
+    point; the result must exceed 1 for the reduction to hold, and is
+    checked to.
+
+    The search runs over every multiplicity pattern: z zero entries and
+    a partition of n - z into at most 2t - 2 classes, each class one
+    free value.  Each pattern gets ``starts`` seeded starts of a
+    backtracking gradient ascent of |form| / t-norm^t over the class
+    values; the best points are then polished as KKT points at ``dps``
+    digits (``_polish_complete_kkt``).  Multi-start is not a proof, so
+    this is a reference, not an oracle; the tests check it against many
+    full-space restarts of the solver.
+    """
+    cls = 2 * t - 2
+    mult = np.array([p + (0,) * (cls - len(p)) for z in range(n)
+                     for p in _partitions(n - z, cls)], dtype=float)
+    mult = np.repeat(mult, starts, axis=0)
+    c = np.random.default_rng(0).standard_normal(mult.shape)
+    step = np.full(len(c), 0.1)
+
+    def ratio(c):
+        value, grad, norm = _complete_reduced_form(c, mult, n, t)
+        return np.abs(value) / norm, value, grad, norm
+
+    score, value, grad, norm = ratio(c)
+    for _ in range(steps):
+        # the gradient of |form| / norm
+        d = np.sign(value)[:, None] * grad / norm[:, None] \
+            - (score / norm)[:, None] * t * mult * np.abs(c) ** (t - 2) * c
+        d /= np.maximum(np.sqrt((d * d).sum(-1)), 1e-300)[:, None]
+        trial = c + step[:, None] * d
+        t_score, t_value, t_grad, t_norm = ratio(trial)
+        up = t_score > score
+        c[up], score[up], value[up] = trial[up], t_score[up], t_value[up]
+        grad[up], norm[up] = t_grad[up], t_norm[up]
+        step = np.where(up, 1.5 * step, 0.5 * step)
+    best = None
+    for i in np.argsort(-score)[:5]:
+        if score[i] < score.max() * (1 - 1e-6):
+            break
+        polished, residual = _polish_complete_kkt(c[i], mult[i], n, t, dps)
+        assert residual < mpmath.mpf(10) ** (10 - dps)
+        assert abs(polished - score[i]) <= 1e-9 * score[i]
+        best = polished if best is None else max(best, polished)
+    assert best > 1, "a KKT point with |form| = 1 may take any values"
+    return best
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -259,16 +260,15 @@ class TestCommands:
         code, _ = run(["verify", str(path), "--check", "alon-boppana"])
         assert code == 1
 
-    def test_exit_1_on_numeric_overflow(self, tmp_path, capsys):
-        # a loose path with t = 110 on n = 982 vertices: n^t in the J
-        # weight t m / n^t is beyond the largest double
-        t = 110
-        edges = [list(range(109 * i, 109 * i + t)) for i in range(9)]
-        path = tmp_path / "loose110.txt"
-        path.write_text(emit_hypergraph(Hypergraph(982, t, edges)))
-        code, _ = run(["lambda2", str(path)])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("hgspec: overflow: ")
+    def test_huge_t_gives_a_finite_estimate(self, tmp_path):
+        # one edge of t = 400 vertices: n^t = 400^400 is beyond the
+        # largest double, and the J term t m (sum x / n)^t never forms it
+        path = tmp_path / "edge400.txt"
+        path.write_text("400 400 1\n" + " ".join(map(str, range(400)))
+                        + "\n")
+        code, text = run(["lambda2", str(path), "--restarts", "1"])
+        assert code == 0
+        assert math.isfinite(json.loads(text)["lambda2_estimate"])
 
     def test_exit_1_on_oversized_random_regular(self, capsys):
         # 10^8 vertices exceed the size cap before any stub is made
@@ -299,9 +299,6 @@ class TestCommands:
         assert capsys.readouterr().err == \
             f"hgspec: max_attempts must be an integer >= 1, got {value}\n"
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the lambda2 ascent ends at 1.1672, below the multi-center "
-        "certificate's quotient 1.5225"))
     def test_verify_alon_boppana_on_rr2000_t4(self, tmp_path):
         path = tmp_path / "rr2000_t4.txt"
         path.write_text(emit_hypergraph(random_regular_linear(4, 3, 2000, 0)))
@@ -310,15 +307,6 @@ class TestCommands:
         assert payload["lambda2_estimate"] >= \
             payload["certificate"]["quotient"] - 1e-6
         assert code == 0
-
-    def test_exit_1_when_memory_runs_out(self, tmp_path, capsys):
-        # n = 10^18 fits int64 but no address space, so the first
-        # allocation fails at once without touching memory
-        path = tmp_path / "huge.txt"
-        path.write_text("3 1000000000000000000 0\n")
-        code, _ = run(["radius", str(path)])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("hgspec: out of memory: ")
 
 
     @pytest.mark.parametrize("spec", ["1:2:*1", "0:4:*2", "-1:4:*2"])
@@ -366,6 +354,17 @@ class TestDeterminism:
         _, via_flag = run(["gen", "random-regular", "--t", "3", "--k", "3",
                            "--n", "18", "--seed", "99"])
         assert via_env == via_flag
+
+    @pytest.mark.parametrize("family", [
+        ["hypertree", "--t", "3", "--k", "3", "--radius", "1"],
+        ["complete", "--t", "3", "--n", "5"]], ids=["hypertree", "complete"])
+    def test_families_that_draw_nothing_ignore_env_seed(self, monkeypatch,
+                                                        family):
+        monkeypatch.setenv("HGSPEC_SEED", "abc")
+        with_env = run(["gen", *family])
+        monkeypatch.delenv("HGSPEC_SEED")
+        assert with_env == run(["gen", *family])
+        assert with_env[0] == 0
 
     def test_flag_overrides_env(self, monkeypatch):
         monkeypatch.setenv("HGSPEC_SEED", "5")

@@ -7,7 +7,8 @@ below runs in a fresh interpreter with every dispatched feature turned
 off (``NPY_DISABLE_CPU_FEATURES``, which leaves numpy its baseline
 loops) and must print what the default run prints.  The commands cover
 rho on the hypertree balls, a real and a complex certificate family,
-and a real and a complex lambda2 search.  OpenBLAS picks its kernels by
+and real lambda2 searches at t = 3 and t = 4, whose steps take square
+and cube roots, and a complex one.  OpenBLAS picks its kernels by
 CPU too; the radial certificates, which once summed with a BLAS dot
 product, must print the same numbers under its oldest x86-64 kernel
 (``OPENBLAS_CORETYPE=Prescott``).
@@ -71,9 +72,10 @@ def workdir(tmp_path_factory):
     ["verify", "ht335.txt", "--check", "mu", "--j", "1", "--k", "3"],
     ["verify", "ht335.txt", "--check", "mu", "--j", "2", "--k", "3"],
     ["lambda2", "rr300.txt"],
+    ["lambda2", "rr200_t4.txt"],
     ["lambda2", "rr200_t4.txt", "--complex-search", "--restarts", "4"],
 ], ids=["sweep-hypertree", "verify-mu-j1", "verify-mu-j2", "lambda2-real",
-        "lambda2-complex"])
+        "lambda2-real-t4", "lambda2-complex"])
 def test_stdout_independent_of_cpu_dispatch(workdir, argv):
     assert _hgspec(argv, workdir) == _hgspec(argv, workdir, DISPATCHED)
 

@@ -1,27 +1,24 @@
-"""Solver tests against brute-force and dense-matrix oracles, and the
-lambda2 ascent against a frozen copy of the step-floor ascent it
-replaced."""
-
-import functools
+"""Solver tests against brute-force, dense-matrix and reduced-search
+references, and the lambda2 runs against their stated rules: the
+objective rises at every accepted step, and the evaluations stay within
+the budget."""
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from hgspec import (EigenResult, Hypergraph, NoConvergence,
+from hgspec import (Hypergraph, NoConvergence,
                     NotConnectedError, SolverConfig, adjacency_form,
                     apply_adjacency, complete_uniform, eigensolver, forms,
                     hypertree_ball, lambda2_estimate, random_regular_linear,
                     shifted_form, spectral_radius, t_norm)
-from hgspec.forms import _magnitude, _power, _product
+from hgspec.forms import _magnitude, _power
 from hgspec.hypergraph import _REFINE_ROUNDS, _equitable_partition
 
-from conftest import (adjacency_matrix, cycle_graph, layer_perron_value,
-                      loose_path, path_graph, petersen,
-                      random_connected_graph)
-from test_properties import PROPERTY, coarsest_equitable, connected_graphs
+from conftest import (adjacency_matrix, complete_lambda2_reference,
+                      cycle_graph, layer_perron_value, loose_path,
+                      path_graph, petersen, random_connected_graph)
+from test_properties import coarsest_equitable
 
 
 def tree_with_chords_and_tail(n, chords, tail, seed):
@@ -324,33 +321,26 @@ class TestLambda2:
         with pytest.raises(NotConnectedError):
             lambda2_estimate(Hypergraph(4, 2, [(0, 1), (2, 3)]))
 
-    @pytest.mark.parametrize("build,cfg", [
-        pytest.param(lambda: random_regular_linear(2, 3, 2000, 0),
-                     SolverConfig(restarts=1), id="rr2000_t2"),
-        pytest.param(lambda: Hypergraph(8, 2, [(0, 1), (0, 2), (0, 4),
-                                               (0, 5), (1, 2), (1, 3),
-                                               (2, 5), (3, 6), (4, 5),
-                                               (4, 7)]),
-                     SolverConfig(restarts=4, complex_search=True),
-                     id="graph8_complex"),
-    ])
-    def test_long_ascent_keeps_a_finite_step(self, build, cfg):
-        # thousands of accepted steps: with the step grown 1.25-fold on
-        # each and no bound, it overflowed to inf, every later trial
-        # point was NaN and the restarts ran out their budgets
-        h = build()
-        a = adjacency_matrix(h)
-        b = a - (2 * h.m / h.n ** 2) * np.ones((h.n, h.n))
-        oracle = float(np.max(np.abs(np.linalg.eigvalsh(b))))
-        res = lambda2_estimate(h, cfg)
-        assert res.iterations < cfg.max_iters
-        assert np.all(np.isfinite(res.vector))
-        assert res.value == pytest.approx(oracle, abs=1e-9)
-
-    def test_no_convergence_with_tiny_budget(self):
+    def test_tiny_budget_returns_a_feasible_value(self):
+        # two evaluations in all: the first restart's start and one trial;
+        # the estimate is the form at a feasible point, nothing is raised
+        h = petersen()
         cfg = SolverConfig(tol=1e-30, max_iters=2, restarts=2)
-        with pytest.raises(NoConvergence):
-            lambda2_estimate(petersen(), cfg)
+        res = lambda2_estimate(h, cfg)
+        assert res.iterations == 2
+        assert res.residual > cfg.tol
+        assert t_norm(res.vector, 2) == pytest.approx(1.0, abs=1e-12)
+        assert res.value == abs(shifted_form(h, res.vector))
+
+    def test_even_t_searches_both_signs(self, monkeypatch):
+        # C24 is bipartite: the shifted spectrum runs from -2 up to
+        # 2 cos(pi / 12) = 1.93, so only the run with g = -f finds 2
+        runs = _recorded_runs(monkeypatch)
+        res = lambda2_estimate(cycle_graph(24), SolverConfig(restarts=1))
+        assert [run["sign"] for run in runs] == [1, -1]
+        assert runs[0]["result"].value == pytest.approx(
+            2 * np.cos(np.pi / 12), abs=1e-8)
+        assert res.value == pytest.approx(2.0, abs=1e-8)
 
     def test_t3_estimate_dominates_uniform_candidate(self):
         from hgspec import t_norm_pow
@@ -393,116 +383,65 @@ def test_solver_config_validation():
         SolverConfig(restarts=0)
 
 
-# --- the ascent against a frozen copy of the step-floor ascent it replaced
-
-#: the replaced ascent's constants, frozen with it
-REF_STEP_FLOOR = 1e-17
-REF_GAIN_FLOOR = 1e-13
+# --- the runs against their rules
 
 
-def reference_sphere_residual(x, f_abs, sigma_grad, t):
-    if np.iscomplexobj(x):
-        psi = _power(_magnitude(x), t - 2) * x
-    else:
-        psi = np.sign(x) * _power(np.abs(x), t - 1)
-    return float(np.max(_magnitude(sigma_grad / t - f_abs * psi)))
+def _recorded_runs(monkeypatch):
+    """The runs of the next ``lambda2_estimate`` calls, as they happen.
 
-
-def reference_shifted_grad(h, x):
-    """The shifted form at x and its gradient t (A x - c (sum x)^(t-1)),
-    c = t m / n^t, from the public operators."""
-    t = h.t
-    c = t * h.m / float(h.n) ** t
-    total = complex(x.sum()) if np.iscomplexobj(x) else float(x.sum())
-    return (shifted_form(h, x),
-            t * (apply_adjacency(h, x) - c * total ** (t - 1)))
-
-
-def reference_ascend(form, x0, cfg, step_cap=np.inf):
-    """The earlier ``eigensolver._ascend``, verbatim but for its names,
-    ``step_cap`` and the evaluator ``form`` that ``lambda2_estimate``
-    passes, of which it reads only the hypergraph.
-
-    It ended a restart only when step halving ran the step below
-    ``REF_STEP_FLOOR``, and grew the step without bound; ``step_cap``
-    bounds it as the ascent now does, so that the stop alone is compared.
-    It evaluates with the public ``shifted_form`` and ``apply_adjacency``
-    (``reference_shifted_grad``): they form the products in the order of
-    the ascent's evaluator, so they give its bits.
+    Each run is a dict: its ``sign`` argument, the form at every
+    evaluation (``values``), the form wherever a gradient was asked for
+    (``accepted``: the start and every accepted trial), and its
+    ``result``.
     """
-    h = form.h
-    t = h.t
-    x = x0 / t_norm(x0, t)
-    f, grad = reference_shifted_grad(h, x)
-    evals = 1
-    eta = 0.1
-    converged = False
-    residual = np.inf
-    while evals < cfg.max_iters:
-        if abs(f) == 0.0:
-            sigma_grad = grad
-        elif np.iscomplexobj(x):
-            phase = np.conj(f) / abs(f)
-            sigma_grad = np.conj(_product(phase, grad, np.empty_like(grad)))
-        else:
-            sigma_grad = grad if f >= 0 else -grad
-        residual = reference_sphere_residual(x, abs(f), sigma_grad, t)
-        if residual <= cfg.tol:
-            converged = True
-            break
-        gnorm = float(np.sqrt(np.sum(_magnitude(sigma_grad) ** 2)))
-        if gnorm == 0.0:
-            break
-        direction = sigma_grad / gnorm
-        accepted = False
-        while evals < cfg.max_iters:
-            y = x + eta * direction
-            y /= t_norm(y, t)
-            fy = shifted_form(h, y)
-            evals += 1
-            if abs(fy) > abs(f) * (1.0 + REF_GAIN_FLOOR):
-                x = y
-                f, grad = reference_shifted_grad(h, x)
-                eta = min(eta * 1.25, step_cap)
-                accepted = True
-                break
-            eta *= 0.5
-            if eta < REF_STEP_FLOOR:
-                break
-        if not accepted:
-            converged = eta < REF_STEP_FLOOR or residual <= cfg.tol
-            break
-    return EigenResult(value=float(abs(f)), vector=x, iterations=evals,
-                       residual=residual), converged
-
-
-def _restarts(monkeypatch, ascend, h, cfg):
-    """lambda2_estimate run with ``ascend``, and each restart's result."""
     runs = []
 
-    def recorded(*args):
-        run = ascend(*args)
-        runs.append(run)
-        return run
+    class Recorded(forms._ShiftedForm):
+        def value(self, x):
+            f = super().value(x)
+            runs[-1]["values"].append(f)
+            return f
 
+        def gradient(self):
+            runs[-1]["accepted"].append(runs[-1]["values"][-1])
+            return super().gradient()
+
+    ascend = eigensolver._ascend
+
+    def recorded(form, x, sign, budget, *rest):
+        runs.append({"sign": sign, "budget": budget, "values": [],
+                     "accepted": []})
+        runs[-1]["result"] = ascend(form, x, sign, budget, *rest)
+        return runs[-1]["result"]
+
+    monkeypatch.setattr(eigensolver, "_ShiftedForm", Recorded)
     monkeypatch.setattr(eigensolver, "_ascend", recorded)
-    best = lambda2_estimate(h, cfg)
-    monkeypatch.undo()
-    return best, runs
+    return runs
 
 
-def _assert_matches(monkeypatch, reference, h, cfg):
-    """Every restart reaches the reference's point in no more evaluations."""
-    ref, ref_runs = _restarts(monkeypatch, reference, h, cfg)
-    got, runs = _restarts(monkeypatch, eigensolver._ascend, h, cfg)
-    assert (got.value, got.residual) == (ref.value, ref.residual)
-    assert got.vector.tobytes() == ref.vector.tobytes()
-    assert got.iterations <= ref.iterations
-    assert len(runs) == len(ref_runs) == cfg.restarts
-    for (run, converged), (ref_run, ref_converged) in zip(runs, ref_runs):
-        assert (run.value, run.residual) == (ref_run.value, ref_run.residual)
-        assert converged == ref_converged
-        assert run.iterations <= ref_run.iterations
+def _objective(run, f):
+    """g at form value f: |f| on a complex search, sign f on a real one,
+    with sign 0 standing for the sign of f at the start."""
+    if isinstance(f, complex):
+        return abs(f)
+    sign = run["sign"] or (-1 if run["values"][0] < 0 else 1)
+    return sign * f
+
+
+def _kkt_residual(h, x, value):
+    """max |r| / (|f| max |x|^(t-1)), r = grad |f| / t - |f| psi, from
+    the public operators; grad |f| is the sign of f times grad f, or for
+    complex x the conjugate of the phase of f-bar times grad f."""
+    t = h.t
+    f = shifted_form(h, x)
+    mean = (complex(x.sum()) if np.iscomplexobj(x) else float(x.sum())) / h.n
+    grad = apply_adjacency(h, x) - t * h.m / h.n * mean ** (t - 1)
+    grad = np.conj(np.conj(f) / abs(f) * grad) if np.iscomplexobj(x) \
+        else np.sign(f) * grad
+    psi = _power(_magnitude(x), t - 2) * x
+    peak = float(_magnitude(x).max())
+    return float(_magnitude(grad - value * psi).max()) \
+        / (value * peak ** (t - 1))
 
 
 @pytest.mark.parametrize("build,cfg", [
@@ -522,25 +461,24 @@ def _assert_matches(monkeypatch, reference, h, cfg):
     pytest.param(lambda: random_regular_linear(3, 3, 3000, 0), SolverConfig(),
                  id="rr3000_s0"),
 ])
-def test_ascent_matches_step_floor_reference(monkeypatch, build, cfg):
-    # on these inputs the step stays below the cap, and the stop on the
-    # predicted gain ends each restart where the step floor ended it
-    _assert_matches(monkeypatch, reference_ascend, build(), cfg)
-
-
-#: the reference with the step bounded as the ascent bounds it
-capped_reference = functools.partial(reference_ascend,
-                                     step_cap=eigensolver._STEP_CAP)
-
-
-@PROPERTY
-@given(h=connected_graphs(), complex_search=st.booleans())
-def test_stop_matches_step_floor_on_random_graphs(h, complex_search):
-    # the stop is a first-order prediction; with the same step cap, it
-    # ends every restart where halving down to the step floor ended it
-    cfg = SolverConfig(restarts=4, complex_search=complex_search)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _assert_matches(monkeypatch, capped_reference, h, cfg)
+def test_runs_stay_within_the_budget(monkeypatch, build, cfg):
+    # one budget covers every run; iterations counts every evaluation,
+    # and residual is the relative KKT residual at the returned vector
+    h = build()
+    runs = _recorded_runs(monkeypatch)
+    res = lambda2_estimate(h, cfg)
+    budget = min(cfg.restarts * eigensolver._budget(h), cfg.max_iters)
+    evaluations = [len(run["values"]) for run in runs]
+    assert res.iterations == sum(evaluations) <= budget
+    assert evaluations == [run["result"].iterations for run in runs]
+    assert all(n <= run["budget"] for n, run in zip(evaluations, runs))
+    assert 1 <= len(runs) <= cfg.restarts * (
+        1 if h.t % 2 or cfg.complex_search else 2)
+    assert res.value == max(run["result"].value for run in runs)
+    assert res.value == abs(shifted_form(h, res.vector))
+    assert t_norm(res.vector, h.t) == pytest.approx(1.0, abs=1e-12)
+    assert res.residual == pytest.approx(
+        _kkt_residual(h, res.vector, res.value), rel=1e-9)
 
 
 @pytest.mark.parametrize("complex_search", [False, True])
@@ -548,9 +486,54 @@ def test_stop_matches_step_floor_on_random_graphs(h, complex_search):
     (3, 3, 30, 0), (3, 3, 30, 5), (3, 2, 18, 1), (3, 2, 18, 2),
     (4, 3, 40, 0), (4, 2, 32, 1),
 ])
-def test_stop_matches_step_floor_on_small_hypergraphs(monkeypatch, t, k, n,
-                                                      seed, complex_search):
-    # some of these restarts take the step past the cap
-    cfg = SolverConfig(restarts=8, complex_search=complex_search)
-    _assert_matches(monkeypatch, capped_reference,
-                    random_regular_linear(t, k, n, seed), cfg)
+def test_value_rises_at_every_accepted_step(monkeypatch, t, k, n, seed,
+                                            complex_search):
+    # a gradient is asked for only at the start and at an accepted
+    # trial, which gains more than the floor on the point before it
+    runs = _recorded_runs(monkeypatch)
+    cfg = SolverConfig(restarts=2, complex_search=complex_search)
+    lambda2_estimate(random_regular_linear(t, k, n, seed), cfg)
+    steps = 0
+    for run in runs:
+        g = [_objective(run, f) for f in run["accepted"]]
+        assert run["accepted"][0] == run["values"][0]
+        for before, after in zip(g, g[1:]):
+            assert after > before + abs(before) * eigensolver._GAIN_FLOOR
+        assert abs(run["result"].value) == abs(run["accepted"][-1])
+        steps += len(g) - 1
+    assert steps > len(runs)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: random_connected_graph(12, 0.4, 1006), id="gnp12"),
+    pytest.param(lambda: cycle_graph(24), id="C24"),
+    pytest.param(lambda: complete_uniform(7, 3), id="K7_3"),
+    pytest.param(lambda: complete_uniform(8, 3), id="K8_3"),
+])
+def test_runs_that_join_an_earlier_end_cost_less(monkeypatch, build):
+    # a run ends where it comes within the radius of an earlier run's
+    # end; with the radius 0 every run climbs to its own end instead
+    h = build()
+    joined = lambda2_estimate(h)
+    monkeypatch.setattr(eigensolver, "_JOIN_RADIUS", 0.0)
+    alone = lambda2_estimate(h)
+    assert joined.value == pytest.approx(alone.value, rel=1e-13)
+    assert joined.iterations < 0.9 * alone.iterations
+
+
+@pytest.mark.parametrize("n,t", [(7, 3), (8, 3), (6, 4)])
+def test_estimate_meets_the_complete_hypergraph_reference(n, t):
+    # the default search finds the reduced search's maximum
+    ref = complete_lambda2_reference(n, t)
+    est = lambda2_estimate(complete_uniform(n, t))
+    assert abs(est.value - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize("n,t", [(7, 3), (8, 3), (6, 4)])
+def test_complete_hypergraph_reference_bounds_many_restarts(n, t):
+    # 128 full-space restarts on another seed: none beyond the
+    # reference, which one of them reaches
+    ref = complete_lambda2_reference(n, t)
+    est = lambda2_estimate(complete_uniform(n, t),
+                           SolverConfig(restarts=128, seed=7))
+    assert ref * (1 - 1e-9) <= est.value <= ref * (1 + 1e-12)

@@ -11,7 +11,7 @@ from hgspec import (Hypergraph, adjacency_form, apply_adjacency,
                     multi_center_vector, random_regular_linear, shifted_form,
                     t_norm, t_norm_pow)
 from hgspec.forms import (_Products, _ShiftedForm, _edge_products,
-                          _magnitude, _power, _product, _t_norm_of)
+                          _magnitude, _power, _product, _root, _t_norm_of)
 from hgspec.hypergraph import _EdgeTable, _equitable_partition, _quotient
 
 from conftest import (adjacency_matrix, cycle_graph, loose_path, path_graph,
@@ -150,21 +150,24 @@ class TestShiftedFormEvaluator:
         ids=["C9", "rr300", "rr200_t4", "K7_5"])
     def test_bits_of_the_public_kernels(self, h, complex_entries):
         # the value is the public shifted form and the gradient
-        # t (A x - c (sum x)^(t-1)) from the public operator, bit for bit,
-        # at the point of the last value call, zeros of either sign included
+        # t (A x - (t m / n) (sum x / n)^(t-1)) from the public operator,
+        # bit for bit, at the point of the last value call, zeros of
+        # either sign included
         rng = np.random.default_rng(11)
         x = rng.standard_normal(h.n)
         if complex_entries:
             x = x + 1j * rng.standard_normal(h.n)
         x[rng.random(h.n) < 0.1] = -0.0
         x[rng.random(h.n) < 0.1] = 0.0
-        t, c = h.t, h.t * h.m / float(h.n) ** h.t
+        t, m, n = h.t, h.m, h.n
         form = _ShiftedForm(h, x.dtype)
         for y in (x, -2 * x):
             form.value(rng.standard_normal(h.n).astype(x.dtype))
             total = complex(y.sum()) if complex_entries else float(y.sum())
-            assert form.value(y) == adjacency_form(h, y) - c * total ** t
-            expected = t * (apply_adjacency(h, y) - c * total ** (t - 1))
+            mean = total / n
+            assert form.value(y) == adjacency_form(h, y) - t * m * mean ** t
+            expected = t * (apply_adjacency(h, y)
+                            - t * m / n * mean ** (t - 1))
             assert form.gradient().tobytes() == expected.tobytes()
 
 
@@ -206,6 +209,23 @@ class TestExactArithmetic:
         _product(first, b, first)
         _product(a, second, second)
         assert first.tobytes() == second.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 109, 399])
+    def test_root_is_within_two_ulps(self, k):
+        # the lambda2 step's |G|^(1/k), across the double range,
+        # subnormals and exact powers included
+        rng = np.random.default_rng(k)
+        base = np.concatenate([10.0 ** rng.uniform(-300, 300, 200),
+                               rng.uniform(0.0, 4.0, 100),
+                               [0.0, 5e-324, 1e-310, 1.0, 2.0 ** k]])
+        out = np.empty_like(base)
+        assert _root(base, k, out) is out
+        assert out[-5] == 0.0 and out[-2] == 1.0
+        with mpmath.workdps(40):
+            for b, r in zip(base[:-5].tolist() + base[-4:].tolist(),
+                            out[:-5].tolist() + out[-4:].tolist()):
+                exact = mpmath.root(mpmath.mpf(b), k)
+                assert abs(mpmath.mpf(r) - exact) <= 2 * math.ulp(r)
 
     def test_magnitude_is_hypot(self):
         rng = np.random.default_rng(13)

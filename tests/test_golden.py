@@ -24,7 +24,10 @@ only, when rho came to be solved on one value per cell of the coarsest
 equitable partition and certified on all vertices.  Four were
 recorded again, in their last digits only, when every array power came
 to be formed by multiplies and every complex product and magnitude by
-real operations, so that no output depends on numpy's CPU dispatch.  A
+real operations, so that no output depends on numpy's CPU dispatch.
+The five that print a lambda2 estimate were recorded again, in their
+estimates and the lambda2 iteration counts and residuals only, when the
+ascent became shifted power steps under one evaluation budget.  A
 change that alters any byte of them (a different center, diameter path,
 certificate or solver trajectory, or a last bit of rho) fails here.
 To record a new golden set on purpose, run ``PYTHONPATH=src python

@@ -5,7 +5,8 @@
 functions below are the earlier per-edge constructor loop and per-line
 parser loop, kept verbatim except that they return their verdict instead
 of raising, and that the parser reference also rejects a header field
-beyond int64 (the earlier loop let it through to numpy).  On every input
+above the size cap (the earlier loop let it through to numpy, which
+failed to allocate the arrays of n or t entries).  On every input
 both must accept or both reject, with the same first faulty edge (a line
 number for the parser) and the same message, hence the same fault
 category.  Inputs come from a fixed table of corner cases and from
@@ -25,6 +26,7 @@ from hgspec import (EdgeError, Hypergraph, ParseError, complete_uniform,
                     emit_hypergraph, hypertree_ball, parse_hypergraph,
                     random_regular_linear)
 from hgspec.cli import run_command
+from hgspec.generators import DEFAULT_SIZE_CAP
 from hgspec.io import _parse_canonical
 
 
@@ -75,8 +77,9 @@ def reference_parser(text):
                 return "error", lineno, f"vertex count n={n} must be >= 1"
             if m < 0:
                 return "error", lineno, f"edge count m={m} must be >= 0"
-            if max(values) >= 2 ** 63:
-                return "error", lineno, "header field beyond the int64 range"
+            if max(values) > DEFAULT_SIZE_CAP:
+                return "error", lineno, ("header field above the size cap "
+                                         f"{DEFAULT_SIZE_CAP}")
             header = (t, n, m)
             continue
         t, n, m = header
@@ -193,6 +196,11 @@ PARSER_TABLE = [
     "100000000000000000000 5 0\n",                  # header beyond int64
     "3 100000000000000000000 0\n",
     "3 5 100000000000000000000\n",
+    "9223372036854775807 2 0\n",                    # above the size cap
+    "3 1000000000000 1\n0 1 2\n",
+    "3 1000000000000000000 0\n",
+    "3 2000001 1\n0 1 2\n",
+    "3 2000000 1\n0 1 2\n",                        # at the cap
     "# only a comment\n",
     "",
     "x 6 1\n",
@@ -280,6 +288,10 @@ BIG_IDS = ["9223372036854775807", "9223372036854775808",
            "9999999999999999999", "10000000000000000000",
            "99999999999999999999"]
 
+#: header fields above the size cap, some within int64, and the cap
+HUGE_FIELDS = [*BIG_IDS, "1000000000000", str(DEFAULT_SIZE_CAP + 1),
+               str(DEFAULT_SIZE_CAP)]
+
 
 def canonical(text):
     """True iff text is a header plus m >= 1 lines of t ids, all in
@@ -302,7 +314,8 @@ def _digit_texts(draw):
     ragged lines with the token total kept, leading zeros, an id deleted
     between its spaces, double spaces, a blank line, no final newline,
     a header edge count one off or of 19-20 digits, and a header vertex
-    count beyond int64.  Ids of 19-20 digits occur in both."""
+    count or uniformity above the size cap, within int64 or beyond it.
+    Ids of 19-20 digits occur in both."""
     t = draw(st.integers(2, 4))
     n = draw(st.integers(t, 12))
     ids = st.one_of(*[st.integers(0, n + 1).map(str)] * 4,
@@ -332,11 +345,11 @@ def _digit_texts(draw):
         lines[k] = lines[k].replace(" ", "  ", 1)
     m = len(lines) + (draw(st.sampled_from([-1, 1])) if draw(some) else 0)
     header = [str(t), str(n), str(max(m, 0))]
-    if draw(some):  # m near the int64 limit, or n beyond it
+    if draw(some):  # m near the int64 limit, or n or t above the cap
         header[2] = draw(st.sampled_from(BIG_IDS))
-    if draw(some):
-        header[1] = draw(st.sampled_from(
-            [v for v in BIG_IDS if int(v) >= 2 ** 63]))
+    for field in (1, 0):
+        if draw(some):
+            header[field] = draw(st.sampled_from(HUGE_FIELDS))
     lines.insert(0, " ".join(header))
     if draw(some):
         lines.insert(draw(st.integers(0, len(lines))),
