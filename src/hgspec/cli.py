@@ -2,8 +2,8 @@
 
 Subcommands: ``radius``, ``lambda2``, ``bounds``, ``verify``, ``gen``,
 ``sweep``.  JSON reports go to standard output; exit status is 0 on
-success, 1 when a verification or computation fails, 2 on usage or
-parse errors.  The default seed comes from ``--seed``, then the
+success, 1 when a verification or computation fails (and when ``gen``'s
+instance is above the size cap), 2 on usage or parse errors.  The default seed comes from ``--seed``, then the
 ``HGSPEC_SEED`` environment variable, then 0; identical inputs, flags,
 and seed produce byte-identical output (timing is only emitted behind
 ``--timings``).
@@ -21,7 +21,7 @@ from .constructions import (lambda2_lower_certificate, mu_lower_certificate,
                             multi_center_vector, verify_radial_inequality)
 from .eigensolver import (_EVALS_PER_RESTART, _PRODUCTS_PER_RESTART,
                           SolverConfig, lambda2_estimate, spectral_radius)
-from .errors import Error, ParseError
+from .errors import DiameterTooSmall, Error, ParseError
 from .generators import complete_uniform, hypertree_ball, random_regular_linear
 from .hypergraph import (Hypergraph, is_acyclic, min_eccentricity_vertex,
                          regular_degree)
@@ -285,7 +285,7 @@ def _sweep_row(args, size: int, cfg) -> dict:
     thr = bounds_mod.threshold(args.t, k) if k is not None else None
     try:
         cert = multi_center_vector(h, k=k).quotient
-    except Error:
+    except DiameterTooSmall:
         cert = None
     elapsed = time.perf_counter() - start
     return {
@@ -388,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "evaluation budget: "
                              f"{_EVALS_PER_RESTART} per restart, or "
                              f"{_PRODUCTS_PER_RESTART:,} edge products per "
-                             "restart on small inputs (default %(default)s)")
+                             "restart on small inputs, an evaluation "
+                             "counting as max(m, n t / 8) of them "
+                             "(default %(default)s)")
 
     p_gen = sub.add_parser("gen", help="generate an instance")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)

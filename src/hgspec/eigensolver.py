@@ -273,8 +273,12 @@ def _certified(products: _Products, x: np.ndarray, steps: int,
 
 def _budget(h: Hypergraph) -> int:
     """Evaluations per lambda2 restart: ``_EVALS_PER_RESTART``, or enough
-    for ``_PRODUCTS_PER_RESTART`` edge products on a small input."""
-    return max(_EVALS_PER_RESTART, -(-_PRODUCTS_PER_RESTART // max(h.m, 1)))
+    for ``_PRODUCTS_PER_RESTART`` edge products on a small input.  An
+    evaluation counts as max(m, n t / 8) products: besides its m edge
+    products it does O(n t) work on the vertices (``_power``, ``_root``,
+    ``_t_norm_of``)."""
+    work = max(8 * h.m, h.n * h.t)
+    return max(_EVALS_PER_RESTART, -(-8 * _PRODUCTS_PER_RESTART // work))
 
 
 def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResult:
@@ -377,7 +381,9 @@ def _ascend(form: _ShiftedForm, x: np.ndarray, sign: int, budget: int,
     rejected trial sets alpha to |g| (at g = 0, to the pull
     max_v |grad g|_v / (t max_v |x_v|^(t-1)), which is |g| at a KKT
     point), or doubles it from there.  Only an accepted point's gradient
-    is evaluated.
+    is evaluated.  A start where f and its gradient are both 0, as when
+    every edge product underflows, starts again, at one more evaluation,
+    from the same signs or phases at equal magnitudes.
 
     The run ends when the relative KKT residual
     max_v |r_v| / (|g| max_v |x_v|^(t-1)), r = grad g / t - g |x|^(t-2) x,
@@ -398,16 +404,24 @@ def _ascend(form: _ShiftedForm, x: np.ndarray, sign: int, budget: int,
     x /= t_norm(x, t)
     complex_search = np.iscomplexobj(x)
     f = form.value(x)
+    grad = form.gradient()
+    evals = 1
+    if not (f or grad.any()) and budget > 1:
+        # every product underflowed (large t): the same signs or phases at
+        # equal magnitudes give edge products of modulus 1/n
+        np.divide(x, _magnitude(x), out=x, where=x != 0)
+        x /= t_norm(x, t)
+        f = form.value(x)
+        grad = form.gradient()
+        evals = 2
     if not complex_search:
         sign = sign or (-1 if f < 0 else 1)
     g = abs(f) if complex_search else sign * f
-    evals = 1
     alpha = 0.0
     y, psi, r = (np.empty_like(x) for _ in range(3))
     mags, work = np.empty(x.size), np.empty(x.size)
     while True:
         # grad becomes the gradient of g
-        grad = form.gradient()
         if complex_search:
             if f:
                 _product(np.conj(f) / abs(f), grad, grad)
@@ -463,6 +477,7 @@ def _ascend(form: _ShiftedForm, x: np.ndarray, sign: int, budget: int,
             break
         x, y, f, g = y, x, fy, gy
         alpha /= 2.0
+        grad = form.gradient()
     return EigenResult(abs(g), x, evals, residual)
 
 

@@ -1,5 +1,7 @@
 """Instance factory: hypertree balls, complete uniform, random regular linear.
 
+Each generator raises ``SizeOverflow``, so that ``gen`` exits 1, before it
+builds an instance whose t, n or m is above the size cap of ``hypergraph``.
 Randomized generation uses numpy's PCG64 generator (a named 64-bit RNG
 with a published state transition), so a seed pins down the emitted edge
 list exactly.  The random-regular sampler works on whole arrays: one
@@ -12,22 +14,17 @@ once.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
 from .errors import GenerationFailed, InfeasibleParams, SizeOverflow
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, check_size
 
-#: cap on the vertex and edge counts of a generated instance, and on the
-#: header fields of a parsed one
-DEFAULT_SIZE_CAP = 2_000_000
 #: proposals drawn ahead per rng call in ``random_regular_linear``
 _BATCH = 256
 
 
-def hypertree_ball(t: int, k: int, radius: int,
-                   max_vertices: int = DEFAULT_SIZE_CAP) -> Hypergraph:
+def hypertree_ball(t: int, k: int, radius: int) -> Hypergraph:
     """Ball of the given radius in the infinite k-regular t-uniform hypertree.
 
     The root (vertex 0) carries k edges; every other internal vertex
@@ -39,15 +36,14 @@ def hypertree_ball(t: int, k: int, radius: int,
     if t < 2 or k < 1 or radius < 0:
         raise InfeasibleParams(f"hypertree ball needs t>=2, k>=1, radius>=0, "
                                f"got t={t}, k={k}, radius={radius}")
+    check_size(f"hypertree ball with t={t}", t)
     layers = [np.empty((0, t), dtype=np.int64)]
     n = 1
     frontier = np.zeros(1, dtype=np.int64)
     for layer in range(radius):
         branch = k if layer == 0 else k - 1
         grown = n + frontier.size * branch * (t - 1)
-        if grown > max_vertices:
-            raise SizeOverflow(f"hypertree ball exceeds {max_vertices} "
-                               f"vertices at layer {layer + 1}")
+        check_size(f"hypertree ball at layer {layer + 1}", t, grown)  # m < n
         # each edge joins a frontier vertex to t - 1 fresh ones
         fresh = np.arange(n, grown).reshape(-1, t - 1)
         layers.append(np.column_stack([np.repeat(frontier, branch), fresh]))
@@ -55,15 +51,16 @@ def hypertree_ball(t: int, k: int, radius: int,
     return Hypergraph(n, t, np.concatenate(layers))
 
 
-def complete_uniform(n: int, t: int,
-                     max_edges: int = DEFAULT_SIZE_CAP) -> Hypergraph:
+def complete_uniform(n: int, t: int) -> Hypergraph:
     """All C(n, t) t-subsets of n vertices; C(n-1, t-1)-regular."""
     if t < 2 or n < t:
         raise InfeasibleParams(f"complete uniform needs n >= t >= 2, "
                                f"got n={n}, t={t}")
-    if math.comb(n, t) > max_edges:
-        raise SizeOverflow(f"C({n},{t}) = {math.comb(n, t)} exceeds "
-                           f"{max_edges} edges")
+    # C(n, i) <= C(n, t) for i <= min(t, n - t): stop at one above the cap
+    m = 1
+    for i in range(min(t, n - t) + 1):
+        check_size(f"complete hypergraph C({n},{t})", t, n, m)
+        m = m * (n - i) // (i + 1)
     return Hypergraph(n, t, itertools.combinations(range(n), t))
 
 
@@ -175,7 +172,7 @@ def random_regular_linear(t: int, k: int, n: int, seed: int,
         edges at a vertex of a linear instance meet only there, so they
         cover k(t-1)+1 distinct vertices.
     SizeOverflow
-        If n or m = n*k/t exceeds ``DEFAULT_SIZE_CAP``, or the stub count
+        If n or m = n*k/t is above the size cap, or the stub count
         n*k reaches 2**31, where the keys of :func:`_resolve_swaps` could
         overflow int64 (its stub array alone would take 16 GB).
     GenerationFailed
@@ -192,9 +189,7 @@ def random_regular_linear(t: int, k: int, n: int, seed: int,
         raise InfeasibleParams(f"max_attempts must be an integer >= 1, "
                                f"got {max_attempts!r}")
     m = n * k // t
-    if max(n, m) > DEFAULT_SIZE_CAP:
-        raise SizeOverflow(f"random regular instance with n={n}, m={m} "
-                           f"exceeds {DEFAULT_SIZE_CAP} vertices or edges")
+    check_size(f"random regular instance with n={n}, m={m}", t, n, m)
     if n * k >= 2 ** 31:
         raise SizeOverflow(f"random regular instance with n={n}, k={k} "
                            f"has n*k = {n * k} >= 2**31 stubs")

@@ -45,10 +45,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EdgeError, NotConnectedError
+from .errors import EdgeError, NotConnectedError, SizeOverflow
 
 #: marker used in distance arrays for vertices no walk reaches
 UNREACHABLE = -1
+#: cap on each of t, n and m of an instance that is generated or parsed
+DEFAULT_SIZE_CAP = 2_000_000
+
+
+def check_size(what: str, *sizes: int) -> None:
+    """Raise SizeOverflow naming ``what`` if t, n or m is above the cap."""
+    if max(sizes) > DEFAULT_SIZE_CAP:
+        raise SizeOverflow(f"{what} above the size cap {DEFAULT_SIZE_CAP}")
+
 
 def _edge_table(rows, t: int) -> tuple[np.ndarray, str | None]:
     """The rows before the first malformed one, as an int64 array.

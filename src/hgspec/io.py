@@ -14,9 +14,8 @@ one ``np.fromstring`` of the whole text into an int64 array.  The
 ``(m, t)`` table then goes to the ``Hypergraph`` constructor as it is.
 Any other text, and any canonical text with a fault, is read by the
 line parser, which checks the header, integer fields and the number of
-edge lines.  A header field above ``generators.DEFAULT_SIZE_CAP``, the
-cap on generated instances, is a fault at line 1, found before anything
-is allocated: the ``Hypergraph`` holds arrays of n and of t m entries.
+edge lines.  A header field above ``hypergraph.DEFAULT_SIZE_CAP`` is a
+fault at line 1, found before arrays of n or t m entries are allocated.
 The edges are validated by the ``Hypergraph`` constructor, and the line
 parser maps the first faulty edge to its line, so every error comes
 from the line parser.
@@ -26,9 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EdgeError, ParseError
-from .generators import DEFAULT_SIZE_CAP
-from .hypergraph import Hypergraph
+from .errors import EdgeError, ParseError, SizeOverflow
+from .hypergraph import Hypergraph, check_size
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -50,8 +48,6 @@ def _parse_canonical(text: str) -> Hypergraph | None:
     if len(header) != 3 or not all(field.isdigit() for field in header):
         return None
     t, n, m = map(int, header)
-    if max(t, n, m) > DEFAULT_SIZE_CAP:
-        return None
     # a skeleton line of s spaces holds at most s + 1 ids, so the token
     # count below puts exactly t ids on every edge line
     skeleton = raw.translate(None, b"0123456789")
@@ -63,8 +59,9 @@ def _parse_canonical(text: str) -> Hypergraph | None:
     if values.size != 3 + t * m or values.max() == 2 ** 63 - 1:
         return None
     try:
+        check_size("header field", t, n, m)
         return Hypergraph(n, t, values[3:].reshape(m, t))
-    except EdgeError:
+    except (EdgeError, SizeOverflow):
         return None
 
 
@@ -94,9 +91,10 @@ def _parse_lines(text: str) -> Hypergraph:
                 raise ParseError(lineno, f"vertex count n={n} must be >= 1")
             if m < 0:
                 raise ParseError(lineno, f"edge count m={m} must be >= 0")
-            if max(values) > DEFAULT_SIZE_CAP:
-                raise ParseError(lineno, "header field above the size cap "
-                                         f"{DEFAULT_SIZE_CAP}")
+            try:
+                check_size("header field", t, n, m)
+            except SizeOverflow as exc:
+                raise ParseError(lineno, str(exc)) from None
             header = values
             continue
         if len(edges) == header[2]:

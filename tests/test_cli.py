@@ -12,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from hgspec import (Hypergraph, ParseError, complete_uniform, emit_hypergraph,
-                    hypertree_ball, parse_hypergraph, random_regular_linear,
-                    threshold)
+from hgspec import (CertificateError, Hypergraph, ParseError, SolverConfig,
+                    complete_uniform, emit_hypergraph, hypertree_ball,
+                    lambda2_estimate, parse_hypergraph, random_regular_linear,
+                    shifted_form, threshold)
+from hgspec import cli
 from hgspec.cli import run_command
 from hgspec.reports import SWEEP_COLUMNS, dumps_json, emit_sweep_csv
 
@@ -262,13 +264,20 @@ class TestCommands:
 
     def test_huge_t_gives_a_finite_estimate(self, tmp_path):
         # one edge of t = 400 vertices: n^t = 400^400 is beyond the
-        # largest double, and the J term t m (sum x / n)^t never forms it
+        # largest double, and the J term t m (sum x / n)^t never forms it;
+        # the product of a random start underflows to 0, and the run
+        # starts again from its signs at equal magnitudes
         path = tmp_path / "edge400.txt"
         path.write_text("400 400 1\n" + " ".join(map(str, range(400)))
                         + "\n")
         code, text = run(["lambda2", str(path), "--restarts", "1"])
         assert code == 0
-        assert math.isfinite(json.loads(text)["lambda2_estimate"])
+        value = json.loads(text)["lambda2_estimate"]
+        assert math.isfinite(value) and value > 0
+        h = parse_hypergraph(path.read_text())
+        res = lambda2_estimate(h, SolverConfig(restarts=1))
+        assert res.value == value == abs(shifted_form(h, res.vector))
+
 
     def test_exit_1_on_oversized_random_regular(self, capsys):
         # 10^8 vertices exceed the size cap before any stub is made
@@ -277,6 +286,24 @@ class TestCommands:
         assert (code, text) == (1, "")
         err = capsys.readouterr().err
         assert err.startswith("hgspec: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["hypertree", "--t", "2000001", "--k", "1", "--radius", "0"],
+        ["complete", "--t", "2000001", "--n", "2000001"],
+        ["complete", "--t", "20000", "--n", "40000"],
+        ["complete", "--t", "1000000", "--n", "2000000"]],
+        ids=["hypertree-t", "complete-t-n", "complete-m", "complete-m-huge"])
+    def test_exit_1_at_once_above_the_size_cap(self, argv, tmp_path, capsys):
+        # t, n or C(n, t) above the cap, refused before anything is built
+        path = tmp_path / "out.txt"
+        start = time.perf_counter()
+        code, text = run(["gen", *argv, "-o", str(path)])
+        assert time.perf_counter() - start < 1
+        assert (code, text) == (1, "")
+        assert not path.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("hgspec: ") and err.count("\n") == 1
+        assert err.endswith(" above the size cap 2000000\n")
 
     def test_exit_1_at_once_on_infeasible_random_regular(self, capsys):
         # no linear 2-regular 3-uniform instance has fewer than 5 vertices
@@ -308,6 +335,26 @@ class TestCommands:
             payload["certificate"]["quotient"] - 1e-6
         assert code == 0
 
+
+    def test_multiplicative_range(self):
+        code, text = run(["sweep", "hypertree", "--t", "3", "--k", "3",
+                          "--radii", "1:4:*2"])
+        assert code == 0
+        rows = [dict(zip(SWEEP_COLUMNS, line.split(",")))
+                for line in text.splitlines()[1:]]
+        assert [row["param"] for row in rows] == ["1", "2", "4"]
+
+    def test_exit_1_on_a_certificate_fault_in_a_sweep(self, monkeypatch,
+                                                      capsys):
+        def faulty(h, k=None):
+            raise CertificateError("quotient below its floor")
+
+        monkeypatch.setattr(cli, "multi_center_vector", faulty)
+        code, text = run(["sweep", "hypertree", "--t", "3", "--k", "3",
+                          "--radii", "5:5"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == \
+            "hgspec: quotient below its floor\n"
 
     @pytest.mark.parametrize("spec", ["1:2:*1", "0:4:*2", "-1:4:*2"])
     def test_exit_1_on_multiplicative_range_that_never_ends(self, spec):

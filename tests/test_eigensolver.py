@@ -481,6 +481,36 @@ def test_runs_stay_within_the_budget(monkeypatch, build, cfg):
         _kkt_residual(h, res.vector, res.value), rel=1e-9)
 
 
+def loose_path_110():
+    """The t = 110 loose path of 9 edges on n = 982 vertices."""
+    return Hypergraph(982, 110, [range(109 * i, 109 * i + 110)
+                                 for i in range(9)])
+
+
+@pytest.mark.parametrize("build, pool", [
+    (lambda: random_regular_linear(3, 3, 300, 1), 120),
+    (lambda: random_regular_linear(4, 3, 200, 5), 240),
+    (lambda: hypertree_ball(3, 3, 5), 36),
+    (lambda: random_regular_linear(3, 3, 3000, 0), 12),
+    (lambda: complete_uniform(7, 3), 1029),
+    (lambda: complete_uniform(6, 4), 2400),
+    (loose_path_110, 12)],
+    ids=["rr300", "rr200_t4", "ball335", "rr3000", "K7_3", "K6_4",
+         "loose110"])
+def test_budget_per_restart(build, pool):
+    # an evaluation counts as max(m, n t / 8) edge products: the goldens'
+    # and the benchmark's pools stay, and the loose path's O(n t) work on
+    # the vertices keeps it at the floor, not at 36,000 / m = 4,000
+    assert eigensolver._budget(build()) == pool
+
+
+def test_default_run_on_a_large_t_stays_within_the_floor():
+    h = loose_path_110()
+    res = lambda2_estimate(h)
+    assert res.iterations <= 32 * 12
+    assert res.value == abs(shifted_form(h, res.vector)) > 0
+
+
 @pytest.mark.parametrize("complex_search", [False, True])
 @pytest.mark.parametrize("t,k,n,seed", [
     (3, 3, 30, 0), (3, 3, 30, 5), (3, 2, 18, 1), (3, 2, 18, 2),

@@ -11,6 +11,7 @@ from hgspec import (GenerationFailed, Hypergraph, InfeasibleParams,
                     SizeOverflow, complete_uniform, distances_from,
                     hypertree_ball, is_acyclic, is_linear,
                     random_regular_linear, regular_degree)
+from hgspec import hypergraph
 from hgspec.generators import _resolve_swaps
 
 
@@ -56,9 +57,10 @@ class TestHypertreeBall:
         h = hypertree_ball(3, 1, 5)
         assert (h.n, h.m) == (3, 1)
 
-    def test_size_overflow(self):
+    def test_size_overflow(self, monkeypatch):
+        monkeypatch.setattr(hypergraph, "DEFAULT_SIZE_CAP", 100)
         with pytest.raises(SizeOverflow):
-            hypertree_ball(3, 3, 4, max_vertices=100)
+            hypertree_ball(3, 3, 4)
 
     def test_bad_params(self):
         with pytest.raises(InfeasibleParams):
@@ -82,9 +84,10 @@ class TestCompleteUniform:
         assert h.m == 10
         assert regular_degree(h) == 4
 
-    def test_size_overflow(self):
+    def test_size_overflow(self, monkeypatch):
+        monkeypatch.setattr(hypergraph, "DEFAULT_SIZE_CAP", 1000)
         with pytest.raises(SizeOverflow):
-            complete_uniform(40, 10, max_edges=1000)
+            complete_uniform(40, 10)
 
     def test_n_below_t(self):
         with pytest.raises(InfeasibleParams):
@@ -249,9 +252,13 @@ def test_shuffle_matches_scalar_reference(length, seed):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def reference_hypertree_edges(t, k, radius, max_vertices):
-    """The earlier per-edge loop of ``hypertree_ball``, verbatim but for
-    its names: the vertex count and the edge list, in generation order."""
+def reference_hypertree_edges(t, k, radius, cap):
+    """The earlier per-edge loop of ``hypertree_ball``, but for its names
+    and the size rule (t and n at most ``cap``; m < n): the vertex count
+    and the edge list, in generation order."""
+    if t > cap:
+        raise SizeOverflow(f"hypertree ball with t={t} above the size cap "
+                           f"{cap}")
     edges = []
     n = 1
     frontier = [0]
@@ -262,11 +269,9 @@ def reference_hypertree_edges(t, k, radius, max_vertices):
             for _ in range(branch):
                 fresh = list(range(n, n + t - 1))
                 n += t - 1
-                if n > max_vertices:
-                    raise SizeOverflow(
-                        f"hypertree ball exceeds {max_vertices} vertices "
-                        f"at layer {layer + 1}"
-                    )
+                if n > cap:
+                    raise SizeOverflow(f"hypertree ball at layer {layer + 1} "
+                                       f"above the size cap {cap}")
                 edges.append((v, *fresh))
                 nxt.extend(fresh)
         frontier = nxt
@@ -286,11 +291,12 @@ def test_hypertree_ball_matches_edge_loop(t):
 
 @pytest.mark.parametrize("t,k,r,cap", [(3, 3, 10, 1000), (3, 3, 4, 100),
                                        (2, 2, 9, 8), (4, 1, 3, 3)])
-def test_hypertree_ball_overflows_like_edge_loop(t, k, r, cap):
+def test_hypertree_ball_overflows_like_edge_loop(t, k, r, cap, monkeypatch):
+    monkeypatch.setattr(hypergraph, "DEFAULT_SIZE_CAP", cap)
     with pytest.raises(SizeOverflow) as want:
         reference_hypertree_edges(t, k, r, cap)
     with pytest.raises(SizeOverflow) as got:
-        hypertree_ball(t, k, r, max_vertices=cap)
+        hypertree_ball(t, k, r)
     assert str(got.value) == str(want.value)
 
 

@@ -25,8 +25,9 @@ from hypothesis import strategies as st
 from hgspec import (EdgeError, Hypergraph, ParseError, complete_uniform,
                     emit_hypergraph, hypertree_ball, parse_hypergraph,
                     random_regular_linear)
+from hgspec import hypergraph
 from hgspec.cli import run_command
-from hgspec.generators import DEFAULT_SIZE_CAP
+from hgspec.hypergraph import DEFAULT_SIZE_CAP
 from hgspec.io import _parse_canonical
 
 
@@ -378,3 +379,39 @@ def test_emitted_text_takes_the_fast_path(h):
     commented = "# a comment\n" + text
     assert _parse_canonical(commented) is None
     assert parse_hypergraph(commented) == h
+
+
+#: gen commands around a cap of 40: t, n or m below, at or above it
+SMALL_CAP_COMMANDS = [
+    *(["hypertree", "--t", str(t), "--k", str(k), "--radius", str(r)]
+      for t in (2, 3, 4, 40, 41) for k in (1, 2, 3) for r in range(4)),
+    *(["complete", "--t", str(t), "--n", str(n)]
+      for n in range(2, 11) for t in range(2, n + 1)),
+    ["complete", "--t", "40", "--n", "40"],
+    ["complete", "--t", "41", "--n", "41"],
+    ["complete", "--t", "2", "--n", "41"],
+    *(["random-regular", "--t", str(t), "--k", "3", "--n", str(n)]
+      for t, n in ((3, 12), (3, 40), (3, 41), (2, 26), (2, 28))),
+]
+
+
+def test_the_parser_reads_every_instance_gen_writes(monkeypatch, capsys):
+    # one size rule for both: under a cap of 40, both parsers read back
+    # every instance gen writes, and gen refuses the rest, naming the cap
+    monkeypatch.setattr(hypergraph, "DEFAULT_SIZE_CAP", 40)
+    verdicts = set()
+    for argv in SMALL_CAP_COMMANDS:
+        out = io.StringIO()
+        code = run_command(["gen", *argv], out=out)
+        err = capsys.readouterr().err
+        text = out.getvalue()
+        verdicts.add(code)
+        if code == 0:
+            h = parse_hypergraph(text)
+            assert emit_hypergraph(h) == text
+            assert parse_hypergraph("#\n" + text) == h  # the line parser
+            assert h.m == 0 or _parse_canonical(text) == h
+        else:
+            assert (code, text) == (1, "")
+            assert err.endswith(" above the size cap 40\n"), argv
+    assert verdicts == {0, 1}
