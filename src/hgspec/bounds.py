@@ -85,9 +85,17 @@ def g_hat_value(t: int, k: int, n: int) -> float:
 
 
 def g_value(t: int, k: int, n: int) -> float:
-    """Layer weight g(n) = g_hat(n) / ((t-1)(k-1))^(n/t); g(0) = 1."""
+    """Layer weight g(n) = g_hat(n) / ((t-1)(k-1))^(n/t); g(0) = 1.
+
+    0.0 where the denominator overflows a double, past which g is below
+    g_hat(n) / 1.8e308.
+    """
     _check_g_params(t, k, n)
-    return g_hat_value(t, k, n) / _fpow((t - 1) * (k - 1), n / t)
+    try:
+        decay = _fpow((t - 1) * (k - 1), n / t)
+    except OverflowError:
+        return 0.0
+    return g_hat_value(t, k, n) / decay
 
 
 def _check_g_params(t: int, k: int, n: int) -> None:

@@ -3,10 +3,10 @@
 Subcommands: ``radius``, ``lambda2``, ``bounds``, ``verify``, ``gen``,
 ``sweep``.  JSON reports go to standard output; exit status is 0 on
 success, 1 when a verification or computation fails (and when ``gen``'s
-instance is above the size cap), 2 on usage or parse errors.  The default seed comes from ``--seed``, then the
-``HGSPEC_SEED`` environment variable, then 0; identical inputs, flags,
-and seed produce byte-identical output (timing is only emitted behind
-``--timings``).
+instance is above the size cap), 2 on usage or parse errors.  The
+default seed comes from ``--seed``, then the ``HGSPEC_SEED``
+environment variable, then 0; identical inputs, flags, and seed produce
+byte-identical output (timing is only emitted behind ``--timings``).
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ def _base_report(h: Hypergraph, descriptor: dict) -> SpectralReport:
         n=h.n,
         m=h.m,
         regular_k=k,
-        threshold=bounds_mod.threshold(h.t, k) if k is not None else None,
+        # k = 0 (one edgeless vertex) has no threshold
+        threshold=bounds_mod.threshold(h.t, k) if k else None,
     )
 
 
@@ -267,7 +268,8 @@ def _parse_range(spec: str) -> list[int]:
     if not multiply:
         if by == 0:
             raise Error(f"bad range {spec!r}; A:B:S needs S != 0")
-        return list(range(lo, hi + 1, by))
+        # B is inclusive: the range ends one step past it, either way
+        return list(range(lo, hi + (1 if by > 0 else -1), by))
     if lo < 1 or by < 2:
         raise Error(f"bad range {spec!r}; A:B:*S needs A >= 1 and S >= 2")
     vals = []

@@ -15,9 +15,9 @@ gradients on the ``forms`` kernels; 5-9 steps suffice on the hypertree
 balls.  The positive eigenvector of a connected hypergraph is unique
 (Friedland, Gaubert & Han, Linear Algebra Appl. 438, 2013), so it is
 constant on the cells of every equitable partition, and the iteration
-runs on one value per cell of the coarsest one, on the edge table of
-``hypergraph._quotient``, with every inner product weighted by cell
-size.  The stop is still taken on all n vertices.
+runs on one value per cell of the coarsest one, on the cell operator of
+``forms._quotient``, with every inner product weighted by cell size.
+The stop is still taken on all n vertices.
 
 ``lambda2_estimate`` maximizes |x^T((A - (t m / n^t) J) x)| over the unit
 t-norm sphere by seeded multi-start shifted power steps: SS-HOPM (Kolda
@@ -52,10 +52,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .forms import (_Products, _ShiftedForm, _magnitude, _power, _product,
-                    _root, _t_norm_of, t_norm)
-from .hypergraph import (Hypergraph, _equitable_partition, _quotient,
-                         _require_connected)
+from .forms import (_Products, _ShiftedForm, _magnitude, _operator, _power,
+                    _product, _quotient, _root, _t_norm_of, t_norm)
+from .hypergraph import Hypergraph, _equitable_partition, _require_connected
 
 #: relative gain below which a trial point is rounding noise, not progress
 _GAIN_FLOOR = 1e-13
@@ -116,14 +115,14 @@ class EigenResult:
 
 
 def _cw_bracket(products: _Products, x: np.ndarray) -> tuple[float, float]:
-    """Collatz-Wielandt bracket on the table of ``products`` at a positive x.
+    """Collatz-Wielandt bracket of the operator ``products`` at a positive x.
 
     Returns (lo, hi), the least and greatest of (A x^[t-1])_v / x_v^(t-1),
     which bracket rho; ``products`` is left at x for the Jacobian.
     """
     products.monomials(x)
     ratios = products.apply()
-    ratios /= _power(x, products.table.members.shape[1] - 1)
+    ratios /= _power(x, products.t - 1)
     return float(ratios.min()), float(ratios.max())
 
 
@@ -153,7 +152,7 @@ def _newton_direction(products: _Products, size: np.ndarray, x: np.ndarray,
     stops when the residual norm has fallen by the factor ``_CG_RTOL``,
     on a nonpositive curvature, or after one step per cell.
     """
-    t, n = products.table.members.shape[1], x.size
+    t, n = products.t, x.size
     work = np.empty(n)
     r = (t - 1) * _power(x, t)
     diag = hi * r
@@ -198,7 +197,7 @@ def _newton_step(products: _Products, size: np.ndarray, x: np.ndarray,
     move until the iterate is positive (Liu, Guo & Lin's safeguard), and
     renormalizes in the t-norm; the inner products weight cells by size.
     """
-    t = products.table.members.shape[1]
+    t = products.t
     z = _newton_direction(products, size, x, hi)
     xz = float(np.sum(size * x * z))
     if not 0.0 < xz < np.inf:
@@ -216,17 +215,17 @@ def _newton_step(products: _Products, size: np.ndarray, x: np.ndarray,
 
 def _newton_noda(products: _Products, size: np.ndarray, tol: float,
                  budget: int) -> tuple[np.ndarray, int, tuple[float, float]]:
-    """Newton-Noda on the table of ``products`` from the constant vector.
+    """Newton-Noda on the operator ``products`` from the constant vector.
 
-    Each step takes the upper end hi of the Collatz-Wielandt bracket on
-    the table as its shift (``_newton_step``).  Returns the last iterate,
+    Each step takes the upper end hi of the iterate's Collatz-Wielandt
+    bracket as its shift (``_newton_step``).  Returns the last iterate,
     the number of steps, at most ``budget``, and the iterate's bracket
     (``_cw_bracket``), with ``products`` left at the iterate: it stops
     when the bracket's relative width is at most ``tol``, or earlier
     when no step can be taken or an iterate equals, bit for bit, the
     last one kept at a power-of-two step: it would then repeat for ever.
     """
-    t = products.table.members.shape[1]
+    t = products.t
     x = np.ones(size.size)
     x /= _t_norm_of(x.copy(), t, weights=size)
     for steps in range(budget + 1):
@@ -259,7 +258,7 @@ def _certified(products: _Products, x: np.ndarray, steps: int,
     complete and random regular ones) one or two moves sufficed, and the
     width stayed below 2e-15.
     """
-    t = products.table.members.shape[1]
+    t = products.t
     lo, hi = bracket
     for j in range(_NUDGES + 1):
         value = t * float(np.sum(products.xe))
@@ -309,14 +308,13 @@ def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     cell = _equitable_partition(h)
     steps = 0
     if cell.max() < h.n - 1:
-        size, table = _quotient(h, cell)
-        x, steps, _ = _newton_noda(_Products(table, np.float64), size,
-                                   cfg.tol, cfg.max_iters - 1)
+        size, cells = _quotient(h, cell)
+        x, steps, _ = _newton_noda(cells, size, cfg.tol, cfg.max_iters - 1)
         steps += 1  # the lift to the n vertices
         x = x[cell]
     # the cell solve's arrays go before the operator on the n vertices
-    cell = size = table = None
-    products = _Products(h._table, np.float64)
+    cell = size = cells = None
+    products = _operator(h, np.float64)
     if steps:
         result = _certified(products, x, steps, _cw_bracket(products, x))
         if result.residual <= cfg.tol:

@@ -32,16 +32,16 @@ and ``_magnitude`` calls ``np.hypot``.
 
 Every evaluation of A, of its Jacobian or of a form in the package goes
 through ``_Products`` or, for a form alone, ``_edge_products``, which
-multiply the edge products x^e in one order.  ``_Products`` runs on an
-edge table (``hypergraph._EdgeTable``): the hypergraph's own,
-``Hypergraph._table``, or the cell table of a partition, on which the
-rho solver iterates.  Every form is t times the ``np.sum`` of the x^e,
-so a value a solver reports is bit for bit the public form at its
-vector.  A solve keeps one ``_Products`` per table and asks for A x
-only where it needs it; a one-off A x builds one per call, and a
-one-off form needs no more than the gathered (m, t) values.  The public
-functions are :func:`as_vector` plus a kernel.  The solvers call the
-kernels directly: they pass checked vectors, and a trace of the public
+multiply the edge products x^e in one order.  A ``_Products`` is built
+on a hypergraph's own edges (``_operator``) or on the cells of a vertex
+partition (``_quotient``), on which the rho solver iterates.  Every
+form is t times the ``np.sum`` of the x^e, so a value a solver reports
+is bit for bit the public form at its vector.  A solve keeps one
+``_Products`` per operator and asks for A x only where it needs it; a
+one-off A x builds one per call, and a one-off form needs no more than
+the gathered (m, t) values.  The public functions are
+:func:`as_vector` plus a kernel.  The solvers call the kernels
+directly: they pass checked vectors, and a trace of the public
 functions would otherwise count solver steps.
 """
 
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hypergraph import Hypergraph, _EdgeTable
+from .hypergraph import Hypergraph, _incident_edges
 
 #: Newton steps of ``_root``: 6 bring its start to within about 2e-16
 #: relative of the root, for k = 3 to 399
@@ -156,21 +156,13 @@ def _accumulate(arr: np.ndarray):
     return complex(total) if np.iscomplexobj(arr) else float(total)
 
 
-def _scatter_columns(table: _EdgeTable, contrib: np.ndarray) -> np.ndarray:
-    """Sum the per-position contributions into their ``table.bins`` targets."""
-    index = table.targets.ravel()
-    flat = contrib.ravel()
-    bins = table.bins
-    if not np.iscomplexobj(flat):  # np.bincount of no weights is int64
-        return np.bincount(index, flat, bins)[:bins].astype(float, copy=False)
-    out = np.empty(bins, dtype=np.complex128)
-    out.real = np.bincount(index, weights=flat.real, minlength=bins)[:bins]
-    out.imag = np.bincount(index, weights=flat.imag, minlength=bins)[:bins]
-    return out
-
-
 class _Products:
     """The products of x over the rows of an edge table, on owned buffers.
+
+    The table is three arrays: position (e, j) reads x at
+    ``members[e, j]`` and adds the product of the other entries of row e
+    into entry ``targets[e, j]`` of a vector of length ``bins``; a target
+    equal to ``bins`` is dropped.  ``t`` is the row length.
 
     Built for one table and one dtype, float64 or complex128; a solver
     keeps one for the life of a solve, so an evaluation allocates almost
@@ -184,14 +176,27 @@ class _Products:
     gathers into the value rows, so it comes after ``apply``.
     """
 
-    def __init__(self, table: _EdgeTable, dtype):
-        rows, t = table.members.shape
-        self.table = table
-        self._index = np.ascontiguousarray(table.members.T)
-        self._vals = np.empty((t, rows), dtype)
-        self._prefix = np.empty((t - 2, rows), dtype)
-        self._loo = np.empty((rows, t), dtype)
+    def __init__(self, members: np.ndarray, targets: np.ndarray, bins: int,
+                 dtype):
+        rows, self.t = members.shape
+        self._index = np.ascontiguousarray(members.T)
+        self._targets = targets.ravel()
+        self._bins = bins
+        self._vals = np.empty((self.t, rows), dtype)
+        self._prefix = np.empty((self.t - 2, rows), dtype)
+        self._loo = np.empty((rows, self.t), dtype)
         self.xe = np.empty(rows, dtype)
+
+    def _scatter(self, contrib: np.ndarray) -> np.ndarray:
+        """Sum the per-position contributions into their targets."""
+        index, flat, bins = self._targets, contrib.ravel(), self._bins
+        if not np.iscomplexobj(flat):  # np.bincount of none is int64
+            out = np.bincount(index, flat, bins)[:bins]
+            return out.astype(float, copy=False)
+        out = np.empty(bins, dtype=np.complex128)
+        out.real = np.bincount(index, weights=flat.real, minlength=bins)[:bins]
+        out.imag = np.bincount(index, weights=flat.imag, minlength=bins)[:bins]
+        return out
 
     def _prefixes(self) -> list:
         """Row j is the product of value rows 0 to j, for j < t - 1."""
@@ -221,7 +226,7 @@ class _Products:
             _product(prefix[j - 1], suffix, loo[:, j])
             _product(suffix, vals[j], suffix)
         loo[:, 0] = suffix
-        return _scatter_columns(self.table, loo)
+        return self._scatter(loo)
 
     def jacobian(self, w: np.ndarray) -> np.ndarray:
         """sum over rows e at v of x^e (S_e - w_v), a new array, with x
@@ -240,7 +245,33 @@ class _Products:
         for column, row in zip(loo.T, vals):
             np.subtract(sums, row, out=column)
             column *= self.xe
-        return _scatter_columns(self.table, loo)
+        return self._scatter(loo)
+
+
+def _operator(h: Hypergraph, dtype) -> _Products:
+    """The operator of h's own edges: its edge index twice, n bins."""
+    return _Products(h._edge_index, h._edge_index, h.n, dtype)
+
+
+def _quotient(h: Hypergraph, cell: np.ndarray) -> tuple[np.ndarray, _Products]:
+    """Cell sizes and float64 operator of the partition with cells 0..p-1.
+
+    Its table holds, once each, the edges at the representatives (the
+    lowest vertex id of each cell), their members replaced by cells; a
+    representative's position scatters into its cell and every other
+    position is dropped.  When the partition is equitable and x is
+    constant on its cells, the operator gives the entry of A x (and of
+    the Jacobian products) at each cell's representative, which is its
+    value at every vertex of the cell.
+    """
+    cells = int(cell.max()) + 1
+    rep = np.full(cells, h.n)
+    np.minimum.at(rep, cell, np.arange(h.n))
+    rows = h._edge_index[np.unique(_incident_edges(h, rep))]
+    members = cell[rows]
+    targets = np.where(rows == rep[members], members, cells)
+    size = np.bincount(cell, minlength=cells).astype(np.float64)
+    return size, _Products(members, targets, cells, np.float64)
 
 
 def _edge_products(values: np.ndarray) -> np.ndarray:
@@ -255,15 +286,15 @@ def _edge_products(values: np.ndarray) -> np.ndarray:
 class _ShiftedForm:
     """The shifted form of one hypergraph and its gradient.
 
-    One ``_Products`` on the hypergraph's table evaluates both; the
-    gradient is asked for after the value at the same point, and only
-    where the caller wants it.  The J term is t m (sum x / n)^t, never
-    (t m / n^t) (sum x)^t, whose n^t overflows at large t.
+    The hypergraph's ``_operator`` evaluates both; the gradient is asked
+    for after the value at the same point, and only where the caller
+    wants it.  The J term is t m (sum x / n)^t, never (t m / n^t)
+    (sum x)^t, whose n^t overflows at large t.
     """
 
     def __init__(self, h: Hypergraph, dtype):
         self.h = h
-        self._products = _Products(h._table, dtype)
+        self._products = _operator(h, dtype)
         self._mean = 0.0
 
     def value(self, x: np.ndarray):
@@ -285,7 +316,7 @@ class _ShiftedForm:
 def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
     """(A x)_v = sum over edges at v of the product of the other entries."""
     x = as_vector(h, x)
-    products = _Products(h._table, x.dtype)
+    products = _operator(h, x.dtype)
     products.monomials(x)
     return products.apply()
 

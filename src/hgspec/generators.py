@@ -41,6 +41,8 @@ def hypertree_ball(t: int, k: int, radius: int) -> Hypergraph:
     n = 1
     frontier = np.zeros(1, dtype=np.int64)
     for layer in range(radius):
+        if not frontier.size:  # k = 1: the ball stops growing at radius 1
+            break
         branch = k if layer == 0 else k - 1
         grown = n + frontier.size * branch * (t - 1)
         check_size(f"hypertree ball at layer {layer + 1}", t, grown)  # m < n

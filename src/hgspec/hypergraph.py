@@ -33,15 +33,12 @@ keep the two-run double-BFS for their diameter instead (see
 :func:`diameter_and_path`).
 
 For the rho solver, colour refinement finds the coarsest equitable
-vertex partition (:func:`_equitable_partition`), and :func:`_quotient`
-builds the edge table on which the ``forms`` kernels evaluate A on one
-value per cell.
+vertex partition (:func:`_equitable_partition`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +56,7 @@ def check_size(what: str, *sizes: int) -> None:
         raise SizeOverflow(f"{what} above the size cap {DEFAULT_SIZE_CAP}")
 
 
-def _edge_table(rows, t: int) -> tuple[np.ndarray, str | None]:
+def _well_formed_rows(rows, t: int) -> tuple[np.ndarray, str | None]:
     """The rows before the first malformed one, as an int64 array.
 
     Also returns the fault of that row, or None: ``"type"``, ``"arity"``,
@@ -128,7 +125,7 @@ def _validated_edges(n: int, t: int, rows) -> np.ndarray:
     after the first; a table already in strict order (as every emitted
     file is) has no copies and skips the sort.
     """
-    table, kind = _edge_table(rows, t)
+    table, kind = _well_formed_rows(rows, t)
     i = len(table)
     if i:
         table.sort(axis=1)
@@ -158,22 +155,6 @@ def _validated_edges(n: int, t: int, rows) -> np.ndarray:
     }[kind])
 
 
-class _EdgeTable(NamedTuple):
-    """The edge table the ``forms`` kernels evaluate A x and its Jacobian on.
-
-    Position (e, j) reads x at ``members[e, j]`` and adds the product of
-    the other entries of row e into entry ``targets[e, j]`` of a vector
-    of length ``bins``; a target equal to ``bins`` is dropped.  A
-    hypergraph's own table, ``Hypergraph._table``, is its edge index
-    twice, with n bins; :func:`_quotient` builds the table of a
-    partition.
-    """
-
-    members: np.ndarray
-    targets: np.ndarray
-    bins: int
-
-
 class Hypergraph:
     """A finite t-uniform hypergraph.
 
@@ -189,7 +170,7 @@ class Hypergraph:
         (hypergraphs are simple).  Faults raise ``EdgeError``.
     """
 
-    __slots__ = ("n", "t", "_edge_index", "_table", "edge_array", "degrees",
+    __slots__ = ("n", "t", "_edge_index", "edge_array", "degrees",
                  "_indptr", "_indices", "_edges", "_kept")
 
     def __init__(self, n, t, edges):
@@ -202,7 +183,6 @@ class Hypergraph:
         self.n = n
         self.t = t
         self._edge_index = _validated_edges(n, t, edges).reshape(-1, t)
-        self._table = _EdgeTable(self._edge_index, self._edge_index, n)
         #: edges as a read-only (m, t) int64 view (empty (0, t) when m = 0)
         self.edge_array = self._edge_index.view()
         # CSR incidence: the edges of vertex v are
@@ -536,24 +516,3 @@ def _equitable_partition(h: Hypergraph) -> np.ndarray:
         if cells == h.n:
             break
     return np.arange(h.n)
-
-
-def _quotient(h: Hypergraph, cell: np.ndarray) -> tuple[np.ndarray, _EdgeTable]:
-    """Cell sizes and edge table of the partition with cells 0..p-1.
-
-    The table holds, once each, the edges at the representatives (the
-    lowest vertex id of each cell), their members replaced by cells; a
-    representative's position scatters into its cell and every other
-    position is dropped.  When the partition is equitable and x is
-    constant on its cells, the kernels on the table give the entry of
-    A x (and of the Jacobian products) at each cell's representative,
-    which is its value at every vertex of the cell.
-    """
-    cells = int(cell.max()) + 1
-    rep = np.full(cells, h.n)
-    np.minimum.at(rep, cell, np.arange(h.n))
-    rows = h._edge_index[np.unique(_incident_edges(h, rep))]
-    members = cell[rows]
-    targets = np.where(rows == rep[members], members, cells)
-    size = np.bincount(cell, minlength=cells).astype(np.float64)
-    return size, _EdgeTable(members, targets, cells)

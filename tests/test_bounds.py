@@ -12,6 +12,7 @@ import pytest
 
 from hgspec import (DomainError, friedman_alternate, g_hat_value, g_value,
                     threshold, verify_g_monotone)
+from hgspec import bounds
 
 
 def _threshold_mp(t, k):
@@ -106,6 +107,17 @@ def test_g_monotone_equality_at_22():
     ok, _ = verify_g_monotone(2, 2, 200)
     assert ok
     assert g_value(2, 2, 137) == pytest.approx(g_value(2, 2, 138), abs=1e-15)
+
+
+def test_g_is_0_past_the_double_range():
+    # ((t-1)(k-1))^(n/t) = 4^(n/3) overflows from n = 1540 on; g is far
+    # below any tolerance there, and keeps its bits below it
+    assert g_value(3, 3, 1500) == \
+        g_hat_value(3, 3, 1500) / bounds._fpow(4, 1500 / 3)
+    assert 0.0 < g_value(3, 3, 1500) < 1e-298
+    assert g_value(3, 3, 1540) == 0.0
+    assert g_value(3, 3, 10 ** 6) == 0.0
+    assert verify_g_monotone(3, 3, 2000) == (True, None)
 
 
 def test_g_monotone_high_uniformity():

@@ -164,6 +164,27 @@ class TestCommands:
         assert code == 0
         assert json.loads(text)["passed"] is True
 
+    def test_bounds_past_the_double_range_of_g(self):
+        # ((t-1)(k-1))^(n/t) overflows from n = 1540 on; g is 0.0 there
+        code, text = run(["bounds", "--t", "3", "--k", "3",
+                          "--n-max", "2000"])
+        assert code == 0
+        assert json.loads(text)["g_monotone"] == {
+            "n_max": 2000, "ok": True, "first_violation": None}
+
+    @pytest.mark.parametrize("command, field", [
+        ("radius", "rho"), ("lambda2", "lambda2_estimate")])
+    def test_one_vertex_without_edges(self, tmp_path, command, field):
+        # connected and 0-regular: no threshold, as for an irregular input
+        path = tmp_path / "k1.txt"
+        path.write_text("2 1 0\n")
+        code, text = run([command, str(path)])
+        assert code == 0
+        report = json.loads(text)
+        assert report["regular_k"] == 0
+        assert report["threshold"] is None
+        assert report[field] == 0.0
+
     def test_verify_g_monotone(self, instance_file):
         code, text = run(["verify", instance_file, "--check", "g-monotone"])
         assert code == 0
@@ -343,6 +364,21 @@ class TestCommands:
         rows = [dict(zip(SWEEP_COLUMNS, line.split(",")))
                 for line in text.splitlines()[1:]]
         assert [row["param"] for row in rows] == ["1", "2", "4"]
+
+    @pytest.mark.parametrize("spec, values", [
+        ("5:1:-1", [5, 4, 3, 2, 1]), ("8:1:-2", [8, 6, 4, 2]),
+        ("1:8", [1, 2, 3, 4, 5, 6, 7, 8]), ("30:60:15", [30, 45, 60]),
+        ("1:4:*2", [1, 2, 4]), ("30:60:*2", [30, 60])])
+    def test_range_includes_its_end_in_either_direction(self, spec, values):
+        assert cli._parse_range(spec) == values
+
+    def test_descending_sweep_runs_every_radius(self):
+        code, text = run(["sweep", "hypertree", "--t", "3", "--k", "3",
+                          "--radii", "4:1:-1"])
+        assert code == 0
+        rows = [dict(zip(SWEEP_COLUMNS, line.split(",")))
+                for line in text.splitlines()[1:]]
+        assert [row["param"] for row in rows] == ["4", "3", "2", "1"]
 
     def test_exit_1_on_a_certificate_fault_in_a_sweep(self, monkeypatch,
                                                       capsys):

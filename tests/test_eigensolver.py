@@ -196,9 +196,9 @@ class TestSpectralRadius:
         tables = []
         solve = eigensolver._newton_noda
 
-        def spy(products, *args):
-            tables.append(products.table.bins)
-            return solve(products, *args)
+        def spy(products, size, *args):
+            tables.append(size.size)
+            return solve(products, size, *args)
         monkeypatch.setattr(eigensolver, "_newton_noda", spy)
         res = spectral_radius(hypertree_ball(3, 3, 6))
         assert tables == [7]
@@ -211,11 +211,12 @@ class TestSpectralRadius:
         # the ball solves on its layers and lifts; refinement gives up on
         # the loose path, which solves on its vertices alone
         tables = []
+        build_products = forms._Products.__init__
 
-        def spy(table, dtype):
-            tables.append(table.bins)
-            return forms._Products(table, dtype)
-        monkeypatch.setattr(eigensolver, "_Products", spy)
+        def spy(products, members, targets, bins, dtype):
+            tables.append(bins)
+            build_products(products, members, targets, bins, dtype)
+        monkeypatch.setattr(forms._Products, "__init__", spy)
         h = build()
         assert spectral_radius(h).residual <= 1e-10
         assert len(tables) == built and tables[-1] == h.n

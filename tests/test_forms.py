@@ -10,9 +10,10 @@ from hgspec import (Hypergraph, adjacency_form, apply_adjacency,
                     complete_uniform, edge_contributions, hypertree_ball,
                     multi_center_vector, random_regular_linear, shifted_form,
                     t_norm, t_norm_pow)
-from hgspec.forms import (_Products, _ShiftedForm, _edge_products,
-                          _magnitude, _power, _product, _root, _t_norm_of)
-from hgspec.hypergraph import _EdgeTable, _equitable_partition, _quotient
+from hgspec.forms import (_ShiftedForm, _edge_products, _magnitude,
+                          _operator, _power, _product, _quotient, _root,
+                          _t_norm_of)
+from hgspec.hypergraph import _equitable_partition
 
 from conftest import (adjacency_matrix, cycle_graph, loose_path, path_graph,
                       random_connected_graph)
@@ -93,10 +94,13 @@ class TestColumnKernels:
         values = rng.standard_normal((m, t)) * np.exp(
             rng.uniform(-30, 30, (m, t)))
         values[rng.random((m, t)) < 0.05] = 0.0
-        # position (e, j) of the table reads entry (e, j) of the values
-        index = np.arange(m * t).reshape(m, t)
-        products = _Products(_EdgeTable(index, index, m * t), values.dtype)
-        assert products.monomials(values.ravel()).tobytes() == \
+        # m disjoint edges: position (e, j) reads entry (e, j) of the
+        # values (one more, isolated vertex when m = 0)
+        h = Hypergraph(max(m * t, 1), t, np.arange(m * t).reshape(m, t))
+        products = _operator(h, values.dtype)
+        x = np.zeros(h.n)
+        x[:m * t] = values.ravel()
+        assert products.monomials(x).tobytes() == \
             _edge_products(values).tobytes() == \
             np.prod(values, axis=1).tobytes()
         products.apply()
@@ -111,7 +115,7 @@ class TestColumnKernels:
         # M(x) x = A x^[t-1], and the Jacobian product at w = 1 is
         # (t-1) x M(x) x
         x = np.random.default_rng(3).uniform(0.2, 2.0, h.n)
-        products = _Products(h._table, np.float64)
+        products = _operator(h, np.float64)
         products.monomials(x)
         jx = products.jacobian(np.ones(h.n))
         np.testing.assert_allclose(jx / ((h.t - 1) * x),
@@ -126,19 +130,36 @@ class TestColumnKernels:
         # on the table of an equitable partition, A y and the Jacobian
         # products are those of the lifted vector y[cell] at every vertex
         cell = _equitable_partition(h)
-        size, table = _quotient(h, cell)
+        size, cells = _quotient(h, cell)
         rng = np.random.default_rng(4)
-        y, w = rng.uniform(0.2, 2.0, (2, table.bins))
-        cells = _Products(table, np.float64)
+        y, w = rng.uniform(0.2, 2.0, (2, size.size))
         cells.monomials(y)
         np.testing.assert_allclose(cells.apply()[cell],
                                    apply_adjacency(h, y[cell]), rtol=1e-13)
         jw = cells.jacobian(w)
-        vertices = _Products(h._table, np.float64)
+        vertices = _operator(h, np.float64)
         vertices.monomials(y[cell])
         full = vertices.jacobian(w[cell])
         np.testing.assert_allclose(jw[cell], full, rtol=1e-13)
         assert size.sum() == h.n
+
+    @pytest.mark.parametrize("h", [
+        hypertree_ball(3, 3, 4), random_regular_linear(4, 3, 200, 5),
+        complete_uniform(7, 3)], ids=["ball334", "rr200_t4", "K7_3"])
+    def test_discrete_quotient_is_the_operator_bit_for_bit(self, h):
+        # on singletons every vertex is its cell's representative, so the
+        # cell table is the edge index in order, each position kept
+        size, cells = _quotient(h, np.arange(h.n))
+        vertices = _operator(h, np.float64)
+        rng = np.random.default_rng(5)
+        x, w = rng.uniform(0.2, 2.0, (2, h.n))
+        assert size.tobytes() == np.ones(h.n).tobytes()
+        assert cells.t == vertices.t == h.t
+        for products in (cells, vertices):
+            products.monomials(x)
+        assert cells.xe.tobytes() == vertices.xe.tobytes()
+        assert cells.apply().tobytes() == vertices.apply().tobytes()
+        assert cells.jacobian(w).tobytes() == vertices.jacobian(w).tobytes()
 
 
 class TestShiftedFormEvaluator:

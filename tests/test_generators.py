@@ -1,6 +1,7 @@
 """Generator family tests: counts, predicates, determinism."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from hgspec import (GenerationFailed, Hypergraph, InfeasibleParams,
                     SizeOverflow, complete_uniform, distances_from,
-                    hypertree_ball, is_acyclic, is_linear,
+                    emit_hypergraph, hypertree_ball, is_acyclic, is_linear,
                     random_regular_linear, regular_degree)
-from hgspec import hypergraph
+from hgspec import generators, hypergraph
 from hgspec.generators import _resolve_swaps
 
 
@@ -56,6 +57,22 @@ class TestHypertreeBall:
     def test_k1_is_single_edge(self):
         h = hypertree_ball(3, 1, 5)
         assert (h.n, h.m) == (3, 1)
+
+    def test_k1_stops_once_the_frontier_is_empty(self, monkeypatch):
+        # from radius 1 on the ball is one edge; no layer past it is built.
+        # A ball that went on would hold one empty layer per radius step
+        # (GBs within minutes), so the size check of each layer counts them
+        checks = itertools.count()
+
+        def check_size(what, *sizes):
+            assert next(checks) < 10, f"the ball goes on past {what}"
+            hypergraph.check_size(what, *sizes)
+        monkeypatch.setattr(generators, "check_size", check_size)
+        start = time.perf_counter()
+        h = hypertree_ball(3, 1, 10 ** 9)
+        assert time.perf_counter() - start < 1.0
+        assert h == hypertree_ball(3, 1, 1)
+        assert emit_hypergraph(h) == emit_hypergraph(hypertree_ball(3, 1, 1))
 
     def test_size_overflow(self, monkeypatch):
         monkeypatch.setattr(hypergraph, "DEFAULT_SIZE_CAP", 100)

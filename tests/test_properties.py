@@ -34,7 +34,7 @@ from hgspec import (DiameterTooSmall, GenerationFailed, Hypergraph,
                     random_regular_linear, rho_lower_certificate,
                     spectral_radius, threshold)
 from hgspec.cli import run_command
-from hgspec.forms import _Products
+from hgspec.forms import _operator
 from hgspec.hypergraph import _equitable_partition
 
 from conftest import adjacency_matrix, is_equitable, same_partition
@@ -103,7 +103,7 @@ def test_jacobian_matches_dense_tensor(data):
     jac = dense_tensor(h)
     for _ in range(h.t - 2):
         jac = jac @ x
-    products = _Products(h._table, np.float64)
+    products = _operator(h, np.float64)
     products.monomials(x)
     got = products.jacobian(w)
     np.testing.assert_allclose(got, (h.t - 1) * x * (jac @ (x * w)),

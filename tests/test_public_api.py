@@ -48,6 +48,8 @@ def test_all_is_the_documented_list():
     (hgspec, "degree_sequence"), (hypergraph, "degree_sequence"),
     (Hypergraph, "incidence"), (DistanceMap, "layer"),
     (eigensolver, "_STEP_FLOOR"), (forms, "_shifted"),
+    (hypergraph, "_EdgeTable"), (hypergraph, "_quotient"),
+    (Hypergraph, "_table"),
 ])
 def test_removed_names_are_gone(owner, name):
     assert not hasattr(owner, name)
