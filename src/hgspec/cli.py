@@ -138,6 +138,9 @@ def cmd_bounds(args, out) -> int:
 def _check_radial(h, args, cfg) -> dict:
     origin = args.origin if args.origin is not None else \
         min_eccentricity_vertex(h)
+    if h.n == 1 and origin == 0:  # k = 0: no edges, no rho(t, 0)
+        return {"check": "radial", "passed": True, "origin": 0,
+                "reason": "k = 0: no edges, inequality trivial"}
     res = verify_radial_inequality(h, origin)
     return {
         "check": "radial",
@@ -153,9 +156,9 @@ def _check_g_monotone(h, args, cfg) -> dict:
     if k is None:
         return {"check": "g-monotone", "passed": False,
                 "reason": "input is not regular"}
-    if k == 1:
+    if k <= 1:
         return {"check": "g-monotone", "passed": True,
-                "reason": "k = 1: g undefined, bound trivial"}
+                "reason": f"k = {k}: g undefined, bound trivial"}
     ok, first = bounds_mod.verify_g_monotone(h.t, k, args.n_max)
     return {"check": "g-monotone", "passed": ok, "t": h.t, "k": k,
             "n_max": args.n_max, "first_violation": first}
@@ -166,8 +169,11 @@ def _check_acyclic_bound(h, args, cfg) -> dict:
         return {"check": "acyclic-bound", "passed": False,
                 "reason": "input is not acyclic"}
     max_deg = int(h.degrees.max())
-    cap = bounds_mod.threshold(h.t, max_deg)
     result = spectral_radius(h, cfg)
+    if max_deg == 0:  # the one-vertex input; no rho(t, 0)
+        return {"check": "acyclic-bound", "passed": True, "rho": result.value,
+                "reason": "no edges: rho = 0, bound trivial"}
+    cap = bounds_mod.threshold(h.t, max_deg)
     passed = result.value <= cap + 1e-8
     return {"check": "acyclic-bound", "passed": bool(passed),
             "rho": result.value, "max_degree": max_deg, "bound": cap,

@@ -285,15 +285,18 @@ def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
 
     The Perron vector of a connected hypergraph is unique, so it is
     constant on the cells of its coarsest equitable partition
-    (``_equitable_partition``).  Newton-Noda iteration runs on one value
-    per cell, from the constant vector, until the Collatz-Wielandt
-    bracket on the cells is at most ``cfg.tol`` wide relative; the cell
-    vector is then lifted to the n vertices, where the bracket is taken
-    again.  The solver returns only when that bracket's relative width
-    (hi - lo)/hi is at most ``cfg.tol``.  Otherwise (a hash collision
-    merged cells, or rounding) it restarts from the constant vector on
-    all n vertices, the partition into singletons.  Inputs whose
-    partition is discrete, or whose refinement gave up, start there.
+    (``_equitable_partition``; it refines on the layers that a
+    generated hypertree ball carries, and on all n vertices otherwise,
+    a ball read from a file included).  Newton-Noda iteration runs on
+    one value per cell, from the constant vector, until the
+    Collatz-Wielandt bracket on the cells is at most ``cfg.tol`` wide
+    relative; the cell vector is then lifted to the n vertices, where
+    the bracket is taken again.  The solver returns only when that
+    bracket's relative width (hi - lo)/hi is at most ``cfg.tol``.
+    Otherwise (a hash collision merged cells, or rounding) it restarts
+    from the constant vector on all n vertices, the partition into
+    singletons.  Inputs whose partition is discrete, or whose
+    refinement gave up, start there.
 
     The returned vector is positive with unit t-norm.  ``value`` is the
     form at it, which lies in the bracket, so |value - rho| <=

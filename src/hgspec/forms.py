@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hypergraph import Hypergraph, _incident_edges
+from .hypergraph import Hypergraph, _cell_table
 
 #: Newton steps of ``_root``: 6 bring its start to within about 2e-16
 #: relative of the root, for k = 3 to 399
@@ -256,20 +256,12 @@ def _operator(h: Hypergraph, dtype) -> _Products:
 def _quotient(h: Hypergraph, cell: np.ndarray) -> tuple[np.ndarray, _Products]:
     """Cell sizes and float64 operator of the partition with cells 0..p-1.
 
-    Its table holds, once each, the edges at the representatives (the
-    lowest vertex id of each cell), their members replaced by cells; a
-    representative's position scatters into its cell and every other
-    position is dropped.  When the partition is equitable and x is
-    constant on its cells, the operator gives the entry of A x (and of
-    the Jacobian products) at each cell's representative, which is its
-    value at every vertex of the cell.
+    Its table is ``hypergraph._cell_table``.  When the partition is
+    equitable and x is constant on its cells, the operator gives the
+    entry of A x (and of the Jacobian products) at each cell's
+    representative, which is its value at every vertex of the cell.
     """
-    cells = int(cell.max()) + 1
-    rep = np.full(cells, h.n)
-    np.minimum.at(rep, cell, np.arange(h.n))
-    rows = h._edge_index[np.unique(_incident_edges(h, rep))]
-    members = cell[rows]
-    targets = np.where(rows == rep[members], members, cells)
+    members, targets, cells = _cell_table(h, cell)
     size = np.bincount(cell, minlength=cells).astype(np.float64)
     return size, _Products(members, targets, cells, np.float64)
 

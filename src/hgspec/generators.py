@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 
 from .errors import GenerationFailed, InfeasibleParams, SizeOverflow
-from .hypergraph import Hypergraph, check_size
+from .hypergraph import DistanceMap, Hypergraph, check_size
 
 #: proposals drawn ahead per rng call in ``random_regular_linear``
 _BATCH = 256
@@ -32,12 +32,19 @@ def hypertree_ball(t: int, k: int, radius: int) -> Hypergraph:
     Vertices are numbered in BFS order, so the distance-i layer is a
     contiguous id range.  The result is acyclic (hence linear); vertices
     in the outermost layer are leaves of degree 1.
+
+    The layer of every vertex, a read-only int64 array, is both the BFS
+    map from the root and an equitable partition, and the instance
+    carries it as both: as its kept distance map from vertex 0, so that
+    no search from the root runs, and as its known partition, on whose
+    cells colour refinement runs (``hypergraph._equitable_partition``).
     """
     if t < 2 or k < 1 or radius < 0:
         raise InfeasibleParams(f"hypertree ball needs t>=2, k>=1, radius>=0, "
                                f"got t={t}, k={k}, radius={radius}")
     check_size(f"hypertree ball with t={t}", t)
     layers = [np.empty((0, t), dtype=np.int64)]
+    sizes = [1]
     n = 1
     frontier = np.zeros(1, dtype=np.int64)
     for layer in range(radius):
@@ -50,7 +57,13 @@ def hypertree_ball(t: int, k: int, radius: int) -> Hypergraph:
         fresh = np.arange(n, grown).reshape(-1, t - 1)
         layers.append(np.column_stack([np.repeat(frontier, branch), fresh]))
         n, frontier = grown, fresh.ravel()
-    return Hypergraph(n, t, np.concatenate(layers))
+        sizes.append(frontier.size)
+    h = Hypergraph(n, t, np.concatenate(layers))
+    depth = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    depth.setflags(write=False)
+    h._kept[0] = DistanceMap(0, depth)
+    h._known = depth
+    return h
 
 
 def complete_uniform(n: int, t: int) -> Hypergraph:

@@ -17,7 +17,10 @@ they are computed: the one from vertex 0, which ``is_connected`` reads,
 and the two from the ends s and far of the diameter path, which
 :func:`diameter_and_path` computes.  The diameter search reuses the
 first; ``constructions`` reuses all three for certificate centers and
-the radial origin.  Every search runs in :func:`distances_from`.
+the radial origin.  Every search runs in :func:`distances_from`, except
+the map from vertex 0 of a ball that ``generators.hypertree_ball``
+built: it numbers the vertices layer by layer and hands the instance
+their layers as that map.
 
 Distances are measured in edges: ``dist(u, v)`` is the minimum number of
 edges in a walk whose first edge contains ``u`` and whose last contains
@@ -33,7 +36,11 @@ keep the two-run double-BFS for their diameter instead (see
 :func:`diameter_and_path`).
 
 For the rho solver, colour refinement finds the coarsest equitable
-vertex partition (:func:`_equitable_partition`).
+vertex partition (:func:`_equitable_partition`).  It runs on the
+instance's own edges, or, when its builder gave it an equitable
+partition (``Hypergraph._known``; a generated ball's layers), on the
+much smaller edge table of that partition's cells, to the same result.
+Equality, hashing and the parsers ignore the known partition.
 """
 
 from __future__ import annotations
@@ -100,8 +107,8 @@ def _incident_edge_ids(edges: np.ndarray, n: int) -> np.ndarray:
     """The ids of the edges at each vertex in turn, each run increasing:
     ``np.argsort(edges.ravel(), kind="stable") // t``.
 
-    An edge holds a vertex once, so the keys ``vertex * m + edge`` are
-    unique and sort to the same order; an in-place sort of the keys then
+    The keys ``vertex * m + edge`` sort to the same order (a key that
+    repeats is one edge id twice); an in-place sort of the keys then
     gives the edge ids modulo m, in less time and memory than an
     argsort.  Sizes whose keys would overflow int64 keep the argsort.
     """
@@ -114,6 +121,15 @@ def _incident_edge_ids(edges: np.ndarray, n: int) -> np.ndarray:
     key.sort()
     key %= m
     return key
+
+
+def _csr(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row pointers and edge ids of the incidence of an (m, t) table
+    with entries in [0, n): the edges at v are
+    ``ids[ptr[v]:ptr[v+1]]``, in increasing order."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(edges.ravel(), minlength=n), out=ptr[1:])
+    return ptr, _incident_edge_ids(edges, n)
 
 
 def _validated_edges(n: int, t: int, rows) -> np.ndarray:
@@ -171,7 +187,7 @@ class Hypergraph:
     """
 
     __slots__ = ("n", "t", "_edge_index", "edge_array", "degrees",
-                 "_indptr", "_indices", "_edges", "_kept")
+                 "_indptr", "_indices", "_edges", "_kept", "_known")
 
     def __init__(self, n, t, edges):
         if not isinstance(n, int) or n < 1:
@@ -187,15 +203,13 @@ class Hypergraph:
         self.edge_array = self._edge_index.view()
         # CSR incidence: the edges of vertex v are
         # _indices[_indptr[v]:_indptr[v+1]], in increasing edge order
-        self._indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self._edge_index.ravel(), minlength=n),
-                  out=self._indptr[1:])
-        self._indices = _incident_edge_ids(self._edge_index, n)
+        self._indptr, self._indices = _csr(self._edge_index, n)
         self.degrees = np.diff(self._indptr)
         for a in (self.edge_array, self._indptr, self._indices, self.degrees):
             a.setflags(write=False)
         self._edges = None
         self._kept = {}  # BFS maps by source; see the module docstring
+        self._known = None  # an equitable partition given by the builder
 
     @property
     def m(self) -> int:
@@ -460,10 +474,12 @@ def min_eccentricity_vertex(h: Hypergraph) -> int:
 
 #: colour refinement rounds before the partition is given up as discrete.
 #: A ball B_r takes r + 1 rounds, a loose path of E edges E/2 + 1 and a
-#: graph path of n vertices n/2.  On a 2-vCPU x86 host a round at r = 8
-#: (n = 131,071) took 3.4-4.3 ms, about one CG step (3.1 ms) of the
-#: Newton-Noda solve on all n vertices, which took 141 of them; a
-#: refinement that gives up thus costs about 32 CG steps.
+#: graph path of n vertices n/2.  On a 2-vCPU x86 host a round on the
+#: n-vertex table at r = 8 (n = 131,071) took 3.4-4.3 ms, about one CG
+#: step (3.1 ms) of the Newton-Noda solve on all n vertices, which took
+#: 141 of them; a refinement that gives up there thus costs about 32 CG
+#: steps.  A generated ball refines on its layer table instead, 17 rows
+#: at r = 8, where the whole refinement took under 1 ms.
 _REFINE_ROUNDS = 32
 
 
@@ -475,6 +491,27 @@ def _mix(z: np.ndarray) -> np.ndarray:
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     return z
+
+
+def _cell_table(h: Hypergraph, cell: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, int]:
+    """The edge table of the partition with cells 0..p-1, and p.
+
+    Its rows are, once each, the edges at the representatives (the
+    lowest vertex id of each cell), their members replaced by cells.  A
+    representative's position targets its cell and every other position
+    the dropped value p.  When the partition is equitable, the edges at
+    a cell's representative are those at any of its vertices, up to the
+    cells of their members, so a sum over the rows that target a cell
+    is the sum over the edges at each of its vertices.
+    """
+    cells = int(cell.max()) + 1
+    rep = np.full(cells, h.n)
+    np.minimum.at(rep, cell, np.arange(h.n))
+    rows = h._edge_index[np.unique(_incident_edges(h, rep))]
+    members = cell[rows]
+    targets = np.where(rows == rep[members], members, cells)
+    return members, targets, cells
 
 
 def _equitable_partition(h: Hypergraph) -> np.ndarray:
@@ -493,25 +530,42 @@ def _equitable_partition(h: Hypergraph) -> np.ndarray:
     Cells are numbered 0..p-1 in key order, so the result is
     deterministic; a hash collision can merge cells that are not
     equivalent, so callers check what they compute on it.
+
+    The rounds run on h's own edge table, or on the smaller
+    ``_cell_table`` of the equitable partition that h's builder gave it
+    (``Hypergraph._known``), one key per cell of that partition.  By
+    induction every round's keys are constant on the cells of any
+    equitable partition, so the key of each cell's representative is
+    that of all its vertices: the number of distinct keys, the stop and
+    the numbering in key order come out bit for bit the same.  A known
+    partition that is not equitable can give a wrong one, which callers
+    catch like a collision.
     """
-    index = h._edge_index
-    # running sums of the edge keys in CSR order: a vertex's sum over its
+    known = h._known
+    if known is None:
+        members, bounds, order = h._edge_index, h._indptr, h._indices
+    else:
+        members, targets, p = _cell_table(h, known)
+        bounds, order = _csr(targets, p + 1)
+        bounds = bounds[:-1]  # the dropped positions come last
+    # running sums of the edge keys in CSR order: a key's sum over its
     # edges is the difference at the ends of its segment (0 on none)
-    running = np.zeros(h._indices.size + 1, dtype=np.uint64)
-    key = np.ones(h.n, dtype=np.uint64)  # _mix maps 0 to 0
+    running = np.zeros(order.size + 1, dtype=np.uint64)
+    key = np.ones(bounds.size - 1, dtype=np.uint64)  # _mix maps 0 to 0
     cells = 1
     for _ in range(_REFINE_ROUNDS):
-        edge_key = key[index[:, 0]]
+        edge_key = key[members[:, 0]]
         for j in range(1, h.t):
-            edge_key += key[index[:, j]]
+            edge_key += key[members[:, j]]
         _mix(edge_key)
-        np.cumsum(edge_key[h._indices], out=running[1:])
-        key += np.diff(running[h._indptr])
+        np.cumsum(edge_key[order], out=running[1:])
+        key += np.diff(running[bounds])
         _mix(key)
         ordered = np.sort(key)
         fresh = np.r_[True, ordered[1:] != ordered[:-1]]
         if np.count_nonzero(fresh) == cells:
-            return np.searchsorted(ordered[fresh], key)
+            cell = np.searchsorted(ordered[fresh], key)
+            return cell if known is None else cell[known]
         cells = np.count_nonzero(fresh)
         if cells == h.n:
             break

@@ -185,6 +185,18 @@ class TestCommands:
         assert report["threshold"] is None
         assert report[field] == 0.0
 
+    @pytest.mark.parametrize("check", ["radial", "g-monotone",
+                                       "acyclic-bound"])
+    def test_verify_one_vertex_without_edges(self, tmp_path, check):
+        # connected and 0-regular: no rho(t, 0), so the check is trivial
+        path = tmp_path / "k1.txt"
+        path.write_text("2 1 0\n")
+        code, text = run(["verify", str(path), "--check", check])
+        assert code == 0
+        payload = json.loads(text)
+        assert payload["passed"] is True
+        assert "trivial" in payload["reason"]
+
     def test_verify_g_monotone(self, instance_file):
         code, text = run(["verify", instance_file, "--check", "g-monotone"])
         assert code == 0
@@ -251,6 +263,23 @@ class TestCommands:
             fields = dict(zip(SWEEP_COLUMNS, line.split(",")))
             assert float(fields["gap"]) >= -1e-8
             assert fields["seconds"] == "0"
+
+    @pytest.mark.parametrize("t,k,radius", [(3, 3, 4), (2, 3, 5),
+                                            (4, 2, 3)])
+    def test_radius_of_a_ball_file_is_its_sweep_rho(self, tmp_path, t, k,
+                                                    radius):
+        # the file read back carries no layers and refines on all its
+        # vertices; the sweep's generated ball refines on its layers
+        path = tmp_path / "ball.txt"
+        args = ["--t", str(t), "--k", str(k)]
+        run(["gen", "hypertree", *args, "--radius", str(radius),
+             "-o", str(path)])
+        code, text = run(["radius", str(path)])
+        assert code == 0
+        _, csv_text = run(["sweep", "hypertree", *args, "--radii",
+                           f"{radius}:{radius}"])
+        row = dict(zip(SWEEP_COLUMNS, csv_text.splitlines()[1].split(",")))
+        assert f'  "rho": {row["rho"]},' in text.splitlines()
 
     def test_exit_2_on_parse_error(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -17,7 +17,8 @@ from hgspec.hypergraph import _REFINE_ROUNDS, _equitable_partition
 
 from conftest import (adjacency_matrix, complete_lambda2_reference,
                       cycle_graph, layer_perron_value, loose_path,
-                      path_graph, petersen, random_connected_graph)
+                      path_graph, petersen, random_connected_graph,
+                      same_partition)
 from test_properties import coarsest_equitable
 
 
@@ -178,18 +179,46 @@ class TestSpectralRadius:
         # middle vertex sees two inner neighbours, the others an end and
         # an inner one.  The cell solve cannot certify on all vertices,
         # so the solver restarts on singletons and returns their result.
-        h = path_graph(5)
+        # The partition comes from refinement, or is refined on as the
+        # known partition of the instance, which gives it back.
+        ends = np.array([0, 1, 1, 1, 0])
         monkeypatch.setattr(eigensolver, "_equitable_partition",
                             lambda h: np.arange(h.n))
-        want = spectral_radius(h)
-        monkeypatch.setattr(eigensolver, "_equitable_partition",
-                            lambda h: np.array([0, 1, 1, 1, 0]))
-        got = spectral_radius(h)
-        assert got.value == want.value
-        assert got.vector.tobytes() == want.vector.tobytes()
-        assert got.residual == want.residual <= 1e-10
-        assert got.iterations > want.iterations
-        assert got.value == pytest.approx(np.sqrt(3), rel=1e-10)
+        want = spectral_radius(path_graph(5))
+        for given in ["refined", "known"]:
+            h = path_graph(5)
+            if given == "known":
+                h._known = ends
+                assert same_partition(_equitable_partition(h), ends)
+                refine = _equitable_partition
+            else:
+                refine = lambda h: ends  # noqa: E731
+            monkeypatch.setattr(eigensolver, "_equitable_partition", refine)
+            got = spectral_radius(h)
+            assert got.value == want.value
+            assert got.vector.tobytes() == want.vector.tobytes()
+            assert got.residual == want.residual <= 1e-10
+            assert got.iterations > want.iterations
+            assert got.value == pytest.approx(np.sqrt(3), rel=1e-10)
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_generated_ball_matches_its_edges_alone(self, t, k):
+        # a generated ball refines on its layers; the same edges in a
+        # fresh instance refine on all n vertices, bit for bit alike
+        for r in range(9):
+            ball = hypertree_ball(t, k, r)
+            if ball.n > 2000:
+                break
+            bare = Hypergraph(ball.n, ball.t, ball.edge_array)
+            assert ball._known is not None and bare._known is None
+            cell = _equitable_partition(ball)
+            assert cell.dtype == np.int64
+            assert cell.tobytes() == _equitable_partition(bare).tobytes()
+            a, b = spectral_radius(ball), spectral_radius(bare)
+            assert a.value == b.value
+            assert a.vector.tobytes() == b.vector.tobytes()
+            assert (a.residual, a.iterations) == (b.residual, b.iterations)
 
     def test_ball_is_certified_on_its_layers(self, monkeypatch):
         # one Newton-Noda run, on the r + 1 layer values, and no restart

@@ -63,14 +63,18 @@ class TestNoRepeatedSearch:
         assert code == 0
         assert bfs_calls and repeats(bfs_calls) == {}
 
-    def test_sweep_row_at_radius_8_runs_three(self, bfs_calls):
+    def test_sweep_row_at_radius_8_runs_two(self, bfs_calls):
         # the centers are s, 0 and far: the diameter keeps s and far, and
-        # the connectivity check 0
+        # the generator the map from 0, which is that of a fresh search
         h = hypertree_ball(3, 3, 8)
         spectral_radius(h)
         cert = multi_center_vector(h, k=3)
-        assert [o for _, o in bfs_calls] == [0, 32767, 65535]
+        assert [o for _, o in bfs_calls] == [32767, 65535]
         assert cert.metadata["centers"] == [32767, 0, 65535]
+        kept = h._kept[0].dist
+        fresh = distances_from(h, 0).dist
+        assert kept.dtype == fresh.dtype and not kept.flags.writeable
+        assert kept.tobytes() == fresh.tobytes()
 
     def test_verify_alon_boppana(self, rr300_s1, bfs_calls):
         run(["verify", rr300_s1, "--check", "alon-boppana"])
