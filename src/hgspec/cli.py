@@ -60,6 +60,12 @@ def _load_file(path: str):
             text = fh.read()
     except OSError as exc:
         raise Error(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call, so the text before
+        # exc.start decodes; its lines are counted as the parser counts
+        before = exc.object[:exc.start].decode("utf-8")
+        raise ParseError(len((before + "x").splitlines()),
+                         f"byte 0x{exc.object[exc.start]:02x} is not UTF-8")
     h = parse_hypergraph(text)
     descriptor = {"kind": "file", "path": path, "sha256": text_sha256(text)}
     return h, descriptor
@@ -248,8 +254,11 @@ def cmd_gen(args, out) -> int:
         params["seed"] = seed
     text = emit_hypergraph(h)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise Error(f"cannot write {args.output}: {exc}")
         params.update({"n": h.n, "m": h.m, "path": args.output,
                        "sha256": text_sha256(text)})
         out.write(dumps_json(params))

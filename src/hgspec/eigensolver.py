@@ -65,10 +65,6 @@ _EVALS_PER_RESTART = 12
 #: ... raised on small inputs to this many edge products per restart
 _PRODUCTS_PER_RESTART = 36_000
 
-#: max-norm distance, relative to the point, within which a lambda2 run
-#: joins a point where an earlier run ended without gain
-_JOIN_RADIUS = 1e-3
-
 #: relative residual at which CG stops solving for a Newton direction
 _CG_RTOL = 1e-4
 
@@ -332,44 +328,8 @@ def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     raise NoConvergence(result.iterations, result.residual)
 
 
-class _Ends:
-    """The points where earlier runs of a real lambda2 search ended
-    without gain, with the objective g there.
-
-    A point is kept in the frame where the objective is f: for odd t as
-    sign x, since f(-x) = -f(x), and for even t under its sign, x and -x
-    alike, since f(-x) = f(x).  A run at a point within ``_JOIN_RADIUS``
-    of a kept one, at an objective no higher, would climb to it again:
-    near a point where the steps stopped they contract towards it.
-    """
-
-    def __init__(self, t: int):
-        self._odd = t % 2 == 1
-        self._kept = {1: [], -1: []}
-
-    def _frame(self, x: np.ndarray, sign: int):
-        return (sign * x, 1) if self._odd else (x, sign)
-
-    def add(self, x: np.ndarray, g: float, sign: int) -> None:
-        point, key = self._frame(x, sign)
-        self._kept[key].append((point.copy(), g))
-
-    def joins(self, x: np.ndarray, g: float, sign: int) -> bool:
-        point, key = self._frame(x, sign)
-        for kept, value in self._kept[key]:
-            # within the radius, g is within about its square of value
-            if not 0.0 <= value - g <= _JOIN_RADIUS * value:
-                continue
-            radius = _JOIN_RADIUS * float(np.abs(kept).max())
-            if float(np.abs(point - kept).max()) <= radius or (
-                    not self._odd
-                    and float(np.abs(point + kept).max()) <= radius):
-                return True
-        return False
-
-
 def _ascend(form: _ShiftedForm, x: np.ndarray, sign: int, budget: int,
-            tol: float, ends: _Ends | None = None) -> EigenResult:
+            tol: float) -> EigenResult:
     """Shifted power steps on the t-norm sphere from x, which it
     normalizes in place, in at most ``budget`` evaluations.
 
@@ -393,12 +353,9 @@ def _ascend(form: _ShiftedForm, x: np.ndarray, sign: int, budget: int,
     gain of any larger one, t sum_v |r_v|^2 / |x_v|^(t-2) / (|g| + alpha)
     or less, is at most ``_GAIN_FLOOR`` |g|, or is 2^53 times the pull,
     past which the shift term rounds the gradient away (the first test
-    alone would wait for ever as g nears 0).  A run that ends on the
-    residual or on no gain is kept in ``ends``, if given, and a run ends
-    at an accepted point where ``ends.joins`` it to an earlier one.
-    ``iterations`` counts the evaluations and ``residual`` is the
-    relative KKT residual at the returned x (1 where g = 0 and r is
-    not).  The n-vectors of a step
+    alone would wait for ever as g nears 0).  ``iterations`` counts the
+    evaluations and ``residual`` is the relative KKT residual at the
+    returned x (1 where g = 0 and r is not).  The n-vectors of a step
     are allocated once and written with ``out=``.
     """
     t = form.h.t
@@ -440,10 +397,8 @@ def _ascend(form: _ShiftedForm, x: np.ndarray, sign: int, budget: int,
         defect, scale = float(mags.max()), abs(g) * peak ** (t - 1)
         # at g = 0 all of grad g / t is defect: residual 1
         residual = defect / scale if scale else float(defect > 0.0)
-        if ends is not None and ends.joins(x, g, sign):
-            break
         if residual <= tol:
-            return _ended(ends, x, g, sign, evals, residual)
+            break
         # t sum |r_v|^2 / |x_v|^(t-2); a zero x_v counts |r_v|^2
         mags *= mags
         np.divide(mags, work, out=mags, where=work > 0.0)
@@ -472,21 +427,13 @@ def _ascend(form: _ShiftedForm, x: np.ndarray, sign: int, budget: int,
             pull = float(_magnitude(grad, mags).max()) / (t * peak ** (t - 1))
             if reach <= (abs(g) + alpha) * abs(g) * _GAIN_FLOOR \
                     or alpha >= 2.0 ** 53 * pull:
-                return _ended(ends, x, g, sign, evals, residual)
+                return EigenResult(abs(g), x, evals, residual)
             alpha = max(2.0 * alpha, abs(g)) or pull
         else:
             break
         x, y, f, g = y, x, fy, gy
         alpha /= 2.0
         grad = form.gradient()
-    return EigenResult(abs(g), x, evals, residual)
-
-
-def _ended(ends: _Ends | None, x: np.ndarray, g: float, sign: int,
-           evals: int, residual: float) -> EigenResult:
-    """The result of a run that ended without gain, kept in ``ends``."""
-    if ends is not None:
-        ends.add(x, g, sign)
     return EigenResult(abs(g), x, evals, residual)
 
 
@@ -500,12 +447,9 @@ def lambda2_estimate(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenRes
     budget of ``_budget`` evaluations per restart, at most
     ``cfg.max_iters``, covers all runs.  Restarts run in turn, each on
     what the earlier ones left; the first run of an even-t pair takes at
-    most half of it, and the second what is then left.  On a real search
-    a run also ends where it joins a point at which an earlier run ended
-    without gain (``_Ends``); on the small inputs whose runs end that
-    way, most restarts climb to the points found first, and this halves
-    their evaluations.  The winner is the largest value, ties broken by
-    the earliest run.
+    most half of it, and the second what is then left.  A run depends
+    only on its start, its sign and its budget.  The winner is the
+    largest value, ties broken by the earliest run.
 
     ``iterations`` is the total number of evaluations and ``residual``
     the relative KKT residual at the returned vector (see ``_ascend``).
@@ -520,7 +464,6 @@ def lambda2_estimate(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenRes
     form = _ShiftedForm(h, np.complex128 if cfg.complex_search
                         else np.float64)
     pool = min(cfg.restarts * _budget(h), cfg.max_iters)
-    ends = None if cfg.complex_search else _Ends(h.t)
     best: EigenResult | None = None
     spent = 0
     for _ in range(cfg.restarts):
@@ -538,7 +481,7 @@ def lambda2_estimate(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenRes
         for x, sign, end in runs:
             if spent == end:
                 break
-            run = _ascend(form, x, sign, end - spent, cfg.tol, ends)
+            run = _ascend(form, x, sign, end - spent, cfg.tol)
             spent += run.iterations
             if best is None or run.value > best.value:
                 best = run

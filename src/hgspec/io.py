@@ -13,9 +13,10 @@ with its digits deleted, which pins every line to its token count, and
 one ``np.fromstring`` of the whole text into an int64 array.  The
 ``(m, t)`` table then goes to the ``Hypergraph`` constructor as it is.
 Any other text, and any canonical text with a fault, is read by the
-line parser, which checks the header, integer fields and the number of
-edge lines.  A header field above ``hypergraph.DEFAULT_SIZE_CAP`` is a
-fault at line 1, found before arrays of n or t m entries are allocated.
+line parser, which checks the header, the fields (each an optional
+``-`` and ASCII digits) and the number of edge lines.  A header field
+above ``hypergraph.DEFAULT_SIZE_CAP`` is a fault at line 1, found
+before arrays of n or t m entries are allocated.
 The edges are validated by the ``Hypergraph`` constructor, and the line
 parser maps the first faulty edge to its line, so every error comes
 from the line parser.
@@ -23,10 +24,16 @@ from the line parser.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import EdgeError, ParseError, SizeOverflow
 from .hypergraph import Hypergraph, check_size
+
+#: a field of the line parser: int() alone would also read "1_0", "+1"
+#: and digits outside ASCII
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -76,9 +83,12 @@ def _parse_lines(text: str) -> Hypergraph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        fields = line.split()
         try:
-            values = [int(f) for f in line.split()]
-        except ValueError:
+            values = [int(f) for f in fields if _INTEGER.fullmatch(f)]
+        except ValueError:  # beyond int()'s digit limit
+            values = []
+        if len(values) != len(fields):
             fault = (lineno, f"non-integer field in {line!r}")
             break
         if header is None:

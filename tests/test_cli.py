@@ -287,6 +287,33 @@ class TestCommands:
         code, _ = run(["radius", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize("data,line", [
+        (b"\xff2 3 1\n0 1\n", 1),
+        (b"2 3 1\n0 1\xff\n", 2),
+        (b"# \xc3\xa9\r\n2 3 1\r\n0 1 \xe9\r\n", 3),
+        (b"2 3 1\r0 \xc3\n", 2)],
+        ids=["header", "edge", "crlf-after-utf8", "cr-truncated"])
+    def test_exit_2_on_input_that_is_not_utf8(self, tmp_path, capsys, data,
+                                              line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        code, text = run(["radius", str(path)])
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"hgspec: parse error: line {line}: byte 0x")
+        assert err.endswith(" is not UTF-8\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."],
+                             ids=["missing-directory", "a-directory"])
+    def test_exit_1_when_gen_cannot_write(self, tmp_path, capsys, target):
+        path = tmp_path / target
+        code, text = run(["gen", "complete", "--t", "2", "--n", "3",
+                          "-o", str(path)])
+        assert (code, text) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"hgspec: cannot write {path}: ")
+        assert err.count("\n") == 1
+
     def test_exit_2_on_usage_error(self):
         code, _ = run(["nonsense"])
         assert code == 2

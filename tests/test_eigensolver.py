@@ -570,15 +570,33 @@ def test_value_rises_at_every_accepted_step(monkeypatch, t, k, n, seed,
     pytest.param(lambda: complete_uniform(7, 3), id="K7_3"),
     pytest.param(lambda: complete_uniform(8, 3), id="K8_3"),
 ])
-def test_runs_that_join_an_earlier_end_cost_less(monkeypatch, build):
-    # a run ends where it comes within the radius of an earlier run's
-    # end; with the radius 0 every run climbs to its own end instead
+def test_estimate_is_the_best_of_runs_made_alone(build):
+    # each run sees only its start, its sign and its budget: runs made in
+    # turn, each on a form of its own, from the same draws and with the
+    # budgets lambda2_estimate gives them, return the same bits
     h = build()
-    joined = lambda2_estimate(h)
-    monkeypatch.setattr(eigensolver, "_JOIN_RADIUS", 0.0)
-    alone = lambda2_estimate(h)
-    assert joined.value == pytest.approx(alone.value, rel=1e-13)
-    assert joined.iterations < 0.9 * alone.iterations
+    est = lambda2_estimate(h)
+    cfg = SolverConfig()
+    rng = np.random.default_rng(cfg.seed)
+    pool = min(cfg.restarts * eigensolver._budget(h), cfg.max_iters)
+    best, spent = None, 0
+    for _ in range(cfg.restarts):
+        if spent == pool:
+            break
+        x0 = rng.standard_normal(h.n)
+        runs = [(x0, 0, pool)] if h.t % 2 else [
+            (x0.copy(), 1, spent + (pool - spent + 1) // 2), (x0, -1, pool)]
+        for x, sign, end in runs:
+            if spent == end:
+                break
+            form = forms._ShiftedForm(h, np.float64)
+            run = eigensolver._ascend(form, x, sign, end - spent, cfg.tol)
+            spent += run.iterations
+            if best is None or run.value > best.value:
+                best = run
+    assert est.value == best.value
+    assert np.array_equal(est.vector, best.vector)
+    assert est.iterations == spent
 
 
 @pytest.mark.parametrize("n,t", [(7, 3), (8, 3), (6, 4)])

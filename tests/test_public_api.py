@@ -49,7 +49,8 @@ def test_all_is_the_documented_list():
     (Hypergraph, "incidence"), (DistanceMap, "layer"),
     (eigensolver, "_STEP_FLOOR"), (forms, "_shifted"),
     (hypergraph, "_EdgeTable"), (hypergraph, "_quotient"),
-    (Hypergraph, "_table"),
+    (Hypergraph, "_table"), (eigensolver, "_Ends"), (eigensolver, "_ended"),
+    (eigensolver, "_JOIN_RADIUS"),
 ])
 def test_removed_names_are_gone(owner, name):
     assert not hasattr(owner, name)

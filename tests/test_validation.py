@@ -11,7 +11,10 @@ both must accept or both reject, with the same first faulty edge (a line
 number for the parser) and the same message, hence the same fault
 category.  Inputs come from a fixed table of corner cases and from
 hypothesis over small random edge lists and edge-list texts with integer
-ids (the reference read ``1.5`` as 1).
+ids (the reference read ``1.5`` as 1).  The reference reads a field with
+``int()``, which also takes ``1_0``, ``+1`` and digits outside ASCII;
+the parser refuses those, and neither the table nor hypothesis draws
+them.
 """
 
 import io
@@ -224,6 +227,29 @@ def test_cli_parse_errors_exit_2(tmp_path, capsys, text):
         assert f"line {expected[1]}: " in capsys.readouterr().err
     else:
         assert code in (0, 1)
+
+
+#: (text, line) with a field that int() reads but that is not an optional
+#: "-" and ASCII digits; the reference parser, like int(), reads them
+LOOSE_INTEGER_TABLE = [
+    ("2 11 1\n0 1_0\n", 2),
+    ("2 2 1\n+0 \u0661\n", 2),                 # Arabic-Indic one
+    ("2 3 1\n0 \uff11\n", 2),                  # fullwidth one
+    ("+2 3 1\n0 1\n", 1),
+    ("2 3_0 1\n0 1\n", 1),
+]
+
+
+@pytest.mark.parametrize("text,line", LOOSE_INTEGER_TABLE)
+def test_fields_are_ascii_integers(tmp_path, capsys, text, line):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    code = run_command(["radius", str(path)], out=io.StringIO())
+    fields = text.splitlines()[line - 1]
+    assert parser_verdict(text) == (
+        "error", line, f"non-integer field in {fields!r}")
+    assert code == 2
+    assert f"line {line}: non-integer field" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edge", [(0, 1.5), (0, "1"), (0.0, 1.0)])
