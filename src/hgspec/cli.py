@@ -1,17 +1,18 @@
 """Command-line surface.
 
 Subcommands: ``radius``, ``lambda2``, ``bounds``, ``verify``, ``gen``,
-``sweep``.  JSON reports go to standard output; exit status is 0 on
-success, 1 when a verification or computation fails (and when ``gen``'s
-instance is above the size cap), 2 on usage or parse errors.  The
-default seed comes from ``--seed``, then the ``HGSPEC_SEED``
-environment variable, then 0; identical inputs, flags, and seed produce
-byte-identical output (timing is only emitted behind ``--timings``).
+``sweep``; a process builds their parser on its first command.  JSON
+reports go to standard output; exit status is 0 on success, 1 when a
+verification or computation fails (and when ``gen``'s instance is above
+the size cap), 2 on usage or parse errors.  The default seed comes from
+``--seed``, then ``$HGSPEC_SEED``, then 0; identical inputs, flags, and
+seed produce byte-identical output (timing only behind ``--timings``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -61,10 +62,8 @@ def _load_file(path: str):
     except OSError as exc:
         raise Error(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
-        # read() decodes the whole file in one call, so the text before
-        # exc.start decodes; its lines are counted as the parser counts
-        before = exc.object[:exc.start].decode("utf-8")
-        raise ParseError(len((before + "x").splitlines()),
+        # the lines before exc.start, split as the line parser splits
+        raise ParseError(len((exc.object[:exc.start] + b"x").splitlines()),
                          f"byte 0x{exc.object[exc.start]:02x} is not UTF-8")
     h = parse_hypergraph(text)
     descriptor = {"kind": "file", "path": path, "sha256": text_sha256(text)}
@@ -267,7 +266,7 @@ def cmd_gen(args, out) -> int:
     return 0
 
 
-def _parse_range(spec: str) -> list[int]:
+def _parse_range(spec: str) -> range | list[int]:
     """'A:B' inclusive; 'A:B:S' steps by S; 'A:B:*S' multiplies by S."""
     parts = spec.split(":")
     if len(parts) not in (2, 3):
@@ -283,8 +282,9 @@ def _parse_range(spec: str) -> list[int]:
     if not multiply:
         if by == 0:
             raise Error(f"bad range {spec!r}; A:B:S needs S != 0")
-        # B is inclusive: the range ends one step past it, either way
-        return list(range(lo, hi + (1 if by > 0 else -1), by))
+        # B is inclusive: the range ends one step past it, either way; a
+        # range, not a list, so that a sweep stops at its first failing row
+        return range(lo, hi + (1 if by > 0 else -1), by)
     if lo < 1 or by < 2:
         raise Error(f"bad range {spec!r}; A:B:*S needs A >= 1 and S >= 2")
     vals = []
@@ -327,65 +327,65 @@ def cmd_sweep(args, out) -> int:
     return 0
 
 
-def _add_solver_flags(parser):
-    parser.add_argument("--tol", type=float, default=1e-10,
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; a process's first ``run_command`` builds it."""
+    # one parent parser for each flag group that several commands share
+    file = argparse.ArgumentParser(add_help=False)
+    file.add_argument("file")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--tol", type=float, default=1e-10,
                         help="stopping tolerance: for rho the relative "
                              "width of the Collatz-Wielandt bracket, for "
                              "lambda2 the relative KKT residual "
                              "(default 1e-10)")
-    parser.add_argument("--max-iters", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=None,
+    solver.add_argument("--max-iters", type=int, default=100_000)
+    solver.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
+    restarts = argparse.ArgumentParser(add_help=False)  # runs lambda2
+    restarts.add_argument("--restarts", type=int,
+                          default=SolverConfig.restarts,
+                          help="lambda2 random starts, which also set its "
+                               "evaluation budget: "
+                               f"{_EVALS_PER_RESTART} per restart, or "
+                               f"{_PRODUCTS_PER_RESTART:,} edge products "
+                               "per restart on small inputs, an evaluation "
+                               "counting as max(m, n t / 8) of them "
+                               "(default %(default)s)")
+    timings = argparse.ArgumentParser(add_help=False)  # reports a time
+    timings.add_argument("--timings", action="store_true",
+                         help="include wall-clock timing in the output "
+                              "(breaks byte-for-byte determinism)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", default=None)
+    t_flag = argparse.ArgumentParser(add_help=False)
+    t_flag.add_argument("--t", type=int, required=True)
+    tk_flags = argparse.ArgumentParser(add_help=False, parents=[t_flag])
+    tk_flags.add_argument("--k", type=int, required=True)
+    rr_flags = argparse.ArgumentParser(add_help=False, parents=[tk_flags])
+    rr_flags.add_argument("--max-attempts", type=int, default=10_000)
 
-
-def _add_families(sub, func, radius_flag, n_flag) -> list:
-    """The hypertree, complete and random-regular parsers under ``sub``.
-
-    Each size flag is a (name, argparse keywords) pair.
-    """
-    parsers = []
-    for family in ("hypertree", "complete", "random-regular"):
-        sp = sub.add_parser(family)
-        sp.add_argument("--t", type=int, required=True)
-        if family != "complete":
-            sp.add_argument("--k", type=int, required=True)
-        name, kwargs = radius_flag if family == "hypertree" else n_flag
-        sp.add_argument(name, required=True, **kwargs)
-        if family == "random-regular":
-            sp.add_argument("--max-attempts", type=int, default=10_000)
-        sp.set_defaults(func=func)
-        parsers.append(sp)
-    return parsers
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="hgspec",
-        description="Spectral radii, second eigenvalues, and Alon-Boppana "
-                    "certificates of uniform hypergraphs.",
-    )
+        prog="hgspec", description="Spectral radii, second eigenvalues, "
+        "and Alon-Boppana certificates of uniform hypergraphs.")
     sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("radius", help="largest adjacency eigenvalue",
+                   parents=[file, solver, timings]) \
+        .set_defaults(func=cmd_radius)
 
-    p_radius = sub.add_parser("radius", help="largest adjacency eigenvalue")
-    p_radius.add_argument("file")
-    _add_solver_flags(p_radius)
-    p_radius.set_defaults(func=cmd_radius)
-
-    p_l2 = sub.add_parser("lambda2", help="shifted spectral norm estimate")
-    p_l2.add_argument("file")
-    _add_solver_flags(p_l2)
+    p_l2 = sub.add_parser("lambda2", help="shifted spectral norm estimate",
+                          parents=[file, solver, restarts, timings])
     p_l2.add_argument("--complex-search", action="store_true",
                       help="ascend over complex vectors (off by default)")
     p_l2.set_defaults(func=cmd_lambda2)
 
-    p_bounds = sub.add_parser("bounds", help="closed-form threshold values")
-    p_bounds.add_argument("--t", type=int, required=True)
-    p_bounds.add_argument("--k", type=int, required=True)
+    p_bounds = sub.add_parser("bounds", help="closed-form threshold values",
+                              parents=[tk_flags])
     p_bounds.add_argument("--n-max", type=int, default=200)
     p_bounds.set_defaults(func=cmd_bounds)
 
-    p_verify = sub.add_parser("verify", help="check a paper inequality")
-    p_verify.add_argument("file")
+    p_verify = sub.add_parser("verify", help="check a paper inequality",
+                              parents=[file, solver, restarts])
     p_verify.add_argument("--check", required=True,
                           choices=["radial", "g-monotone", "acyclic-bound",
                                    "alon-boppana", "mu"])
@@ -396,49 +396,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", type=int, default=None,
                           help="override the inferred degree")
     p_verify.add_argument("--n-max", type=int, default=200)
-    _add_solver_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
-    for sp in (p_l2, p_verify):  # the commands that run lambda2
-        sp.add_argument("--restarts", type=int, default=SolverConfig.restarts,
-                        help="lambda2 random starts, which also set its "
-                             "evaluation budget: "
-                             f"{_EVALS_PER_RESTART} per restart, or "
-                             f"{_PRODUCTS_PER_RESTART:,} edge products per "
-                             "restart on small inputs, an evaluation "
-                             "counting as max(m, n t / 8) of them "
-                             "(default %(default)s)")
-
     p_gen = sub.add_parser("gen", help="generate an instance")
-    gen_sub = p_gen.add_subparsers(dest="family", required=True)
-    gens = _add_families(gen_sub, cmd_gen, ("--radius", {"type": int}),
-                         ("--n", {"type": int}))
-    for sp in gens:
-        sp.add_argument("-o", "--output", default=None)
-    # random-regular, the one family that draws
-    gens[-1].add_argument("--seed", type=int, default=None)
-
+    p_gen.set_defaults(func=cmd_gen)
+    gen = p_gen.add_subparsers(dest="family", required=True)
     p_sweep = sub.add_parser("sweep", help="CSV sweep over a family")
-    sweep_sub = p_sweep.add_subparsers(dest="family", required=True)
-    sweeps = _add_families(sweep_sub, cmd_sweep,
-                           ("--radii", {"help": "range A:B"}),
-                           ("--ns", {"help": "range A:B[:S|:*S]"}))
-    for sp in sweeps:
-        _add_solver_flags(sp)
-
-    for sp in (p_radius, p_l2, *sweeps):  # the commands that report a time
-        sp.add_argument("--timings", action="store_true",
-                        help="include wall-clock timing in the output "
-                             "(breaks byte-for-byte determinism)")
+    p_sweep.set_defaults(func=cmd_sweep)
+    sweep = p_sweep.add_subparsers(dest="family", required=True)
+    for family, flags in (("hypertree", tk_flags), ("complete", t_flag),
+                          ("random-regular", rr_flags)):
+        ball = family == "hypertree"
+        gen.add_parser(family, parents=[flags, output]).add_argument(
+            "--radius" if ball else "--n", type=int, required=True)
+        sweep.add_parser(family, parents=[flags, solver, timings]) \
+            .add_argument("--radii" if ball else "--ns", required=True,
+                          help="range A:B" if ball else "range A:B[:S|:*S]")
+    # random-regular, the one family that draws
+    gen.choices["random-regular"].add_argument("--seed", type=int,
+                                               default=None)
     return parser
 
 
 def run_command(argv, out=None) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -451,7 +435,7 @@ def run_command(argv, out=None) -> int:
         return 1
     except (OverflowError, MemoryError) as exc:
         what = "overflow" if isinstance(exc, OverflowError) else "out of memory"
-        print(f"hgspec: {what}: {exc}", file=sys.stderr)
+        print(f"hgspec: {what}: {exc}".removesuffix(": "), file=sys.stderr)
         return 1
 
 

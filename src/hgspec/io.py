@@ -14,9 +14,11 @@ one ``np.fromstring`` of the whole text into an int64 array.  The
 ``(m, t)`` table then goes to the ``Hypergraph`` constructor as it is.
 Any other text, and any canonical text with a fault, is read by the
 line parser, which checks the header, the fields (each an optional
-``-`` and ASCII digits) and the number of edge lines.  A header field
-above ``hypergraph.DEFAULT_SIZE_CAP`` is a fault at line 1, found
-before arrays of n or t m entries are allocated.
+``-`` and ASCII digits) and the number of edge lines.  It splits the
+text's UTF-8 bytes, so lines end only at LF, CR LF or CR and fields are
+split only at ASCII whitespace.  A header field above
+``hypergraph.DEFAULT_SIZE_CAP`` is a fault at line 1, found before
+arrays of n or t m entries are allocated.
 The edges are validated by the ``Hypergraph`` constructor, and the line
 parser maps the first faulty edge to its line, so every error comes
 from the line parser.
@@ -33,7 +35,7 @@ from .hypergraph import Hypergraph, check_size
 
 #: a field of the line parser: int() alone would also read "1_0", "+1"
 #: and digits outside ASCII
-_INTEGER = re.compile(r"-?[0-9]+")
+_INTEGER = re.compile(rb"-?[0-9]+")
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -78,10 +80,10 @@ def _parse_lines(text: str) -> Hypergraph:
     edges = []
     edge_lines = []
     fault = None  # (line, reason) of the first fault in the text
-    lines = text.splitlines()
+    lines = text.encode("utf-8").splitlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line.startswith(b"#"):
             continue
         fields = line.split()
         try:
@@ -89,7 +91,7 @@ def _parse_lines(text: str) -> Hypergraph:
         except ValueError:  # beyond int()'s digit limit
             values = []
         if len(values) != len(fields):
-            fault = (lineno, f"non-integer field in {line!r}")
+            fault = (lineno, f"non-integer field in {line.decode()!r}")
             break
         if header is None:
             if len(values) != 3:
@@ -121,7 +123,7 @@ def _parse_lines(text: str) -> Hypergraph:
         h = Hypergraph(n, t, edges)
     except EdgeError as exc:
         lineno = edge_lines[exc.index]
-        line = lines[lineno - 1].strip()
+        line = lines[lineno - 1].strip().decode()
         raise ParseError(lineno, {
             "arity": f"expected {t} vertex ids, got {len(edges[exc.index])}",
             "repeated": f"repeated vertex in edge {line!r}",

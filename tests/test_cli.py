@@ -426,7 +426,32 @@ class TestCommands:
         ("1:8", [1, 2, 3, 4, 5, 6, 7, 8]), ("30:60:15", [30, 45, 60]),
         ("1:4:*2", [1, 2, 4]), ("30:60:*2", [30, 60])])
     def test_range_includes_its_end_in_either_direction(self, spec, values):
-        assert cli._parse_range(spec) == values
+        assert list(cli._parse_range(spec)) == values
+
+    def test_exit_1_at_the_first_row_of_a_huge_range(self, capsys):
+        # radius 12 is above the size cap; the radii after it are never
+        # listed, which would take terabytes
+        code, text = run(["sweep", "hypertree", "--t", "3", "--k", "3",
+                          "--radii", "12:1000000000000"])
+        assert (code, text) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("hgspec: ") and err.count("\n") == 1
+        assert " above the size cap " in err
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError(), "hgspec: out of memory\n"),
+        (MemoryError("no room"), "hgspec: out of memory: no room\n"),
+        (OverflowError(), "hgspec: overflow\n")])
+    def test_exit_1_names_a_bare_memory_or_overflow_error(
+            self, monkeypatch, capsys, exc, line):
+        def failing(spec):
+            raise exc
+
+        monkeypatch.setattr(cli, "_parse_range", failing)
+        code, text = run(["sweep", "hypertree", "--t", "3", "--k", "3",
+                          "--radii", "1:2"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == line
 
     def test_descending_sweep_runs_every_radius(self):
         code, text = run(["sweep", "hypertree", "--t", "3", "--k", "3",

@@ -12,9 +12,10 @@ number for the parser) and the same message, hence the same fault
 category.  Inputs come from a fixed table of corner cases and from
 hypothesis over small random edge lists and edge-list texts with integer
 ids (the reference read ``1.5`` as 1).  The reference reads a field with
-``int()``, which also takes ``1_0``, ``+1`` and digits outside ASCII;
-the parser refuses those, and neither the table nor hypothesis draws
-them.
+``int()``, which also takes ``1_0``, ``+1`` and digits outside ASCII,
+and splits with ``str.splitlines()`` and ``str.split()``, which also
+break at characters other than LF, CR and ASCII whitespace; the parser
+refuses those, and neither the table nor hypothesis draws them.
 """
 
 import io
@@ -250,6 +251,29 @@ def test_fields_are_ascii_integers(tmp_path, capsys, text, line):
         "error", line, f"non-integer field in {fields!r}")
     assert code == 2
     assert f"line {line}: non-integer field" in capsys.readouterr().err
+
+
+#: (text, line) with a character that str.splitlines() takes for a line
+#: break or str.split() for a field separator, and the format does not:
+#: lines end at LF, CR LF or CR, and fields are split at ASCII whitespace
+SEPARATOR_TABLE = [
+    ("2 2 1\n0\xa01\n", 2),                   # no-break space
+    ("2 2 1\n0\u20031\n", 2),                 # em space
+    ("2 3 2\n0 1\x1c1 2\n", 2),               # file separator
+    ("2 2 1\x850 1\n", 1),                     # next line
+    ("2 2 1\x0c0 1\n", 1),                     # form feed
+]
+
+
+@pytest.mark.parametrize("text,line", SEPARATOR_TABLE)
+def test_only_ascii_separators(tmp_path, capsys, text, line):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    code = run_command(["radius", str(path)], out=io.StringIO())
+    assert reference_parser(text)[0] == "ok"
+    assert parser_verdict(text)[:2] == ("error", line)
+    assert code == 2
+    assert f"hgspec: parse error: line {line}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edge", [(0, 1.5), (0, "1"), (0.0, 1.0)])
