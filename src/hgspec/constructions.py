@@ -234,7 +234,8 @@ def _phased_ball_vector(h: Hypergraph, centers: list[int], d: int, k: int,
             raise CertificateError("certificate balls overlap; centers are "
                                    "too close for the requested radius")
         claimed[ball] = True
-        gvals = profile[dm.dist[ball]]
+        depth = dm.dist[ball]
+        gvals = profile[depth]
         ball_sum = float(gvals.sum())
         c_j = 1.0 / ball_sum
         if complex_phases:
@@ -243,7 +244,9 @@ def _phased_ball_vector(h: Hypergraph, centers: list[int], d: int, k: int,
             omega_j = 1.0 if j % 2 == 0 else -1.0
         y[ball] = c_j * omega_j * gvals
         weights.append(c_j)
-        layer_sizes.append(dm.layer_sizes(d))
+        # from the ball alone: a map searched to radius d marks the
+        # rest of h unreached
+        layer_sizes.append(np.bincount(depth, minlength=d + 1).tolist())
     meta = {
         "s": s,
         "d": d,
@@ -270,11 +273,15 @@ def multi_center_vector(h: Hypergraph, k: int | None = None) -> Certificate:
     hypertree balls carry the certificate; the quotient is a valid lower
     bound for any connected input since the vector is a feasible point.
 
+    The centers lie on a shortest path, so each is 2d+2 or more from the
+    others and their balls of radius d are disjoint.  A center's kept
+    distance map is used where h has one; the others are searched to
+    radius d alone.
+
     Raises
     ------
     DiameterTooSmall
-        When D < 2s-2 (no nonnegative d exists) or the chosen centers
-        end up closer than 2d+2.
+        When D < 2s-2 (no nonnegative d exists).
     """
     _require_connected(h, "certificate constructions")
     t = h.t
@@ -286,10 +293,7 @@ def multi_center_vector(h: Hypergraph, k: int | None = None) -> Certificate:
     if d < 0:
         raise DiameterTooSmall(2 * s - 2, diam)
     centers = [path[a * (2 * d + 2)] for a in range(s)]
-    dist_maps = [_kept_distances(h, c) for c in centers]
-    min_sep = _separation(centers, dist_maps)
-    if min_sep < 2 * d + 2:
-        raise DiameterTooSmall(2 * d + 2, min_sep)
+    dist_maps = [_kept_distances(h, c, radius=d) for c in centers]
     y, meta = _phased_ball_vector(h, centers, d, k, dist_maps)
     entry_sum = complex(y.sum())
     scale = float(_magnitude(y).sum())
@@ -307,7 +311,7 @@ def multi_center_vector(h: Hypergraph, k: int | None = None) -> Certificate:
         "k": k,
         "entry_sum_abs": abs(entry_sum),
         "form_value": form,
-        "min_center_separation": min_sep,
+        "min_center_separation": 2 * d + 2,
         "analytic_slack": slack,
         "analytic_floor": rho - slack,
         "threshold": rho,

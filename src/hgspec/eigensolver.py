@@ -304,15 +304,14 @@ def spectral_radius(h: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     """
     cfg = cfg or SolverConfig()
     _require_connected(h, "spectral operations")
-    cell = _equitable_partition(h)
+    part = _equitable_partition(h)
     steps = 0
-    if cell.max() < h.n - 1:
-        size, cells = _quotient(h, cell)
-        x, steps, _ = _newton_noda(cells, size, cfg.tol, cfg.max_iters - 1)
+    if part.rep.size < h.n:
+        x, steps, _ = _newton_noda(_quotient(h, part), part.size, cfg.tol,
+                                   cfg.max_iters - 1)
         steps += 1  # the lift to the n vertices
-        x = x[cell]
-    # the cell solve's arrays go before the operator on the n vertices
-    cell = size = cells = None
+        x = x[part.cell]
+    part = None  # the cell solve's arrays go before the n-vertex operator
     products = _operator(h, np.float64)
     if steps:
         result = _certified(products, x, steps, _cw_bracket(products, x))
@@ -399,10 +398,7 @@ def _ascend(form: _ShiftedForm, x: np.ndarray, sign: int, budget: int,
         residual = defect / scale if scale else float(defect > 0.0)
         if residual <= tol:
             break
-        # t sum |r_v|^2 / |x_v|^(t-2); a zero x_v counts |r_v|^2
-        mags *= mags
-        np.divide(mags, work, out=mags, where=work > 0.0)
-        reach = t * float(np.sum(mags))
+        reach = None  # read only after a rejected trial
         if alpha < abs(g):
             alpha = 0.0
         while evals < budget:
@@ -425,6 +421,13 @@ def _ascend(form: _ShiftedForm, x: np.ndarray, sign: int, budget: int,
                 break
             # the largest entry of grad g / t over that of the normal
             pull = float(_magnitude(grad, mags).max()) / (t * peak ** (t - 1))
+            if reach is None:
+                # t sum |r_v|^2 / |x_v|^(t-2); a zero x_v counts |r_v|^2
+                _power(_magnitude(x, mags), t - 2, work)
+                _magnitude(r, mags)
+                mags *= mags
+                np.divide(mags, work, out=mags, where=work > 0.0)
+                reach = t * float(np.sum(mags))
             if reach <= (abs(g) + alpha) * abs(g) * _GAIN_FLOOR \
                     or alpha >= 2.0 ** 53 * pull:
                 return EigenResult(abs(g), x, evals, residual)

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hypergraph import Hypergraph, _cell_table
+from .hypergraph import Hypergraph, _cell_table, _Partition
 
 #: Newton steps of ``_root``: 6 bring its start to within about 2e-16
 #: relative of the root, for k = 3 to 399
@@ -253,17 +253,15 @@ def _operator(h: Hypergraph, dtype) -> _Products:
     return _Products(h._edge_index, h._edge_index, h.n, dtype)
 
 
-def _quotient(h: Hypergraph, cell: np.ndarray) -> tuple[np.ndarray, _Products]:
-    """Cell sizes and float64 operator of the partition with cells 0..p-1.
+def _quotient(h: Hypergraph, part: _Partition) -> _Products:
+    """The float64 operator of a vertex partition.
 
     Its table is ``hypergraph._cell_table``.  When the partition is
     equitable and x is constant on its cells, the operator gives the
     entry of A x (and of the Jacobian products) at each cell's
     representative, which is its value at every vertex of the cell.
     """
-    members, targets, cells = _cell_table(h, cell)
-    size = np.bincount(cell, minlength=cells).astype(np.float64)
-    return size, _Products(members, targets, cells, np.float64)
+    return _Products(*_cell_table(h, part), np.float64)
 
 
 def _edge_products(values: np.ndarray) -> np.ndarray:

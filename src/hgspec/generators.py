@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 
 from .errors import GenerationFailed, InfeasibleParams, SizeOverflow
-from .hypergraph import DistanceMap, Hypergraph, check_size
+from .hypergraph import DistanceMap, Hypergraph, _Partition, check_size
 
 #: proposals drawn ahead per rng call in ``random_regular_linear``
 _BATCH = 256
@@ -36,8 +36,9 @@ def hypertree_ball(t: int, k: int, radius: int) -> Hypergraph:
     The layer of every vertex, a read-only int64 array, is both the BFS
     map from the root and an equitable partition, and the instance
     carries it as both: as its kept distance map from vertex 0, so that
-    no search from the root runs, and as its known partition, on whose
-    cells colour refinement runs (``hypergraph._equitable_partition``).
+    no search from the root runs, and as its known partition, with each
+    layer's first id and size, on whose cells colour refinement runs
+    (``hypergraph._equitable_partition``).
     """
     if t < 2 or k < 1 or radius < 0:
         raise InfeasibleParams(f"hypertree ball needs t>=2, k>=1, radius>=0, "
@@ -48,9 +49,9 @@ def hypertree_ball(t: int, k: int, radius: int) -> Hypergraph:
     n = 1
     frontier = np.zeros(1, dtype=np.int64)
     for layer in range(radius):
-        if not frontier.size:  # k = 1: the ball stops growing at radius 1
-            break
         branch = k if layer == 0 else k - 1
+        if not branch:  # k = 1: the ball stops growing at radius 1
+            break
         grown = n + frontier.size * branch * (t - 1)
         check_size(f"hypertree ball at layer {layer + 1}", t, grown)  # m < n
         # each edge joins a frontier vertex to t - 1 fresh ones
@@ -62,7 +63,9 @@ def hypertree_ball(t: int, k: int, radius: int) -> Hypergraph:
     depth = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     depth.setflags(write=False)
     h._kept[0] = DistanceMap(0, depth)
-    h._known = depth
+    # each layer's lowest id is its first
+    starts = np.cumsum([0] + sizes[:-1])
+    h._known = _Partition(depth, starts, np.array(sizes, dtype=np.float64))
     return h
 
 

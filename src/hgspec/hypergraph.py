@@ -12,13 +12,16 @@ edges are validated: whole-array checks that name the input index of
 the first faulty edge, which the parser maps to a line number.  A
 :class:`Hypergraph` is immutable; all operations here are pure.
 
-A hypergraph keeps up to three read-only BFS maps (n int64 each) once
+A hypergraph keeps up to two read-only BFS maps (n int64 each) once
 they are computed: the one from vertex 0, which ``is_connected`` reads,
-and the two from the ends s and far of the diameter path, which
-:func:`diameter_and_path` computes.  The diameter search reuses the
-first; ``constructions`` reuses all three for certificate centers and
-the radial origin.  Every search runs in :func:`distances_from`, except
-the map from vertex 0 of a ball that ``generators.hypertree_ball``
+and the one from the end s of the diameter path, which
+:func:`diameter_and_path` computes; it finds the path by walking back
+from the other end over the layers of that map.  The diameter search
+reuses the first; ``constructions`` reuses both for certificate centers
+and the radial origin, and searches the other centers only to their
+ball radius.  A map searched to a radius is never kept.  Every search
+runs in :func:`distances_from`, and the walk back in the same loop,
+except the map from vertex 0 of a ball that ``generators.hypertree_ball``
 built: it numbers the vertices layer by layer and hands the instance
 their layers as that map.
 
@@ -32,7 +35,7 @@ numpy arrays), and every search runs on it with whole-array operations.
 Single-source BFS expands one frontier per layer.  All eccentricities
 come from a bit-parallel BFS that advances 64 sources per batch, at
 O((n/64) * D * t * m) word operations for diameter D; acyclic inputs
-keep the two-run double-BFS for their diameter instead (see
+keep the double-BFS endpoint for their diameter instead (see
 :func:`diameter_and_path`).
 
 For the rho solver, colour refinement finds the coarsest equitable
@@ -40,12 +43,15 @@ vertex partition (:func:`_equitable_partition`).  It runs on the
 instance's own edges, or, when its builder gave it an equitable
 partition (``Hypergraph._known``; a generated ball's layers), on the
 much smaller edge table of that partition's cells, to the same result.
+A partition carries each cell's representative and size along, so the
+cell operator (``forms._quotient``) needs no pass over the n vertices.
 Equality, hashing and the parsers ignore the known partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -209,7 +215,7 @@ class Hypergraph:
             a.setflags(write=False)
         self._edges = None
         self._kept = {}  # BFS maps by source; see the module docstring
-        self._known = None  # an equitable partition given by the builder
+        self._known = None  # an equitable _Partition given by the builder
 
     @property
     def m(self) -> int:
@@ -331,41 +337,62 @@ def _distinct(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return values[scratch[values] == pos]
 
 
-def distances_from(h: Hypergraph, o: int) -> DistanceMap:
-    """Breadth-first distances from vertex o over the co-edge relation.
+def _search(h: Hypergraph, o: int, radius: int | None = None,
+            along: np.ndarray | None = None) -> np.ndarray:
+    """Layer-synchronous frontier BFS from o, to ``radius`` if given.
 
-    Layer-synchronous frontier BFS on the CSR incidence: each layer
-    gathers the not yet expanded edges of the frontier and labels their
-    unlabelled members.  Work is O(t*m) in all plus a few array
-    operations per layer.
+    Each layer gathers the not yet expanded edges of the frontier and
+    labels their unlabelled members; vertices beyond ``radius`` stay
+    ``UNREACHABLE``.  With ``along``, a distance map in which o is at
+    D, a member enters layer i only if it is at D - i in ``along``.
+    Work is O(t*m) in all plus a few array operations per layer.
     """
-    if not 0 <= o < h.n:
-        raise ValueError(f"source vertex {o} outside [0, {h.n})")
     dist = np.full(h.n, UNREACHABLE, dtype=np.int64)
     dist[o] = 0
     edge_done = np.zeros(h.m, dtype=bool)
     scratch = np.empty(max(h.n, h.m), dtype=np.int64)
     frontier = np.array([o], dtype=np.int64)
     level = 0
-    while frontier.size:
+    while frontier.size and level != radius:
         level += 1
         edges = _incident_edges(h, frontier)
         edges = _distinct(edges[~edge_done[edges]], scratch)
         edge_done[edges] = True
         members = h.edge_array[edges].ravel()
-        frontier = _distinct(members[dist[members] == UNREACHABLE], scratch)
+        fresh = dist[members] == UNREACHABLE
+        if along is not None:
+            fresh &= along[members] == along[o] - level
+        frontier = _distinct(members[fresh], scratch)
         dist[frontier] = level
+    return dist
+
+
+def distances_from(h: Hypergraph, o: int,
+                   radius: int | None = None) -> DistanceMap:
+    """Breadth-first distances from vertex o over the co-edge relation.
+
+    With a ``radius`` the search stops after that layer: the map is the
+    whole one with every distance above ``radius`` read as
+    ``UNREACHABLE``.
+    """
+    if not 0 <= o < h.n:
+        raise ValueError(f"source vertex {o} outside [0, {h.n})")
+    if radius is not None and radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    dist = _search(h, o, radius)
     dist.setflags(write=False)
     return DistanceMap(source=o, dist=dist)
 
 
-def _kept_distances(h: Hypergraph, o: int, keep: bool = False) -> DistanceMap:
+def _kept_distances(h: Hypergraph, o: int, keep: bool = False,
+                    radius: int | None = None) -> DistanceMap:
     """The distance map from o that h keeps, else a fresh
-    :func:`distances_from`, which h keeps from then on if ``keep``."""
+    :func:`distances_from` to ``radius``, which h keeps from then on if
+    ``keep`` and the search was not bounded."""
     dm = h._kept.get(o)
     if dm is None:
-        dm = distances_from(h, o)
-        if keep:
+        dm = distances_from(h, o, radius)
+        if keep and radius is None:
             h._kept[o] = dm
     return dm
 
@@ -417,6 +444,9 @@ def _lex_shortest_path(h: Hypergraph, source: int, target: int,
 
     Greedy: from the current vertex, step to the lowest-id co-edge
     neighbour whose distance to the target drops by one.
+    ``dist_to_target`` need only be right on the shortest source-target
+    paths and negative elsewhere: a neighbour of a path vertex one step
+    closer to the target lies on such a path too.
     """
     path = [source]
     current = source
@@ -433,17 +463,24 @@ def _lex_shortest_path(h: Hypergraph, source: int, target: int,
 def diameter_and_path(h: Hypergraph) -> tuple[int, list[int]]:
     """Exact diameter and a shortest vertex path realizing it.
 
-    The path starts at a vertex s of eccentricity D, ends at the lowest-id
-    vertex farthest from s, and is the lexicographically smallest
+    The path starts at a vertex s of eccentricity D, ends at far, the
+    lowest-id vertex farthest from s, and is the lexicographically smallest
     shortest path between the two.  In general s is the lowest-id vertex
     of maximum eccentricity, found by the bit-parallel all-sources BFS in
     O((n/64) * D * t * m) word operations.  Acyclic inputs (for a
     connected input, the forest identity (t-1)*m = n-1) keep the
     double-BFS endpoint instead: s is the lowest-id vertex farthest from
     vertex 0, which is exact on trees since every Levi leaf is a vertex
-    node (edge nodes have degree t >= 2).  That is two BFS runs instead
-    of n/64 batches of D levels each, which on a deep hypertree ball
-    (n = 131,071 at r = 8) would be about 2,000 batches of 17 levels.
+    node (edge nodes have degree t >= 2).  That is one BFS run, from s,
+    instead of n/64 batches of D levels each, which on a deep hypertree
+    ball (n = 131,071 at r = 8) would be about 2,000 batches of 17
+    levels.
+
+    The path is read off a walk back from far over the layers of the map
+    from s: layer i holds the vertices at D - i from s that share an edge
+    with layer i - 1, which are those at distance i from far on a
+    shortest s-far path.  The walk costs at most one BFS, and on a tree
+    visits the path alone.  h keeps the maps from 0 and s, no other.
 
     Raises
     ------
@@ -458,11 +495,10 @@ def diameter_and_path(h: Hypergraph) -> tuple[int, list[int]]:
         s = int(np.argmax(_kept_distances(h, 0).dist))
     else:
         s = int(np.argmax(_eccentricities(h)))
-    ds = _kept_distances(h, s, keep=True)
-    far = int(np.argmax(ds.dist))
-    path = _lex_shortest_path(h, s, far,
-                              _kept_distances(h, far, keep=True).dist)
-    return int(ds.dist[far]), path
+    ds = _kept_distances(h, s, keep=True).dist
+    far = int(np.argmax(ds))
+    return int(ds[far]), _lex_shortest_path(h, s, far,
+                                            _search(h, far, along=ds))
 
 
 def min_eccentricity_vertex(h: Hypergraph) -> int:
@@ -493,7 +529,31 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _cell_table(h: Hypergraph, cell: np.ndarray
+class _Partition(NamedTuple):
+    """The cell (0..p-1) of every vertex, and the representative (lowest
+    vertex id) and float64 size of every cell."""
+
+    cell: np.ndarray
+    rep: np.ndarray
+    size: np.ndarray
+
+
+def _singletons(n: int) -> _Partition:
+    ids = np.arange(n)
+    return _Partition(ids, ids, np.ones(n))
+
+
+def _merged(part: _Partition, cell: np.ndarray) -> _Partition:
+    """The partition whose cell c joins the cells j of ``part`` with
+    ``cell[j] = c``, for cells numbered 0..p-1 in ``cell``."""
+    cells = int(cell.max()) + 1
+    rep = np.full(cells, part.cell.size)
+    np.minimum.at(rep, cell, part.rep)
+    return _Partition(cell[part.cell], rep,
+                      np.bincount(cell, part.size, cells))
+
+
+def _cell_table(h: Hypergraph, part: _Partition
                 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The edge table of the partition with cells 0..p-1, and p.
 
@@ -505,17 +565,16 @@ def _cell_table(h: Hypergraph, cell: np.ndarray
     cells of their members, so a sum over the rows that target a cell
     is the sum over the edges at each of its vertices.
     """
-    cells = int(cell.max()) + 1
-    rep = np.full(cells, h.n)
-    np.minimum.at(rep, cell, np.arange(h.n))
-    rows = h._edge_index[np.unique(_incident_edges(h, rep))]
-    members = cell[rows]
-    targets = np.where(rows == rep[members], members, cells)
+    rows = h._edge_index[np.unique(_incident_edges(h, part.rep))]
+    members = part.cell[rows]
+    cells = part.rep.size
+    targets = np.where(rows == part.rep[members], members, cells)
     return members, targets, cells
 
 
-def _equitable_partition(h: Hypergraph) -> np.ndarray:
-    """The cell of every vertex in the coarsest equitable partition.
+def _equitable_partition(h: Hypergraph) -> _Partition:
+    """The coarsest equitable partition, with its representatives and
+    cell sizes.
 
     A partition is equitable when all vertices of a cell see the same
     multiset of other-member cell tuples over their edges.  Colour
@@ -537,9 +596,10 @@ def _equitable_partition(h: Hypergraph) -> np.ndarray:
     induction every round's keys are constant on the cells of any
     equitable partition, so the key of each cell's representative is
     that of all its vertices: the number of distinct keys, the stop and
-    the numbering in key order come out bit for bit the same.  A known
-    partition that is not equitable can give a wrong one, which callers
-    catch like a collision.
+    the numbering in key order come out bit for bit the same, and so do
+    the representatives and sizes, which are merged from the known
+    cells' own.  A known partition that is not equitable can give a
+    wrong one, which callers catch like a collision.
     """
     known = h._known
     if known is None:
@@ -565,8 +625,9 @@ def _equitable_partition(h: Hypergraph) -> np.ndarray:
         fresh = np.r_[True, ordered[1:] != ordered[:-1]]
         if np.count_nonzero(fresh) == cells:
             cell = np.searchsorted(ordered[fresh], key)
-            return cell if known is None else cell[known]
+            return _merged(_singletons(h.n) if known is None else known,
+                           cell)
         cells = np.count_nonzero(fresh)
         if cells == h.n:
             break
-    return np.arange(h.n)
+    return _singletons(h.n)

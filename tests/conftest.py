@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hgspec import Hypergraph
+from hgspec.hypergraph import _merged, _singletons
 
 
 def cycle_graph(n):
@@ -81,6 +82,13 @@ def same_partition(a, b):
     """True iff the cell labellings a and b split the vertices alike."""
     pairs = set(zip(map(int, a), map(int, b)))
     return len(pairs) == len(set(map(int, a))) == len(set(map(int, b)))
+
+
+def partition_of(cell):
+    """The partition, with representatives and sizes, that the cell
+    labels 0..p-1 give."""
+    cell = np.asarray(cell)
+    return _merged(_singletons(cell.size), cell)
 
 
 def layer_perron_value(t, k, r, dps=50):

@@ -1,5 +1,6 @@
-"""BFS, eccentricities, diameters and the structural predicates checked
-against independent oracles.
+"""BFS, eccentricities, diameters, the multi-center certificate's centre
+separation and the structural predicates checked against independent
+oracles.
 
 Two oracles: networkx on the Levi (vertex-edge incidence) graph, where
 hypergraph distance is half the Levi distance and acyclicity is
@@ -15,8 +16,8 @@ import numpy as np
 import pytest
 
 from hgspec import (Hypergraph, UNREACHABLE, diameter_and_path,
-                    distances_from, hypertree_ball, min_eccentricity_vertex,
-                    random_regular_linear)
+                    distances_from, hypertree_ball, lambda2_lower_certificate,
+                    min_eccentricity_vertex, random_regular_linear)
 from hgspec.hypergraph import _eccentricities, is_acyclic, is_linear
 
 from conftest import cycle_graph, loose_cycle3, loose_path, tight_cycle3
@@ -189,6 +190,19 @@ def test_eccentricities_with_isolated_ends():
 @pytest.mark.parametrize("h", CONNECTED, ids=repr)
 def test_diameter_and_path_match_frozen_loop(h):
     assert diameter_and_path(h) == frozen_diameter_and_path(h)
+
+
+@pytest.mark.parametrize("h,k", [(cycle_graph(12), None),
+                                 (cycle_graph(31), None),
+                                 (hypertree_ball(3, 3, 5), 3)],
+                         ids=["C12", "C31", "ball335"])
+def test_min_center_separation_is_the_levi_distance(h, k):
+    # the inputs of the lambda2 cases of tests/golden/certificates.json
+    meta = lambda2_lower_certificate(h, k=k).metadata
+    centers = meta["centers"]
+    assert meta["min_center_separation"] == min(
+        int(levi_distances(h, a)[b])
+        for i, a in enumerate(centers) for b in centers[i + 1:])
 
 
 @pytest.mark.parametrize("h", CONNECTED, ids=repr)

@@ -17,8 +17,8 @@ from hgspec.hypergraph import _REFINE_ROUNDS, _equitable_partition
 
 from conftest import (adjacency_matrix, complete_lambda2_reference,
                       cycle_graph, layer_perron_value, loose_path,
-                      path_graph, petersen, random_connected_graph,
-                      same_partition)
+                      partition_of, path_graph, petersen,
+                      random_connected_graph, same_partition)
 from test_properties import coarsest_equitable
 
 
@@ -181,15 +181,16 @@ class TestSpectralRadius:
         # so the solver restarts on singletons and returns their result.
         # The partition comes from refinement, or is refined on as the
         # known partition of the instance, which gives it back.
-        ends = np.array([0, 1, 1, 1, 0])
+        ends = partition_of([0, 1, 1, 1, 0])
         monkeypatch.setattr(eigensolver, "_equitable_partition",
-                            lambda h: np.arange(h.n))
+                            lambda h: partition_of(np.arange(h.n)))
         want = spectral_radius(path_graph(5))
         for given in ["refined", "known"]:
             h = path_graph(5)
             if given == "known":
                 h._known = ends
-                assert same_partition(_equitable_partition(h), ends)
+                assert same_partition(_equitable_partition(h).cell,
+                                      ends.cell)
                 refine = _equitable_partition
             else:
                 refine = lambda h: ends  # noqa: E731
@@ -212,9 +213,12 @@ class TestSpectralRadius:
                 break
             bare = Hypergraph(ball.n, ball.t, ball.edge_array)
             assert ball._known is not None and bare._known is None
-            cell = _equitable_partition(ball)
-            assert cell.dtype == np.int64
-            assert cell.tobytes() == _equitable_partition(bare).tobytes()
+            part = _equitable_partition(ball)
+            assert part.cell.dtype == np.int64
+            # cells, representatives and sizes, bit for bit
+            for got, want in zip(part, _equitable_partition(bare)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
             a, b = spectral_radius(ball), spectral_radius(bare)
             assert a.value == b.value
             assert a.vector.tobytes() == b.vector.tobytes()
@@ -288,10 +292,10 @@ class TestSpectralRadius:
         # refinement gives up on a long loose path, and the solve on all
         # vertices agrees with the solve on the exact partition
         h = loose_path(4 * _REFINE_ROUNDS)
-        assert _equitable_partition(h).max() == h.n - 1
+        assert _equitable_partition(h).cell.max() == h.n - 1
         whole = spectral_radius(h)
         monkeypatch.setattr(eigensolver, "_equitable_partition",
-                            lambda h: np.array(coarsest_equitable(h)))
+                            lambda h: partition_of(coarsest_equitable(h)))
         cells = spectral_radius(h)
         assert max(whole.residual, cells.residual) <= 1e-10
         assert cells.value == pytest.approx(whole.value, rel=2e-10)

@@ -15,8 +15,8 @@ from hgspec.forms import (_ShiftedForm, _edge_products, _magnitude,
                           _t_norm_of)
 from hgspec.hypergraph import _equitable_partition
 
-from conftest import (adjacency_matrix, cycle_graph, loose_path, path_graph,
-                      random_connected_graph)
+from conftest import (adjacency_matrix, cycle_graph, loose_path,
+                      partition_of, path_graph, random_connected_graph)
 
 SINGLE = Hypergraph(3, 3, [(0, 1, 2)])
 
@@ -129,8 +129,9 @@ class TestColumnKernels:
     def test_cell_table_is_the_operator_on_cell_constant_vectors(self, h):
         # on the table of an equitable partition, A y and the Jacobian
         # products are those of the lifted vector y[cell] at every vertex
-        cell = _equitable_partition(h)
-        size, cells = _quotient(h, cell)
+        part = _equitable_partition(h)
+        cell, size = part.cell, part.size
+        cells = _quotient(h, part)
         rng = np.random.default_rng(4)
         y, w = rng.uniform(0.2, 2.0, (2, size.size))
         cells.monomials(y)
@@ -149,11 +150,12 @@ class TestColumnKernels:
     def test_discrete_quotient_is_the_operator_bit_for_bit(self, h):
         # on singletons every vertex is its cell's representative, so the
         # cell table is the edge index in order, each position kept
-        size, cells = _quotient(h, np.arange(h.n))
+        part = partition_of(np.arange(h.n))
+        cells = _quotient(h, part)
         vertices = _operator(h, np.float64)
         rng = np.random.default_rng(5)
         x, w = rng.uniform(0.2, 2.0, (2, h.n))
-        assert size.tobytes() == np.ones(h.n).tobytes()
+        assert part.size.tobytes() == np.ones(h.n).tobytes()
         assert cells.t == vertices.t == h.t
         for products in (cells, vertices):
             products.monomials(x)

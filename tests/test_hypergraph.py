@@ -242,6 +242,14 @@ def test_distances_from_isolated_vertex():
     assert distances_from(h, 0).dist.tolist() == [0, 1, -1, -1, -1]
 
 
+def test_distances_from_radius_bounds():
+    h = cycle_graph(6)
+    assert distances_from(h, 0, 0).dist.tolist() == [0, -1, -1, -1, -1, -1]
+    assert distances_from(h, 0, 2).dist.tolist() == [0, 1, 2, -1, 2, 1]
+    with pytest.raises(ValueError, match="radius"):
+        distances_from(h, 0, -1)
+
+
 def test_permutation_relabel_preserves_structure():
     rng = np.random.default_rng(0)
     h = random_regular_linear(3, 3, 18, 2)
@@ -324,7 +332,7 @@ class TestEquitablePartition:
                                        (4, 3, 4), (2, 3, 6), (3, 2, 7)])
     def test_ball_cells_are_the_bfs_layers(self, t, k, r):
         h = hypertree_ball(t, k, r)
-        cell = _equitable_partition(h)
+        cell = _equitable_partition(h).cell
         assert cell.max() + 1 == r + 1
         assert same_partition(cell, distances_from(h, 0).dist)
         if h.n < 2000:
@@ -336,10 +344,10 @@ class TestEquitablePartition:
         complete_uniform(5, 2), cycle_graph(9)],
         ids=["rr300", "rr200_t4", "rr50_t2", "K7_3", "K5", "C9"])
     def test_regular_inputs_have_one_cell(self, h):
-        assert not _equitable_partition(h).any()
+        assert not _equitable_partition(h).cell.any()
 
     def test_path_folds_onto_its_middle(self):
-        cell = _equitable_partition(path_graph(5))
+        cell = _equitable_partition(path_graph(5)).cell
         assert same_partition(cell, [0, 1, 2, 1, 0])
         assert is_equitable(path_graph(5), cell)
 
@@ -347,15 +355,15 @@ class TestEquitablePartition:
         # the 7-vertex tree with no automorphism but the identity
         h = Hypergraph(7, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
                               (2, 6)])
-        assert sorted(_equitable_partition(h)) == list(range(7))
+        assert sorted(_equitable_partition(h).cell) == list(range(7))
 
     def test_single_vertex(self):
-        assert _equitable_partition(Hypergraph(1, 2, [])).tolist() == [0]
+        assert _equitable_partition(Hypergraph(1, 2, [])).cell.tolist() == [0]
 
     def test_gives_up_after_the_round_bound(self):
         # a loose path of E edges folds onto its middle in E/2 + 1 rounds
         short = loose_path(_REFINE_ROUNDS)
-        assert same_partition(_equitable_partition(short),
+        assert same_partition(_equitable_partition(short).cell,
                               coarsest_equitable(short))
         long = loose_path(4 * _REFINE_ROUNDS)
-        assert _equitable_partition(long).tolist() == list(range(long.n))
+        assert _equitable_partition(long).cell.tolist() == list(range(long.n))

@@ -1,5 +1,6 @@
-"""A hypergraph keeps the BFS maps from vertex 0 and from the two ends of
-its diameter path, and no (instance, source) pair is searched twice.
+"""A hypergraph keeps the BFS maps from vertex 0 and from the start s of
+its diameter path, and no (instance, source, radius) triple is searched
+twice.
 
 Every call of ``distances_from`` is counted through each binding of the
 name in an ``hgspec`` module, as the benchmark's tracer counts them.
@@ -23,16 +24,17 @@ from test_cli import run
 
 @pytest.fixture
 def bfs_calls(monkeypatch):
-    """The (hypergraph, source) of every ``distances_from`` call, in order.
+    """The (hypergraph, source, radius) of every ``distances_from`` call,
+    in order; the radius is None for a whole search.
 
     The hypergraphs are held, so no two live instances share an id.
     """
     calls = []
     original = hgspec.hypergraph.distances_from
 
-    def counted(h, o):
-        calls.append((h, o))
-        return original(h, o)
+    def counted(h, o, radius=None):
+        calls.append((h, o, radius))
+        return original(h, o, radius)
 
     for name, module in list(sys.modules.items()):
         if (name == "hgspec" or name.startswith("hgspec.")) and \
@@ -42,9 +44,9 @@ def bfs_calls(monkeypatch):
 
 
 def repeats(calls):
-    """The (instance id, source) pairs searched more than once."""
-    seen = Counter((id(h), o) for h, o in calls)
-    return {pair: count for pair, count in seen.items() if count > 1}
+    """The (instance id, source, radius) triples searched more than once."""
+    seen = Counter((id(h), o, radius) for h, o, radius in calls)
+    return {key: count for key, count in seen.items() if count > 1}
 
 
 @pytest.fixture
@@ -64,13 +66,17 @@ class TestNoRepeatedSearch:
         assert bfs_calls and repeats(bfs_calls) == {}
 
     def test_sweep_row_at_radius_8_runs_two(self, bfs_calls):
-        # the centers are s, 0 and far: the diameter keeps s and far, and
-        # the generator the map from 0, which is that of a fresh search
+        # the centers are s, 0 and far: the diameter keeps s, and the
+        # generator the map from 0, which is that of a fresh search; far
+        # is searched to the ball radius d = 3 alone
         h = hypertree_ball(3, 3, 8)
         spectral_radius(h)
         cert = multi_center_vector(h, k=3)
-        assert [o for _, o in bfs_calls] == [32767, 65535]
+        assert [(o, radius) for _, o, radius in bfs_calls] == \
+            [(32767, None), (65535, 3)]
         assert cert.metadata["centers"] == [32767, 0, 65535]
+        assert cert.metadata["d"] == 3
+        assert sorted(h._kept) == [0, 32767]
         kept = h._kept[0].dist
         fresh = distances_from(h, 0).dist
         assert kept.dtype == fresh.dtype and not kept.flags.writeable
@@ -84,7 +90,7 @@ class TestNoRepeatedSearch:
         code, _ = run(["verify", rr300_s1, "--check", "radial",
                        "--origin", "0"])
         assert code == 0
-        assert [o for _, o in bfs_calls] == [0]
+        assert [(o, radius) for _, o, radius in bfs_calls] == [(0, None)]
 
     def test_mu_lower_certificate(self, bfs_calls):
         mu_lower_certificate(hypertree_ball(3, 3, 5), 1, k=3)
@@ -97,7 +103,7 @@ class TestKeptMaps:
                              ids=["ball", "cycle", "rr60"])
     def test_read_only_and_equal_to_a_fresh_search(self, h):
         multi_center_vector(h, k=int(h.degrees.max()))
-        assert 1 <= len(h._kept) <= 3
+        assert 1 <= len(h._kept) <= 2
         for o, dm in h._kept.items():
             assert dm.source == o
             assert not dm.dist.flags.writeable

@@ -7,8 +7,9 @@ and the Jacobian product of the rho solver.  At t = 2 the tensor is the
 adjacency matrix A, so rho is the largest eigenvalue of A, to within the
 solver's Collatz-Wielandt bracket, and lambda2 is the spectral norm of
 A - (2m/n^2) J, which the real and the complex search both stay under.
-Further properties: emitting then parsing gives back the same
-hypergraph; the CLI ends every fuzzed edge-list text with exit code 0,
+Further properties: a search to a radius is the whole BFS map with
+the vertices beyond the radius unreached; emitting then parsing gives
+back the same hypergraph; the CLI ends every fuzzed edge-list text with exit code 0,
 1 or 2 and at most one ``hgspec:`` line on stderr; every certificate
 quotient on a random regular instance is at least its analytic floor,
 restated here from the paper.  Hypothesis runs derandomized and without
@@ -26,8 +27,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hgspec import (DiameterTooSmall, GenerationFailed, Hypergraph,
-                    InfeasibleParams, SolverConfig, adjacency_form,
+from hgspec import (UNREACHABLE, DiameterTooSmall, GenerationFailed,
+                    Hypergraph, InfeasibleParams, SolverConfig, adjacency_form,
                     apply_adjacency, distances_from, emit_hypergraph,
                     g_value, lambda2_estimate,
                     lambda2_lower_certificate, parse_hypergraph,
@@ -131,9 +132,29 @@ def coarsest_equitable(h):
 @PROPERTY
 @given(h=hypergraphs())
 def test_partition_is_the_coarsest_equitable_one(h):
-    cell = _equitable_partition(h)
+    part = _equitable_partition(h)
+    cell = part.cell
+    # each cell's lowest vertex id and its size come along
+    assert part.rep.tolist() == [cell.tolist().index(c)
+                                 for c in range(part.rep.size)]
+    assert part.size.tolist() == np.bincount(cell).tolist()
     assert is_equitable(h, cell)
     assert same_partition(cell, coarsest_equitable(h))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_bounded_search_is_the_whole_map_clipped(data):
+    # disconnected inputs included: unreached stays unreached
+    h = data.draw(hypergraphs())
+    o = data.draw(st.integers(0, h.n - 1))
+    radius = data.draw(st.integers(0, h.n))
+    whole = distances_from(h, o).dist
+    bounded = distances_from(h, o, radius)
+    assert bounded.source == o and not bounded.dist.flags.writeable
+    assert bounded.dist.dtype == whole.dtype
+    clipped = np.where(whole > radius, UNREACHABLE, whole)
+    assert bounded.dist.tobytes() == clipped.tobytes()
 
 
 @PROPERTY
