@@ -194,13 +194,6 @@ def rho_lower_certificate(h: Hypergraph, o: int, radius: int,
     )
 
 
-def _separation(centers: list[int], dist_maps: list[DistanceMap]) -> int:
-    """Least pairwise distance between the centers; 0 for fewer than two."""
-    return min((int(dist_maps[a].dist[centers[b]])
-                for a in range(len(centers))
-                for b in range(a + 1, len(centers))), default=0)
-
-
 def _smallest_prime_factor(t: int) -> int:
     p = 2
     while p * p <= t:
@@ -343,21 +336,25 @@ def _greedy_far_centers(h: Hypergraph, count: int):
     """Farthest-point selection of ``count`` vertices, lowest id on ties.
 
     Returns the chosen ids, their distance maps, and the minimum pairwise
-    distance achieved.
+    distance achieved, 0 for fewer than two.  Each pick's distance to the
+    centers before it is at most its predecessor's, so the least pairwise
+    distance is the last pick's.
     """
     start = int(np.argmax(_kept_distances(h, 0).dist))
     chosen = [start]
     dist_maps = [_kept_distances(h, start)]
     min_dist = dist_maps[0].dist.copy()
+    separation = 0
     while len(chosen) < count:
         nxt = int(np.argmax(min_dist))
         if int(min_dist[nxt]) == 0:
             break
+        separation = int(min_dist[nxt])
         chosen.append(nxt)
         dm = _kept_distances(h, nxt)
         dist_maps.append(dm)
         np.minimum(min_dist, dm.dist, out=min_dist)
-    return chosen, dist_maps, _separation(chosen, dist_maps)
+    return chosen, dist_maps, separation
 
 
 def build_strong_orthogonal_family(h: Hypergraph, j: int,

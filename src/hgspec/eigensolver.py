@@ -144,12 +144,13 @@ def _newton_direction(products: _Products, size: np.ndarray, x: np.ndarray,
     one value per cell; the system maps vectors constant on the cells of
     an equitable partition to such vectors, and every inner product
     weights cell c by its vertex count ``size[c]``, so CG takes the steps
-    it would take on the n vertices.  Every reduction is ``np.sum``.  CG
-    stops when the residual norm has fallen by the factor ``_CG_RTOL``,
-    on a nonpositive curvature, or after one step per cell.
+    it would take on the n vertices.  Every reduction is ``np.sum``, and
+    every product and sum keeps one order, which fixes its bits: the size
+    leads the two sums before the loop and trails those in it.  CG stops
+    when the residual norm has fallen by the factor ``_CG_RTOL``, on a
+    nonpositive curvature, or after one step per cell.
     """
     t, n = products.t, x.size
-    work = np.empty(n)
     r = (t - 1) * _power(x, t)
     diag = hi * r
     w = np.zeros(n)
@@ -157,32 +158,19 @@ def _newton_direction(products: _Products, size: np.ndarray, x: np.ndarray,
     rz = float(np.sum(size * r * p))
     stop = _CG_RTOL ** 2 * float(np.sum(size * r * r))
     for _ in range(n):
-        kp = products.jacobian(p)
-        np.multiply(diag, p, out=work)
-        np.subtract(work, kp, out=kp)
-        np.multiply(p, kp, out=work)
-        work *= size
-        curvature = float(np.sum(work))
+        kp = diag * p - products.jacobian(p)
+        curvature = float(np.sum(p * kp * size))
         if not curvature > 0.0:
             break
         alpha = rz / curvature
-        np.multiply(p, alpha, out=work)
-        w += work
-        kp *= alpha
-        r -= kp
-        np.multiply(r, r, out=work)
-        work *= size
-        if float(np.sum(work)) <= stop:
+        w += p * alpha
+        r -= kp * alpha
+        if float(np.sum(r * r * size)) <= stop:
             break
-        np.divide(r, diag, out=work)
-        np.multiply(r, work, out=kp)
-        kp *= size
-        rz, rz_old = float(np.sum(kp)), rz
-        del kp  # before the next product allocates its own
-        p *= rz / rz_old
-        p += work
-    w *= x
-    return w
+        z = r / diag
+        rz, rz_old = float(np.sum(r * z * size)), rz
+        p = p * (rz / rz_old) + z
+    return w * x
 
 
 def _newton_step(products: _Products, size: np.ndarray, x: np.ndarray,
@@ -198,9 +186,7 @@ def _newton_step(products: _Products, size: np.ndarray, x: np.ndarray,
     xz = float(np.sum(size * x * z))
     if not 0.0 < xz < np.inf:
         return None
-    z *= float(np.sum(size * x * x)) / xz
-    z -= x
-    z /= t - 1
+    z = (z * (float(np.sum(size * x * x)) / xz) - x) / (t - 1)
     step = x + z
     while not np.all(step > 0.0):
         z *= 0.5

@@ -326,17 +326,6 @@ def _incident_edges(h: Hypergraph, vertices: np.ndarray) -> np.ndarray:
     return h._indices[pos + np.repeat(starts - (ends - lengths), lengths)]
 
 
-def _distinct(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``values`` without repeats, each kept at its last position.
-
-    A scatter and a gather on ``scratch`` (any int64 array indexable by
-    every value), which is cheaper than sorting for BFS layers.
-    """
-    pos = np.arange(values.size)
-    scratch[values] = pos
-    return values[scratch[values] == pos]
-
-
 def _search(h: Hypergraph, o: int, radius: int | None = None,
             along: np.ndarray | None = None) -> np.ndarray:
     """Layer-synchronous frontier BFS from o, to ``radius`` if given.
@@ -345,24 +334,32 @@ def _search(h: Hypergraph, o: int, radius: int | None = None,
     labels their unlabelled members; vertices beyond ``radius`` stay
     ``UNREACHABLE``.  With ``along``, a distance map in which o is at
     D, a member enters layer i only if it is at D - i in ``along``.
-    Work is O(t*m) in all plus a few array operations per layer.
+    A member gathered twice in a layer, as from an edge gathered twice,
+    enters it once: each fresh member writes the mark -2 - (its
+    position) into ``dist``, the occurrences whose mark reads back (the
+    last of each member) form the next frontier, and the level
+    overwrites the marks.  The search keeps one n-long array, ``dist``,
+    and one m-long one, the expanded edges.  Work is O(t*m) in all plus
+    a few array operations per layer.
     """
     dist = np.full(h.n, UNREACHABLE, dtype=np.int64)
     dist[o] = 0
     edge_done = np.zeros(h.m, dtype=bool)
-    scratch = np.empty(max(h.n, h.m), dtype=np.int64)
     frontier = np.array([o], dtype=np.int64)
     level = 0
     while frontier.size and level != radius:
         level += 1
         edges = _incident_edges(h, frontier)
-        edges = _distinct(edges[~edge_done[edges]], scratch)
+        edges = edges[~edge_done[edges]]
         edge_done[edges] = True
         members = h.edge_array[edges].ravel()
         fresh = dist[members] == UNREACHABLE
         if along is not None:
             fresh &= along[members] == along[o] - level
-        frontier = _distinct(members[fresh], scratch)
+        members = members[fresh]
+        mark = -2 - np.arange(members.size)
+        dist[members] = mark
+        frontier = members[dist[members] == mark]
         dist[frontier] = level
     return dist
 
@@ -487,8 +484,6 @@ def diameter_and_path(h: Hypergraph) -> tuple[int, list[int]]:
     NotConnectedError
         If some vertex pair is unreachable.
     """
-    if h.n == 1:
-        return 0, [0]
     if not h.is_connected:
         raise NotConnectedError("diameter undefined: hypergraph is disconnected")
     if (h.t - 1) * h.m == h.n - 1:

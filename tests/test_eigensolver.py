@@ -3,6 +3,8 @@ references, and the lambda2 runs against their stated rules: the
 objective rises at every accepted step, and the evaluations stay within
 the budget."""
 
+import hashlib
+
 import mpmath
 import numpy as np
 import pytest
@@ -236,6 +238,23 @@ class TestSpectralRadius:
         res = spectral_radius(hypertree_ball(3, 3, 6))
         assert tables == [7]
         assert res.residual <= 1e-10
+
+    @pytest.mark.parametrize("build,want", [
+        (lambda: loose_path(4 * _REFINE_ROUNDS),
+         (1.5870920377581728, 9, 1.6949401267985678e-11,
+          "7e6eeaab7e92000f63fe904e25d9d5a4c96a791ed0a3d176c08213fd1c282154")),
+        (lambda: tree_with_chords_and_tail(2000, 1000, 1, 1),
+         (4.372170480545555, 12, 2.2211720435416035e-12,
+          "5f667a66cd49b1238b1d119823e64558a37c261a51b6b5f53456a440db075e8f")),
+    ], ids=["loose", "tree2000"])
+    def test_many_unknown_solves_keep_their_bits(self, build, want):
+        # CG runs on all 257 vertices of the loose path, where refinement
+        # gives up, and on the tree's 1,970 cells; the goldens solve on
+        # one cell or on a ball's layers, so only these pin CG's bits on
+        # many unknowns
+        res = spectral_radius(build())
+        assert (res.value, res.iterations, res.residual,
+                hashlib.sha256(res.vector.tobytes()).hexdigest()) == want
 
     @pytest.mark.parametrize("build,built", [
         (lambda: hypertree_ball(3, 3, 6), 2),

@@ -8,9 +8,11 @@ adjacency matrix A, so rho is the largest eigenvalue of A, to within the
 solver's Collatz-Wielandt bracket, and lambda2 is the spectral norm of
 A - (2m/n^2) J, which the real and the complex search both stay under.
 Further properties: a search to a radius is the whole BFS map with
-the vertices beyond the radius unreached; emitting then parsing gives
-back the same hypergraph; the CLI ends every fuzzed edge-list text with exit code 0,
-1 or 2 and at most one ``hgspec:`` line on stderr; every certificate
+the vertices beyond the radius unreached; the walk back from far over
+the map from s reaches the vertices of the shortest s-far paths alone,
+each at its distance from far; emitting then parsing gives back the
+same hypergraph; the CLI ends every fuzzed edge-list text with exit
+code 0, 1 or 2 and at most one ``hgspec:`` line on stderr; every certificate
 quotient on a random regular instance is at least its analytic floor,
 restated here from the paper.  Hypothesis runs derandomized and without
 a database.
@@ -36,7 +38,7 @@ from hgspec import (UNREACHABLE, DiameterTooSmall, GenerationFailed,
                     spectral_radius, threshold)
 from hgspec.cli import run_command
 from hgspec.forms import _operator
-from hgspec.hypergraph import _equitable_partition
+from hgspec.hypergraph import _equitable_partition, _search
 
 from conftest import adjacency_matrix, is_equitable, same_partition
 
@@ -62,6 +64,22 @@ def connected_graphs(draw, max_n=8):
     extra = draw(st.sets(st.sampled_from(
         list(itertools.combinations(range(n), 2)))))
     return Hypergraph(n, 2, sorted(tree | extra))
+
+
+@st.composite
+def connected_hypergraphs(draw, t_values=(2, 3, 4), max_tree=5):
+    """A random hypertree, each edge one earlier vertex and t - 1 new
+    ones (a single vertex when it has no edge), plus extra edges."""
+    t = draw(st.sampled_from(t_values))
+    tree = draw(st.integers(0, max_tree))
+    n = (t - 1) * tree + 1
+    edges = {(draw(st.integers(0, (t - 1) * e)),
+              *range((t - 1) * e + 1, (t - 1) * (e + 1) + 1))
+             for e in range(tree)}
+    if n >= t:
+        edges |= draw(st.sets(st.sampled_from(
+            list(itertools.combinations(range(n), t)))))
+    return Hypergraph(n, t, sorted(edges))
 
 
 def dense_tensor(h):
@@ -155,6 +173,18 @@ def test_bounded_search_is_the_whole_map_clipped(data):
     assert bounded.dist.dtype == whole.dtype
     clipped = np.where(whole > radius, UNREACHABLE, whole)
     assert bounded.dist.tobytes() == clipped.tobytes()
+
+
+@PROPERTY
+@given(h=connected_hypergraphs(), data=st.data())
+def test_walk_back_is_the_distance_on_shortest_paths(h, data):
+    # the diameter's walk back from far over the map from s: a vertex on
+    # a shortest s-far path (ds + df = D) gets its distance from far, any
+    # other stays unreached; far need not be the farthest vertex
+    s, far = (data.draw(st.integers(0, h.n - 1)) for _ in range(2))
+    ds, df = distances_from(h, s).dist, distances_from(h, far).dist
+    want = np.where(ds + df == ds[far], df, UNREACHABLE)
+    assert _search(h, far, along=ds).tobytes() == want.tobytes()
 
 
 @PROPERTY
