@@ -24,8 +24,8 @@ from .errors import (CertificateError, DiameterTooSmall, DomainError,
                      EdgeError, Error, GenerationFailed, InfeasibleParams,
                      NoConvergence, NotConnectedError, NotRegularError,
                      ParseError, SizeOverflow)
-from .forms import (adjacency_form, apply_adjacency, edge_contributions,
-                    shifted_form, t_norm, t_norm_pow)
+from .forms import (adjacency_form, apply_adjacency, shifted_form, t_norm,
+                    t_norm_pow)
 from .generators import complete_uniform, hypertree_ball, random_regular_linear
 from .hypergraph import (UNREACHABLE, DistanceMap, Hypergraph,
                          diameter_and_path, distances_from, is_acyclic,
@@ -43,9 +43,9 @@ __all__ = [
     "SolverConfig", "SpectralReport", "StrongOrthogonalSet", "UNREACHABLE",
     "CertificateError", "adjacency_form", "apply_adjacency",
     "build_strong_orthogonal_family", "complete_uniform", "diameter_and_path",
-    "distances_from", "dumps_json", "edge_contributions",
-    "emit_hypergraph", "emit_sweep_csv", "friedman_alternate", "g_hat_value",
-    "g_value", "hypertree_ball", "is_acyclic", "is_linear",
+    "distances_from", "dumps_json", "emit_hypergraph", "emit_sweep_csv",
+    "friedman_alternate", "g_hat_value", "g_value", "hypertree_ball",
+    "is_acyclic", "is_linear",
     "lambda2_estimate", "lambda2_lower_certificate",
     "min_eccentricity_vertex", "mu_lower_certificate", "multi_center_vector",
     "parse_hypergraph", "radial_vector", "random_regular_linear",

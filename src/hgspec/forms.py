@@ -311,11 +311,6 @@ def apply_adjacency(h: Hypergraph, x) -> np.ndarray:
     return products.apply()
 
 
-def edge_contributions(h: Hypergraph, x) -> np.ndarray:
-    """Per-edge monomials x^e = prod_{u in e} x_u, in edge-list order."""
-    return _edge_products(as_vector(h, x)[h._edge_index])
-
-
 def adjacency_form(h: Hypergraph, x) -> float | complex:
     """x^T(A x) = t * sum over edges of x^e.
 

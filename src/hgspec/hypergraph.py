@@ -34,9 +34,11 @@ The incidence is held as compressed sparse rows (``indptr``/``indices``
 numpy arrays), and every search runs on it with whole-array operations.
 Single-source BFS expands one frontier per layer.  All eccentricities
 come from a bit-parallel BFS that advances 64 sources per batch, at
-O((n/64) * D * t * m) word operations for diameter D; acyclic inputs
-keep the double-BFS endpoint for their diameter instead (see
-:func:`diameter_and_path`).
+O((n/64) * D * t * m) word operations for diameter D.  It reads the
+incidence padded to a few widths (:func:`_padded_incidence`), so that
+each level is one gather and one reduction per width; on a regular
+input that is a single width.  Acyclic inputs keep the double-BFS
+endpoint for their diameter instead (see :func:`diameter_and_path`).
 
 For the rho solver, colour refinement finds the coarsest equitable
 vertex partition (:func:`_equitable_partition`).  It runs on the
@@ -394,6 +396,43 @@ def _kept_distances(h: Hypergraph, o: int, keep: bool = False,
     return dm
 
 
+def _padded_incidence(h: Hypergraph
+                      ) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """The incidence in degree buckets, for :func:`_eccentricities`.
+
+    A vertex of degree d > 0 gets a row of width kmin * 2^b, the least
+    such at least d, for the least positive degree kmin: its edge ids,
+    then pads with the id m.  The width is below 2d, so all rows hold
+    at most 2 * t * m slots, and a regular input has one width and no
+    pads.  The vertices with an edge are relabelled stably by width,
+    so that those of one width have consecutive new ids.
+
+    Returns the old id of each new id, the (t, m) new ids of the edges'
+    members, and per width in increasing order ``(lo, hi, rows)``: the
+    new ids lo..hi-1 and their rows as the columns of a (width, hi - lo)
+    array.
+    """
+    deg = h.degrees
+    # every degree is at most m, so m stands in when no vertex has an edge
+    width = np.where(deg > 0, deg[deg > 0].min(initial=h.m), 0)
+    while (short := width < deg).any():
+        width[short] *= 2
+    order = np.argsort(width, kind="stable")[h.n - np.count_nonzero(deg):]
+    label = np.empty(h.n, dtype=np.int64)
+    label[order] = np.arange(order.size)
+    members = np.ascontiguousarray(label[h._edge_index].T)
+    ids = np.append(h._indices, h.m)
+    buckets = []
+    lo = 0
+    for w, count in zip(*np.unique(width[order], return_counts=True)):
+        v = order[lo:lo + count]
+        slot = np.arange(w)[:, None]
+        rows = ids[np.where(slot < deg[v], h._indptr[v] + slot, ids.size - 1)]
+        buckets.append((lo, lo + count, rows))
+        lo += count
+    return order, members, buckets
+
+
 def _eccentricities(h: Hypergraph) -> np.ndarray:
     """Eccentricity of every vertex: its largest finite distance.
 
@@ -401,38 +440,41 @@ def _eccentricities(h: Hypergraph) -> np.ndarray:
     on the vertex-edge incidence.  Sources go 64 to a batch, one bit each
     in a ``uint64`` word per vertex holding the set of sources that have
     reached it.  One level ORs the words of each edge's t members into
-    the edge, then ORs each vertex's incident edges back over the CSR;
-    a source whose bit reached some new vertex has advanced one more
-    level.  Cost: O((n/64) * D * t * m) word operations.
+    the edge, then, width by width over :func:`_padded_incidence`, ORs
+    each vertex's row of edges back into the vertex; a pad reads a zero
+    word after the edges'.  A source whose bit reached some new vertex
+    has advanced one more level.  A vertex without edges stays out of
+    the search, at eccentricity 0.  Cost: O((n/64) * D * t * m) word
+    operations, with one gather and one reduction per stage and width
+    in each level.
     """
-    n = h.n
+    vertices, members, buckets = _padded_incidence(h)
+    n, m = vertices.size, h.m  # the vertices with an edge, and the edges
     ecc = np.zeros(n, dtype=np.int64)
-    columns = [np.ascontiguousarray(h.edge_array[:, c]) for c in range(h.t)]
-    covered = h.degrees > 0
-    # reduceat yields a neighbour's value on an empty segment, so only
-    # vertices with at least one edge are reduced
-    starts = h._indptr[:-1][covered]
+    words = np.zeros(m + 1, dtype=np.uint64)  # words[m] stays 0
+    reached = np.empty(n, dtype=np.uint64)
+    grown = np.empty(n, dtype=np.uint64)
     all_bits = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
     for lo in range(0, n, 64):
         width = min(64, n - lo)
         bits = all_bits[:width]
-        reached = np.zeros(n, dtype=np.uint64)
+        reached[:] = 0
         reached[lo:lo + width] = bits
         level = 0
         while True:
             level += 1
-            edge_bits = reached[columns[0]]
-            for col in columns[1:]:
-                edge_bits |= reached[col]
-            grown = reached.copy()
-            grown[covered] |= np.bitwise_or.reduceat(edge_bits[h._indices],
-                                                     starts)
+            np.bitwise_or.reduce(reached[members], axis=0, out=words[:m])
+            for start, stop, rows in buckets:
+                np.bitwise_or.reduce(words[rows], axis=0,
+                                     out=grown[start:stop])
             advanced = np.bitwise_or.reduce(grown ^ reached)
             if not advanced:
                 break
             ecc[lo:lo + width][(advanced & bits) != 0] = level
-            reached = grown
-    return ecc
+            reached, grown = grown, reached
+    full = np.zeros(h.n, dtype=np.int64)
+    full[vertices] = ecc
+    return full
 
 
 def _lex_shortest_path(h: Hypergraph, source: int, target: int,
@@ -464,11 +506,13 @@ def diameter_and_path(h: Hypergraph) -> tuple[int, list[int]]:
     lowest-id vertex farthest from s, and is the lexicographically smallest
     shortest path between the two.  In general s is the lowest-id vertex
     of maximum eccentricity, found by the bit-parallel all-sources BFS in
-    O((n/64) * D * t * m) word operations.  Acyclic inputs (for a
-    connected input, the forest identity (t-1)*m = n-1) keep the
-    double-BFS endpoint instead: s is the lowest-id vertex farthest from
-    vertex 0, which is exact on trees since every Levi leaf is a vertex
-    node (edge nodes have degree t >= 2).  That is one BFS run, from s,
+    O((n/64) * D * t * m) word operations, each level one gather and one
+    reduction per incidence width (one width on a regular input; see
+    :func:`_eccentricities`).  Acyclic inputs (for a connected input,
+    the forest identity (t-1)*m = n-1) keep the double-BFS endpoint
+    instead: s is the lowest-id vertex farthest from vertex 0, which is
+    exact on trees since every Levi leaf is a vertex node (edge nodes
+    have degree t >= 2).  That is one BFS run, from s,
     instead of n/64 batches of D levels each, which on a deep hypertree
     ball (n = 131,071 at r = 8) would be about 2,000 batches of 17
     levels.

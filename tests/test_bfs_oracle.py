@@ -18,7 +18,8 @@ import pytest
 from hgspec import (Hypergraph, UNREACHABLE, diameter_and_path,
                     distances_from, hypertree_ball, lambda2_lower_certificate,
                     min_eccentricity_vertex, random_regular_linear)
-from hgspec.hypergraph import _eccentricities, is_acyclic, is_linear
+from hgspec.hypergraph import (_eccentricities, _padded_incidence,
+                               is_acyclic, is_linear)
 
 from conftest import cycle_graph, loose_cycle3, loose_path, tight_cycle3
 
@@ -137,11 +138,24 @@ RANDOM_CASES = [(n, t, m, seed)
 ECC_SIZES = (2, 63, 64, 65, 130)
 
 
+def hub_and_cycle(n):
+    """Vertex 0 in 40 edges (0, 2i+1, 2i+2), a loose cycle of 3-edges
+    (2j+1, 2j+2, 2j+3) through 1..n-2, and the isolated vertex n-1: the
+    degrees 40, 3, 2 and 1 take four widths of the padded incidence."""
+    spokes = [(0, 2 * i + 1, 2 * i + 2) for i in range(40)]
+    ring = n - 2  # an even count, at least 82
+    cycle = [(2 * j + 1, 2 * j + 2, (2 * j + 2) % ring + 1)
+             for j in range(ring // 2)]
+    return Hypergraph(n, 3, spokes + cycle)
+
+
 def _ecc_instances(n):
-    """A connected and a disconnected instance on n vertices."""
+    """A connected and a disconnected instance on n vertices, and from
+    n = 84 on, for even n, a hub on a cycle with an isolated vertex."""
     if n == 2:
         return [Hypergraph(2, 2, [(0, 1)]), Hypergraph(2, 2, [])]
-    return [cycle_graph(n), random_hypergraph(n, 3, n // 3, n)]
+    hub = [hub_and_cycle(n)] if n >= 84 and n % 2 == 0 else []
+    return [cycle_graph(n), random_hypergraph(n, 3, n // 3, n)] + hub
 
 
 def _connected_instances():
@@ -178,6 +192,19 @@ def test_eccentricities_match_levi_bfs(n, t, m, seed):
     h = random_hypergraph(n, t, m, seed)
     expected = [int(levi_distances(h, v).max()) for v in range(h.n)]
     assert _eccentricities(h).tolist() == expected
+
+
+def test_padded_incidence_has_at_most_2tm_slots():
+    hub = hub_and_cycle(130)
+    assert len(_padded_incidence(hub)[2]) == 4
+    for n in ECC_SIZES:
+        for h in _ecc_instances(n):
+            _, _, buckets = _padded_incidence(h)
+            assert sum(rows.size for *_, rows in buckets) <= 2 * h.t * h.m
+    # a regular input: one width, no pads
+    h = random_regular_linear(3, 3, 30, 0)
+    (_, _, rows), = _padded_incidence(h)[2]
+    assert rows.shape == (3, 30) and np.all(rows < h.m)
 
 
 def test_eccentricities_with_isolated_ends():

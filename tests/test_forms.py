@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from hgspec import (Hypergraph, adjacency_form, apply_adjacency,
-                    complete_uniform, edge_contributions, hypertree_ball,
-                    multi_center_vector, random_regular_linear, shifted_form,
-                    t_norm, t_norm_pow)
+                    complete_uniform, hypertree_ball, multi_center_vector,
+                    random_regular_linear, shifted_form, t_norm, t_norm_pow)
 from hgspec.forms import (_ShiftedForm, _edge_products, _magnitude,
                           _operator, _power, _product, _quotient, _root,
                           _t_norm_of)
@@ -293,11 +292,6 @@ class TestForm:
             form = adjacency_form(h, x)
             dot = float(np.dot(x, apply_adjacency(h, x)))
             assert abs(form - dot) <= 1e-12 * max(1.0, abs(form))
-
-    def test_edge_contributions_order(self):
-        h = Hypergraph(4, 2, [(0, 1), (2, 3)])
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(edge_contributions(h, x), [2.0, 12.0])
 
     @pytest.mark.parametrize("case", ["random-x-ball-2-3-12",
                                       "multi-center-ball-3-3-8"])

@@ -24,10 +24,10 @@ EXPORTED = [
     "SolverConfig", "SpectralReport", "StrongOrthogonalSet", "UNREACHABLE",
     "adjacency_form", "apply_adjacency", "build_strong_orthogonal_family",
     "complete_uniform", "diameter_and_path", "distances_from", "dumps_json",
-    "edge_contributions", "emit_hypergraph", "emit_sweep_csv",
-    "friedman_alternate", "g_hat_value", "g_value", "hypertree_ball",
-    "is_acyclic", "is_linear", "lambda2_estimate",
-    "lambda2_lower_certificate", "min_eccentricity_vertex",
+    "emit_hypergraph", "emit_sweep_csv", "friedman_alternate", "g_hat_value",
+    "g_value", "hypertree_ball", "is_acyclic", "is_linear",
+    "lambda2_estimate", "lambda2_lower_certificate",
+    "min_eccentricity_vertex",
     "mu_lower_certificate", "multi_center_vector", "parse_hypergraph",
     "radial_vector", "random_regular_linear", "regular_degree",
     "rho_lower_certificate", "shifted_form", "spectral_radius", "t_norm",
