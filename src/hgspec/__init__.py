@@ -29,7 +29,7 @@ from .forms import (adjacency_form, apply_adjacency, shifted_form, t_norm,
 from .generators import complete_uniform, hypertree_ball, random_regular_linear
 from .hypergraph import (UNREACHABLE, DistanceMap, Hypergraph,
                          diameter_and_path, distances_from, is_acyclic,
-                         is_linear, min_eccentricity_vertex, regular_degree)
+                         min_eccentricity_vertex, regular_degree)
 from .io import emit_hypergraph, parse_hypergraph
 from .reports import SpectralReport, dumps_json, emit_sweep_csv
 
@@ -45,8 +45,7 @@ __all__ = [
     "build_strong_orthogonal_family", "complete_uniform", "diameter_and_path",
     "distances_from", "dumps_json", "emit_hypergraph", "emit_sweep_csv",
     "friedman_alternate", "g_hat_value", "g_value", "hypertree_ball",
-    "is_acyclic", "is_linear",
-    "lambda2_estimate", "lambda2_lower_certificate",
+    "is_acyclic", "lambda2_estimate", "lambda2_lower_certificate",
     "min_eccentricity_vertex", "mu_lower_certificate", "multi_center_vector",
     "parse_hypergraph", "radial_vector", "random_regular_linear",
     "regular_degree", "rho_lower_certificate", "shifted_form",

@@ -76,8 +76,6 @@ def _resolve_degree(h: Hypergraph, k: int | None,
     stays inside the regular core.
     """
     deg = h.degrees if within is None else h.degrees[within]
-    if deg.size == 0:
-        raise NotRegularError("no vertices in the regularity horizon")
     inferred = int(deg[0]) if k is None else k
     if not bool(np.all(deg == inferred)):
         lo, hi = int(deg.min()), int(deg.max())
@@ -203,18 +201,19 @@ def _smallest_prime_factor(t: int) -> int:
     return t
 
 
-def _phased_ball_vector(h: Hypergraph, centers: list[int], d: int, k: int,
+def _phased_ball_vector(h: Hypergraph, d: int, k: int,
                         dist_maps: list[DistanceMap]):
     """Multi-center vector: per-ball g-weights, s-th root-of-unity phases.
 
-    Entry c_j * omega^(j-1) * g(i) on the distance-i layer of ball j,
+    Ball j is centered on the source of ``dist_maps[j]``, with entry
+    c_j * omega^(j-1) * g(i) on its distance-i layer,
     with c_j chosen so each ball's weighted sum is exactly 1.  Phases
     are kept as exact (index, s) pairs in the metadata; they only become
     floating complex numbers in the returned vector.  Real dtype when
     s = 2 (omega = -1).
     """
     t = h.t
-    s = len(centers)
+    s = len(dist_maps)
     profile = _g_profile(t, k, d)
     complex_phases = s > 2
     y = np.zeros(h.n, dtype=np.complex128 if complex_phases else np.float64)
@@ -243,7 +242,7 @@ def _phased_ball_vector(h: Hypergraph, centers: list[int], d: int, k: int,
     meta = {
         "s": s,
         "d": d,
-        "centers": list(centers),
+        "centers": [dm.source for dm in dist_maps],
         "weights": weights,
         "phases": [(j, s) for j in range(s)],
         "layer_sizes": layer_sizes,
@@ -287,7 +286,7 @@ def multi_center_vector(h: Hypergraph, k: int | None = None) -> Certificate:
         raise DiameterTooSmall(2 * s - 2, diam)
     centers = [path[a * (2 * d + 2)] for a in range(s)]
     dist_maps = [_kept_distances(h, c, radius=d) for c in centers]
-    y, meta = _phased_ball_vector(h, centers, d, k, dist_maps)
+    y, meta = _phased_ball_vector(h, d, k, dist_maps)
     entry_sum = complex(y.sum())
     scale = float(_magnitude(y).sum())
     if abs(entry_sum) > EXACTNESS_TOL * scale:
@@ -399,9 +398,8 @@ def build_strong_orthogonal_family(h: Hypergraph, j: int,
         raise DiameterTooSmall(2 * t + 1, separation)
     vectors = []
     blocks = [chosen[l * s:(l + 1) * s] for l in range(j)]
-    for l, block in enumerate(blocks):
-        y, _ = _phased_ball_vector(h, block, d, k,
-                                   dist_maps[l * s:(l + 1) * s])
+    for l in range(j):
+        y, _ = _phased_ball_vector(h, d, k, dist_maps[l * s:(l + 1) * s])
         y = y / t_norm(y, t)
         vectors.append(y)
     verified = _verify_strong_orthogonality(h, vectors)

@@ -3,14 +3,14 @@
 Vertices are dense integer ids ``0..n-1``.  The edges are stored once,
 as the ``(m, t)`` int64 array ``Hypergraph._edge_index``, each row
 sorted and the rows in lexicographic order; ``degrees`` and the
-incidence are built from it, ``edges`` (tuples) on first use.  The
-public ``edge_array`` is a read-only view of it.  The index itself stays
-writable, though nothing writes to it, because numpy copies a read-only
-index array on every ``take``, ``bincount`` or fancy index; the kernels
-in ``forms`` index with it directly.  The constructor is the one place
-edges are validated: whole-array checks that name the input index of
-the first faulty edge, which the parser maps to a line number.  A
-:class:`Hypergraph` is immutable; all operations here are pure.
+incidence are built from it.  The public ``edge_array`` is a read-only
+view of it.  The index itself stays writable, though nothing writes to
+it, because numpy copies a read-only index array on every ``take``,
+``bincount`` or fancy index; the kernels in ``forms`` index with it
+directly.  The constructor is the one place edges are validated:
+whole-array checks that name the input index of the first faulty edge,
+which the parser maps to a line number.  A :class:`Hypergraph` is
+immutable; all operations here are pure.
 
 A hypergraph keeps up to two read-only BFS maps (n int64 each) once
 they are computed: the one from vertex 0, which ``is_connected`` reads,
@@ -195,7 +195,7 @@ class Hypergraph:
     """
 
     __slots__ = ("n", "t", "_edge_index", "edge_array", "degrees",
-                 "_indptr", "_indices", "_edges", "_kept", "_known")
+                 "_indptr", "_indices", "_kept", "_known")
 
     def __init__(self, n, t, edges):
         if not isinstance(n, int) or n < 1:
@@ -215,20 +215,12 @@ class Hypergraph:
         self.degrees = np.diff(self._indptr)
         for a in (self.edge_array, self._indptr, self._indices, self.degrees):
             a.setflags(write=False)
-        self._edges = None
         self._kept = {}  # BFS maps by source; see the module docstring
         self._known = None  # an equitable _Partition given by the builder
 
     @property
     def m(self) -> int:
         return self.edge_array.shape[0]
-
-    @property
-    def edges(self) -> tuple[tuple[int, ...], ...]:
-        """The edges as sorted tuples in lexicographic order (cached)."""
-        if self._edges is None:
-            self._edges = tuple(map(tuple, self.edge_array.tolist()))
-        return self._edges
 
     @property
     def is_connected(self) -> bool:
@@ -259,13 +251,6 @@ def regular_degree(h: Hypergraph) -> int | None:
     deg = h.degrees
     k = int(deg[0])
     return k if bool(np.all(deg == k)) else None
-
-
-def is_linear(h: Hypergraph) -> bool:
-    """True iff every pair of distinct edges shares at most one vertex."""
-    i, j = np.triu_indices(h.t, 1)
-    pairs = h.edge_array[:, i] * h.n + h.edge_array[:, j]
-    return np.unique(pairs).size == pairs.size
 
 
 def is_acyclic(h: Hypergraph) -> bool:
@@ -528,8 +513,7 @@ def diameter_and_path(h: Hypergraph) -> tuple[int, list[int]]:
     NotConnectedError
         If some vertex pair is unreachable.
     """
-    if not h.is_connected:
-        raise NotConnectedError("diameter undefined: hypergraph is disconnected")
+    _require_connected(h, "diameter paths")
     if (h.t - 1) * h.m == h.n - 1:
         s = int(np.argmax(_kept_distances(h, 0).dist))
     else:
@@ -542,8 +526,7 @@ def diameter_and_path(h: Hypergraph) -> tuple[int, list[int]]:
 
 def min_eccentricity_vertex(h: Hypergraph) -> int:
     """Lowest-id vertex of minimum eccentricity (a center of h)."""
-    if not h.is_connected:
-        raise NotConnectedError("eccentricity undefined: disconnected")
+    _require_connected(h, "eccentricities")
     return int(np.argmin(_eccentricities(h)))
 
 

@@ -1,6 +1,7 @@
 """Shared instance builders and references for the test suite."""
 
 import functools
+import itertools
 import math
 
 import mpmath
@@ -56,11 +57,24 @@ def random_connected_graph(n, p, seed):
             return h
 
 
+def edge_tuples(h):
+    """The edges of h as sorted tuples, in lexicographic order."""
+    return tuple(map(tuple, h.edge_array.tolist()))
+
+
+def is_linear(h):
+    """True iff no two edges share two vertices: each vertex pair lies
+    in at most one edge; pure Python."""
+    pairs = [p for edge in edge_tuples(h)
+             for p in itertools.combinations(edge, 2)]
+    return len(set(pairs)) == len(pairs)
+
+
 def adjacency_matrix(h):
     """Dense symmetric adjacency matrix of a 2-uniform hypergraph."""
     assert h.t == 2
     a = np.zeros((h.n, h.n))
-    for (i, j) in h.edges:
+    for (i, j) in edge_tuples(h):
         a[i, j] = a[j, i] = 1.0
     return a
 
@@ -69,7 +83,7 @@ def is_equitable(h, cell):
     """True iff every vertex of a cell sees the same multiset of
     other-member cell tuples over its edges; exact, in pure Python."""
     views = [[] for _ in range(h.n)]
-    for edge in h.edges:
+    for edge in edge_tuples(h):
         for v in edge:
             views[v].append(tuple(sorted(int(cell[u]) for u in edge
                                          if u != v)))

@@ -6,8 +6,8 @@ Two oracles: networkx on the Levi (vertex-edge incidence) graph, where
 hypergraph distance is half the Levi distance and acyclicity is
 ``is_forest``, and a frozen copy of the earlier pure-Python per-source
 loops, which fixes the tie-breaking of ``diameter_and_path`` and
-``min_eccentricity_vertex``.  Linearity is checked by comparing every
-pair of edges.
+``min_eccentricity_vertex``.  The tests' own linearity check
+(``conftest.is_linear``) is held to a comparison of every pair of edges.
 """
 
 import functools
@@ -18,10 +18,10 @@ import pytest
 from hgspec import (Hypergraph, UNREACHABLE, diameter_and_path,
                     distances_from, hypertree_ball, lambda2_lower_certificate,
                     min_eccentricity_vertex, random_regular_linear)
-from hgspec.hypergraph import (_eccentricities, _padded_incidence,
-                               is_acyclic, is_linear)
+from hgspec.hypergraph import _eccentricities, _padded_incidence, is_acyclic
 
-from conftest import cycle_graph, loose_cycle3, loose_path, tight_cycle3
+from conftest import (cycle_graph, edge_tuples, is_linear, loose_cycle3,
+                      loose_path, tight_cycle3)
 
 
 def random_hypergraph(n, t, m, seed):
@@ -37,7 +37,7 @@ def levi_distances(h, o):
     nx = pytest.importorskip("networkx")
     g = nx.Graph()
     g.add_nodes_from(range(h.n + h.m))
-    g.add_edges_from((v, h.n + e) for e, edge in enumerate(h.edges)
+    g.add_edges_from((v, h.n + e) for e, edge in enumerate(edge_tuples(h))
                      for v in edge)
     dist = np.full(h.n, UNREACHABLE, dtype=np.int64)
     for node, d in nx.single_source_shortest_path_length(g, o).items():
@@ -60,6 +60,7 @@ def _incidence(h):
 
 
 def _frozen_distances(h, o):
+    edges = edge_tuples(h)
     dist = [UNREACHABLE] * h.n
     dist[o] = 0
     edge_done = [False] * h.m
@@ -73,7 +74,7 @@ def _frozen_distances(h, o):
                 if edge_done[e]:
                     continue
                 edge_done[e] = True
-                for u in h.edges[e]:
+                for u in edges[e]:
                     if dist[u] == UNREACHABLE:
                         dist[u] = level
                         nxt.append(u)
@@ -83,13 +84,14 @@ def _frozen_distances(h, o):
 
 
 def _frozen_lex_path(h, source, dist_to_target):
+    edges = edge_tuples(h)
     path = [source]
     current = source
     remaining = dist_to_target[source]
     while remaining > 0:
         best = None
         for e in _incidence(h)[current]:
-            for u in h.edges[e]:
+            for u in edges[e]:
                 if dist_to_target[u] == remaining - 1:
                     if best is None or u < best:
                         best = u
@@ -245,12 +247,13 @@ def test_is_acyclic_and_is_linear_match_oracles(n, t, m):
     instances += CONNECTED + [loose_cycle3(), Hypergraph(6, 3, [])]
     verdicts = set()
     for h in instances:
+        edges = edge_tuples(h)
         g = nx.Graph()
         g.add_nodes_from(range(h.n + h.m))
-        g.add_edges_from((v, h.n + e) for e, edge in enumerate(h.edges)
+        g.add_edges_from((v, h.n + e) for e, edge in enumerate(edges)
                          for v in edge)
         linear = all(len(set(a) & set(b)) <= 1
-                     for i, a in enumerate(h.edges) for b in h.edges[:i])
+                     for i, a in enumerate(edges) for b in edges[:i])
         assert is_acyclic(h) == nx.is_forest(g)
         assert is_linear(h) == linear
         verdicts.add((is_acyclic(h), linear))

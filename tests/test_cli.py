@@ -20,6 +20,8 @@ from hgspec import cli
 from hgspec.cli import run_command
 from hgspec.reports import SWEEP_COLUMNS, dumps_json, emit_sweep_csv
 
+from conftest import edge_tuples
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -33,7 +35,7 @@ class TestEdgeListFormat:
     def test_single_edge(self):
         h = parse_hypergraph("3 3 1\n0 1 2\n")
         assert (h.t, h.n, h.m) == (3, 3, 1)
-        assert h.edges == ((0, 1, 2),)
+        assert edge_tuples(h) == ((0, 1, 2),)
 
     def test_comments_and_blanks(self):
         text = "# a comment\n\n2 4 2\n0 1\n# interior comment\n2 3\n"

@@ -13,7 +13,7 @@ from hgspec import (CertificateError, DiameterTooSmall, Hypergraph,
                     spectral_radius, t_norm, t_norm_pow, threshold,
                     verify_radial_inequality)
 
-from conftest import cycle_graph, petersen, tight_cycle3
+from conftest import cycle_graph, edge_tuples, petersen, tight_cycle3
 
 
 class TestRadialVector:
@@ -171,7 +171,7 @@ class TestMultiCenter:
         cert = multi_center_vector(h)
         support = np.flatnonzero(np.abs(cert.vector) > 0)
         signs = np.sign(cert.vector[support])
-        for edge in h.edges:
+        for edge in edge_tuples(h):
             vals = [cert.vector[v] for v in edge]
             pos = sum(1 for v in vals if v > 0)
             neg = sum(1 for v in vals if v < 0)

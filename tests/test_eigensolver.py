@@ -18,7 +18,7 @@ from hgspec.forms import _magnitude, _power
 from hgspec.hypergraph import _REFINE_ROUNDS, _equitable_partition
 
 from conftest import (adjacency_matrix, complete_lambda2_reference,
-                      cycle_graph, layer_perron_value, loose_path,
+                      cycle_graph, edge_tuples, layer_perron_value, loose_path,
                       partition_of, path_graph, petersen,
                       random_connected_graph, same_partition)
 from test_properties import coarsest_equitable
@@ -137,12 +137,12 @@ class TestSpectralRadius:
         rng = np.random.default_rng(11)
         h = random_regular_linear(3, 3, 18, 6)
         base = spectral_radius(h).value
-        existing = set(h.edges)
+        existing = set(edge_tuples(h))
         while True:
             cand = tuple(sorted(rng.choice(h.n, size=3, replace=False).tolist()))
             if cand not in existing:
                 break
-        grown = Hypergraph(h.n, h.t, list(h.edges) + [cand])
+        grown = Hypergraph(h.n, h.t, list(edge_tuples(h)) + [cand])
         assert spectral_radius(grown).value >= base - 1e-9
 
     def test_determinism_bitwise(self):

@@ -14,7 +14,7 @@ from hgspec.forms import (_ShiftedForm, _edge_products, _magnitude,
                           _t_norm_of)
 from hgspec.hypergraph import _equitable_partition
 
-from conftest import (adjacency_matrix, cycle_graph, loose_path,
+from conftest import (adjacency_matrix, cycle_graph, edge_tuples, loose_path,
                       partition_of, path_graph, random_connected_graph)
 
 SINGLE = Hypergraph(3, 3, [(0, 1, 2)])
@@ -55,7 +55,8 @@ class TestApply:
         h = random_regular_linear(3, 3, 18, 5)
         x = rng.standard_normal(h.n)
         perm = rng.permutation(h.n)
-        relabeled = Hypergraph(h.n, h.t, [tuple(perm[list(e)]) for e in h.edges])
+        relabeled = Hypergraph(h.n, h.t,
+                               [tuple(perm[list(e)]) for e in edge_tuples(h)])
         xp = np.empty_like(x)
         xp[perm] = x
         assert np.allclose(apply_adjacency(relabeled, xp)[perm],

@@ -5,21 +5,22 @@ import pytest
 
 from hgspec import (EdgeError, Hypergraph, NotConnectedError, UNREACHABLE,
                     complete_uniform, diameter_and_path,
-                    distances_from, hypertree_ball, is_acyclic, is_linear,
-                    min_eccentricity_vertex, random_regular_linear,
-                    regular_degree)
+                    distances_from, hypertree_ball, is_acyclic,
+                    min_eccentricity_vertex, multi_center_vector,
+                    parse_hypergraph, random_regular_linear, regular_degree)
+from hgspec.cli import run_command
 from hgspec.hypergraph import (_REFINE_ROUNDS, _equitable_partition,
                                _incident_edge_ids)
 
-from conftest import (cycle_graph, is_equitable, loose_cycle3, loose_path,
-                      path_graph, same_partition)
+from conftest import (cycle_graph, edge_tuples, is_equitable, is_linear,
+                      loose_cycle3, loose_path, path_graph, same_partition)
 from test_properties import coarsest_equitable
 
 
 class TestConstruction:
     def test_edges_sorted_and_canonical(self):
         h = Hypergraph(5, 3, [(4, 2, 0), (1, 3, 2)])
-        assert h.edges == ((0, 2, 4), (1, 2, 3))
+        assert edge_tuples(h) == ((0, 2, 4), (1, 2, 3))
 
     def test_duplicate_edge_is_hard_error(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -75,19 +76,6 @@ class TestDegrees:
         assert regular_degree(loose_path(2)) is None
 
 
-class TestLinearity:
-    def test_single_edge_linear(self):
-        assert is_linear(Hypergraph(3, 3, [(0, 1, 2)]))
-
-    def test_complete_3_uniform_not_linear(self):
-        # {0,1,2} and {0,1,3} share two vertices
-        assert not is_linear(complete_uniform(4, 3))
-
-    def test_hypertree_balls_linear(self):
-        for (t, k, r) in [(3, 3, 2), (2, 3, 3), (4, 2, 2)]:
-            assert is_linear(hypertree_ball(t, k, r))
-
-
 class TestAcyclicity:
     def test_two_disjoint_edges(self):
         assert is_acyclic(Hypergraph(6, 3, [(0, 1, 2), (3, 4, 5)]))
@@ -140,7 +128,7 @@ class TestDistances:
         for seed in range(5):
             h = random_regular_linear(3, 3, 24, seed)
             dm = distances_from(h, 0)
-            for edge in h.edges:
+            for edge in edge_tuples(h):
                 vals = dm.dist[list(edge)]
                 assert vals.max() - vals.min() <= 1
 
@@ -148,13 +136,12 @@ class TestDistances:
         # dist[v] = 1 + min over edges at v of min dist of the others
         h = random_regular_linear(2, 3, 16, 1)
         dm = distances_from(h, 3)
+        edges = edge_tuples(h)
         for v in range(h.n):
             if v == 3:
                 continue
-            best = min(
-                min(dm.dist[u] for u in h.edges[e] if u != v)
-                for e in range(h.m) if v in h.edges[e]
-            )
+            best = min(min(dm.dist[u] for u in edge if u != v)
+                       for edge in edges if v in edge)
             assert dm.dist[v] == best + 1
 
     def test_layers_partition_vertices(self):
@@ -200,7 +187,7 @@ class TestDiameter:
             d, path = diameter_and_path(h)
             assert len(path) == d + 1
             for a, b in zip(path, path[1:]):
-                shared = [e for e in h.edges if a in e and b in e]
+                shared = [e for e in edge_tuples(h) if a in e and b in e]
                 assert shared, f"{a} and {b} share no edge"
 
     def test_cycle_diameter(self):
@@ -235,6 +222,30 @@ def test_min_eccentricity_vertex_disconnected_raises():
         min_eccentricity_vertex(Hypergraph(5, 2, [(0, 1), (1, 2)]))
 
 
+#: two disjoint edges and an isolated vertex
+DISCONNECTED = "3 7 2\n0 1 2\n3 4 5\n"
+
+
+@pytest.mark.parametrize("search", [diameter_and_path, min_eccentricity_vertex,
+                                    multi_center_vector],
+                         ids=lambda f: f.__name__)
+def test_disconnected_input_meets_the_one_guard(search):
+    with pytest.raises(NotConnectedError,
+                       match=" require a connected hypergraph$"):
+        search(parse_hypergraph(DISCONNECTED))
+
+
+@pytest.mark.parametrize("check", ["radial", "alon-boppana"])
+def test_verify_disconnected_input_is_one_line(check, tmp_path, capsys):
+    path = tmp_path / "disconnected.txt"
+    path.write_text(DISCONNECTED)
+    assert run_command(["verify", str(path), "--check", check]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("hgspec: ") and err.count("\n") == 1
+    assert err.endswith(" require a connected hypergraph\n")
+
+
 def test_distances_from_isolated_vertex():
     # vertex 2 lies in no edge: an empty CSR row between two full ones
     h = Hypergraph(5, 2, [(0, 1), (3, 4)])
@@ -254,9 +265,9 @@ def test_permutation_relabel_preserves_structure():
     rng = np.random.default_rng(0)
     h = random_regular_linear(3, 3, 18, 2)
     perm = rng.permutation(h.n)
-    relabeled = Hypergraph(h.n, h.t, [tuple(perm[list(e)]) for e in h.edges])
+    relabeled = Hypergraph(h.n, h.t,
+                           [tuple(perm[list(e)]) for e in edge_tuples(h)])
     assert sorted(relabeled.degrees) == sorted(h.degrees)
-    assert is_linear(relabeled) == is_linear(h)
     assert is_acyclic(relabeled) == is_acyclic(h)
     assert diameter_and_path(relabeled)[0] == diameter_and_path(h)[0]
 

@@ -40,7 +40,8 @@ from hgspec.cli import run_command
 from hgspec.forms import _operator
 from hgspec.hypergraph import _equitable_partition, _search
 
-from conftest import adjacency_matrix, is_equitable, same_partition
+from conftest import (adjacency_matrix, edge_tuples, is_equitable,
+                      same_partition)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -84,7 +85,7 @@ def connected_hypergraphs(draw, t_values=(2, 3, 4), max_tree=5):
 
 def dense_tensor(h):
     tensor = np.zeros((h.n,) * h.t)
-    for edge in h.edges:
+    for edge in edge_tuples(h):
         for perm in itertools.permutations(edge):
             tensor[perm] = 1.0 / math.factorial(h.t - 1)
     return tensor
@@ -134,7 +135,7 @@ def coarsest_equitable(h):
     its colour and the sorted list of its edges' other-member colour
     tuples, until a round splits no cell."""
     edges_at = [[] for _ in range(h.n)]
-    for edge in h.edges:
+    for edge in edge_tuples(h):
         for v in edge:
             edges_at[v].append(edge)
     colour = [0] * h.n

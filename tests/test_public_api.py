@@ -4,10 +4,14 @@
 public functions and methods of the package by name and reads result
 fields.  A name it looks up that disappears would break the traced
 benchmark run; this module makes such a removal fail the tests instead.
+It also checks that every export is read somewhere, and that no module
+imports a name it never uses.
 """
 
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,9 +29,8 @@ EXPORTED = [
     "adjacency_form", "apply_adjacency", "build_strong_orthogonal_family",
     "complete_uniform", "diameter_and_path", "distances_from", "dumps_json",
     "emit_hypergraph", "emit_sweep_csv", "friedman_alternate", "g_hat_value",
-    "g_value", "hypertree_ball", "is_acyclic", "is_linear",
-    "lambda2_estimate", "lambda2_lower_certificate",
-    "min_eccentricity_vertex",
+    "g_value", "hypertree_ball", "is_acyclic", "lambda2_estimate",
+    "lambda2_lower_certificate", "min_eccentricity_vertex",
     "mu_lower_certificate", "multi_center_vector", "parse_hypergraph",
     "radial_vector", "random_regular_linear", "regular_degree",
     "rho_lower_certificate", "shifted_form", "spectral_radius", "t_norm",
@@ -50,7 +53,8 @@ def test_all_is_the_documented_list():
     (eigensolver, "_STEP_FLOOR"), (forms, "_shifted"),
     (hypergraph, "_EdgeTable"), (hypergraph, "_quotient"),
     (Hypergraph, "_table"), (eigensolver, "_Ends"), (eigensolver, "_ended"),
-    (eigensolver, "_JOIN_RADIUS"),
+    (eigensolver, "_JOIN_RADIUS"), (Hypergraph, "edges"),
+    (Hypergraph, "_edges"), (hypergraph, "is_linear"), (hgspec, "is_linear"),
 ])
 def test_removed_names_are_gone(owner, name):
     assert not hasattr(owner, name)
@@ -130,3 +134,50 @@ def test_benchmark_methods_and_fields_exist():
     assert {"iterations", "residual"} <= {
         f.name for f in dataclasses.fields(EigenResult)}
     assert "restarts" in {f.name for f in dataclasses.fields(SolverConfig)}
+
+
+#: exports that no module of the package reads and the benchmark does not
+#: call, each with why it stays
+LIBRARY_ONLY = (
+    "rho_lower_certificate",  # the paper's rho certificate; tests check it
+    "shifted_form",  # lambda2's objective; tests check estimates with it
+)
+
+MODULES = sorted(p for p in Path(hgspec.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _names(tree):
+    """The names that a module's code loads, stores or deletes."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _read_names(tree):
+    """Every name a module refers to, as a name or as an attribute; the
+    name of a ``def`` or ``class`` statement is neither."""
+    return _names(tree) | {node.attr for node in ast.walk(tree)
+                           if isinstance(node, ast.Attribute)}
+
+
+def test_every_export_is_read():
+    read = set().union(*(_read_names(ast.parse(p.read_text()))
+                         for p in MODULES))
+    bench = {name for _, name in BENCH_FUNCTIONS}
+    unread = [name for name in hgspec.__all__
+              if name not in read | bench | set(LIBRARY_ONLY)]
+    assert unread == []
+    # an entry that a module or the benchmark reads is no longer needed
+    assert not set(LIBRARY_ONLY) & (read | bench)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0]
+                      for alias in node.names}
+    assert bound - _names(tree) == set()
