@@ -32,7 +32,9 @@ half the distance in the Levi (vertex-edge incidence) graph.
 
 The incidence is held as compressed sparse rows (``indptr``/``indices``
 numpy arrays), and every search runs on it with whole-array operations.
-Single-source BFS expands one frontier per layer.  All eccentricities
+Single-source BFS builds one layer per step: from the incidence rows of
+a narrow frontier, and by one scan of the edge table from a frontier of
+n/8 vertices or more (see :func:`_search`).  All eccentricities
 come from a bit-parallel BFS that advances 64 sources per batch, at
 O((n/64) * D * t * m) word operations for diameter D.  It reads the
 incidence padded to a few widths (:func:`_padded_incidence`), so that
@@ -144,15 +146,25 @@ def _validated_edges(n: int, t: int, rows) -> np.ndarray:
     """Sorted edge array of ``rows``, or :class:`EdgeError`.
 
     The error names the first edge with a fault: type, arity, repeated,
-    range or duplicate, checked in that order.  A stable lexsort of the
-    row-sorted table orders the edges and puts each later copy right
-    after the first; a table already in strict order (as every emitted
-    file is) has no copies and skips the sort.
+    range or duplicate, checked in that order.  Only the rows that are
+    not strictly increasing, tested a column pair at a time, are sorted
+    and searched for a repeated id; every generated or emitted row is
+    increasing already.  A stable lexsort of the row-sorted table orders
+    the edges and puts each later copy right after the first; a table
+    already in strict order (as every emitted file is) has no copies
+    and skips the sort.
     """
     table, kind = _well_formed_rows(rows, t)
     i = len(table)
     if i:
-        table.sort(axis=1)
+        increasing = table[:, 0] < table[:, 1]
+        for c in range(1, t - 1):
+            increasing &= table[:, c] < table[:, c + 1]
+        unsorted = np.flatnonzero(~increasing)
+        fixed = np.sort(table[unsorted], axis=1)
+        table[unsorted] = fixed
+        repeated = np.zeros(i, dtype=bool)
+        repeated[unsorted] = np.any(fixed[:, 1:] == fixed[:, :-1], axis=1)
         duplicate = np.zeros(i, dtype=bool)
         if _strictly_increasing(table):
             ordered = table
@@ -161,8 +173,8 @@ def _validated_edges(n: int, t: int, rows) -> np.ndarray:
             ordered = table[order]
             duplicate[order[1:][np.all(ordered[1:] == ordered[:-1],
                                        axis=1)]] = True
-        hits = np.stack([np.any(table[:, 1:] == table[:, :-1], axis=1),
-                         (table[:, 0] < 0) | (table[:, -1] >= n), duplicate])
+        hits = np.stack([repeated, (table[:, 0] < 0) | (table[:, -1] >= n),
+                         duplicate])
         if hits.any():
             i = int(np.argmax(hits.any(axis=0)))
             kind = ("repeated", "range", "duplicate")[np.argmax(hits[:, i])]
@@ -313,21 +325,54 @@ def _incident_edges(h: Hypergraph, vertices: np.ndarray) -> np.ndarray:
     return h._indices[pos + np.repeat(starts - (ends - lengths), lengths)]
 
 
+#: the frontier share of n from which a BFS layer is built edge-wise.
+#: Median search times in ms (2-vCPU x86 host, 100 interleaved runs)
+#: with the edge-wise step from a frontier of n / _WIDE on:
+#:
+#: ==================  ======  =====  =====  =====  =====  =====
+#: search               never   n/4    n/8   n/16   n/32   n/64
+#: ==================  ======  =====  =====  =====  =====  =====
+#: rr30000 from 0        3.75   1.92   1.28   1.27   1.26   1.25
+#: rr3000 from 0         0.44   0.26   0.25   0.22   0.22   0.22
+#: ball r = 8, a leaf    5.79   3.71   3.34   3.38   3.55   3.78
+#: ball r = 6, a leaf    0.50   0.40   0.37   0.37   0.37   0.38
+#: ==================  ======  =====  =====  =====  =====  =====
+#:
+#: (rr is ``random_regular_linear(3, 3, n, 0)``, a ball
+#: ``hypertree_ball(3, 3, r)``.)  n/8 is best on the r = 8 ball, which
+#: the hypertree sweep searches most, and within noise of n/16 elsewhere.
+_WIDE = 8
+
+
 def _search(h: Hypergraph, o: int, radius: int | None = None,
             along: np.ndarray | None = None) -> np.ndarray:
-    """Layer-synchronous frontier BFS from o, to ``radius`` if given.
+    """Layer-synchronous BFS from o, to ``radius`` if given.
 
-    Each layer gathers the not yet expanded edges of the frontier and
-    labels their unlabelled members; vertices beyond ``radius`` stay
-    ``UNREACHABLE``.  With ``along``, a distance map in which o is at
-    D, a member enters layer i only if it is at D - i in ``along``.
-    A member gathered twice in a layer, as from an edge gathered twice,
-    enters it once: each fresh member writes the mark -2 - (its
-    position) into ``dist``, the occurrences whose mark reads back (the
-    last of each member) form the next frontier, and the level
-    overwrites the marks.  The search keeps one n-long array, ``dist``,
-    and one m-long one, the expanded edges.  Work is O(t*m) in all plus
-    a few array operations per layer.
+    Each layer expands the not yet expanded edges with a member on the
+    last layer and labels their unlabelled members; vertices beyond
+    ``radius`` stay ``UNREACHABLE``.  With ``along``, a distance map in
+    which o is at D, a member enters layer i only if it is at D - i in
+    ``along``.  A layer is built in one of two ways, to the same
+    result (Beamer, Asanovic & Patterson, SC 2012):
+
+    - frontier-first, from a frontier of fewer than n / ``_WIDE``
+      vertices: gather the frontier's edges from the incidence.  A
+      member gathered twice, as from an edge gathered twice, enters the
+      layer once: each fresh member writes the mark -2 - (its position)
+      into ``dist``, the occurrences whose mark reads back (the last of
+      each member) form the next frontier, and the level overwrites the
+      marks.
+    - edge-wise, from a wider frontier: one gather per column of the
+      edge table finds the hot edges, those with a member on the
+      frontier, and their members are set in an n-long mask, whose
+      unlabelled entries form the next frontier, so no member needs
+      deduplicating.
+
+    The layers are disjoint, so the edge-wise step runs at most
+    ``_WIDE`` = 8 times, at O(n + t*m) each.  Besides the masks, the
+    search keeps one n-long array, ``dist``, and one m-long one, the
+    expanded edges.  Work is O(n + t*m) in all, at most 8 (n + t*m) of
+    it in the edge-wise steps, plus a few array operations per layer.
     """
     dist = np.full(h.n, UNREACHABLE, dtype=np.int64)
     dist[o] = 0
@@ -336,17 +381,32 @@ def _search(h: Hypergraph, o: int, radius: int | None = None,
     level = 0
     while frontier.size and level != radius:
         level += 1
-        edges = _incident_edges(h, frontier)
-        edges = edges[~edge_done[edges]]
-        edge_done[edges] = True
-        members = h.edge_array[edges].ravel()
-        fresh = dist[members] == UNREACHABLE
-        if along is not None:
-            fresh &= along[members] == along[o] - level
-        members = members[fresh]
-        mark = -2 - np.arange(members.size)
-        dist[members] = mark
-        frontier = members[dist[members] == mark]
+        if _WIDE * frontier.size >= h.n:
+            mask = np.zeros(h.n, dtype=bool)
+            mask[frontier] = True
+            columns = h._edge_index.T
+            hot = mask[columns[0]]
+            for column in columns[1:]:
+                hot |= mask[column]
+            hot &= ~edge_done
+            edge_done |= hot
+            mask[np.compress(hot, h._edge_index, axis=0)] = True
+            mask &= dist == UNREACHABLE
+            if along is not None:
+                mask &= along == along[o] - level
+            frontier = np.flatnonzero(mask)
+        else:
+            edges = _incident_edges(h, frontier)
+            edges = edges[~edge_done[edges]]
+            edge_done[edges] = True
+            members = h.edge_array[edges].ravel()
+            fresh = dist[members] == UNREACHABLE
+            if along is not None:
+                fresh &= along[members] == along[o] - level
+            members = members[fresh]
+            mark = -2 - np.arange(members.size)
+            dist[members] = mark
+            frontier = members[dist[members] == mark]
         dist[frontier] = level
     return dist
 

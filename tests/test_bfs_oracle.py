@@ -18,7 +18,9 @@ import pytest
 from hgspec import (Hypergraph, UNREACHABLE, diameter_and_path,
                     distances_from, hypertree_ball, lambda2_lower_certificate,
                     min_eccentricity_vertex, random_regular_linear)
-from hgspec.hypergraph import _eccentricities, _padded_incidence, is_acyclic
+from hgspec import hypergraph
+from hgspec.hypergraph import (_WIDE, _eccentricities, _incident_edges,
+                               _padded_incidence, _search, is_acyclic)
 
 from conftest import (cycle_graph, edge_tuples, is_linear, loose_cycle3,
                       loose_path, tight_cycle3)
@@ -258,3 +260,104 @@ def test_is_acyclic_and_is_linear_match_oracles(n, t, m):
         assert is_linear(h) == linear
         verdicts.add((is_acyclic(h), linear))
     assert len(verdicts) == 3  # acyclic, cyclic linear, not linear
+
+
+# -- the frontier-first and edge-wise layer steps -----------------------------
+
+def frontier_first_search(h, o, radius=None, along=None):
+    """``hypergraph._search`` as it was before wide layers were built
+    edge-wise: every layer from the frontier's incidence rows."""
+    dist = np.full(h.n, UNREACHABLE, dtype=np.int64)
+    dist[o] = 0
+    edge_done = np.zeros(h.m, dtype=bool)
+    frontier = np.array([o], dtype=np.int64)
+    level = 0
+    while frontier.size and level != radius:
+        level += 1
+        edges = _incident_edges(h, frontier)
+        edges = edges[~edge_done[edges]]
+        edge_done[edges] = True
+        members = h.edge_array[edges].ravel()
+        fresh = dist[members] == UNREACHABLE
+        if along is not None:
+            fresh &= along[members] == along[o] - level
+        members = members[fresh]
+        mark = -2 - np.arange(members.size)
+        dist[members] = mark
+        frontier = members[dist[members] == mark]
+        dist[frontier] = level
+    return dist
+
+
+def two_components():
+    """A (3, 3, 300) random regular instance and a loose 3-cycle of 30
+    vertices after it."""
+    rr = random_regular_linear(3, 3, 300, 0)
+    ring = [(300 + 2 * j, 301 + 2 * j, 300 + (2 * j + 2) % 30)
+            for j in range(15)]
+    return Hypergraph(330, 3, [*edge_tuples(rr), *ring])
+
+
+def _wide_cases():
+    """(instance, sources): inputs with a layer of n / _WIDE vertices or
+    more from some source."""
+    ball = hypertree_ball(3, 3, 6)
+    return [(random_regular_linear(3, 3, 300, 0), (0, 299)),
+            (random_regular_linear(3, 3, 3000, 0), (0, 1717)),
+            (ball, (ball.n - 1, 0)),  # a leaf, the root
+            (hub_and_cycle(130), (0, 5, 129)),  # 129 is isolated
+            (two_components(), (0, 310))]
+
+
+WIDE_CASES = _wide_cases()
+WIDE_IDS = ["rr300", "rr3000", "ball336", "hub130", "two-components"]
+
+
+@pytest.mark.parametrize("h,sources", WIDE_CASES, ids=WIDE_IDS)
+def test_both_layer_steps_match_levi_bfs(h, sources):
+    steps = set()
+    for o in sources:
+        full = distances_from(h, o).dist
+        assert np.array_equal(full, levi_distances(h, o))
+        # the frontiers are the layers 0..eccentricity
+        frontiers = np.bincount(full[full >= 0])
+        steps.update(_WIDE * frontiers >= h.n)
+        for radius in range(int(full.max()) + 2):
+            bounded = distances_from(h, o, radius).dist
+            clipped = np.where(full > radius, UNREACHABLE, full)
+            assert bounded.tobytes() == clipped.tobytes()
+    assert steps == {False, True}
+
+
+@pytest.mark.parametrize("h", [h for h, _ in WIDE_CASES[:3]],
+                         ids=WIDE_IDS[:3])
+def test_diameter_path_matches_frontier_first_search(h, monkeypatch):
+    path = diameter_and_path(h)
+    s = path[1][0]
+    ds = distances_from(h, s).dist
+    for o in range(0, h.n, max(1, h.n // 9)):
+        assert np.array_equal(_search(h, o, along=ds),
+                              frontier_first_search(h, o, along=ds))
+    monkeypatch.setattr(hypergraph, "_search", frontier_first_search)
+    fresh = Hypergraph(h.n, h.t, h.edge_array)
+    assert diameter_and_path(fresh) == path
+
+
+def test_edge_wise_step_keeps_to_along():
+    # o = 0 and s = 1 joined through each of 20 middle vertices c by the
+    # edges (0, x, c) and (c, y, 1): from o along the map of s, layer 1
+    # is the c alone, 20 of 62 vertices, so layer 2 is built edge-wise
+    # and must drop the y, which are not on a path to s
+    k = 20
+    h = Hypergraph(2 + 3 * k, 3, [e for i in range(k) for e in
+                                  ((0, 3 * i + 3, 3 * i + 2),
+                                   (3 * i + 2, 3 * i + 4, 1))])
+    assert _WIDE * k >= h.n
+    for o, s in ((0, 1), (1, 0)):
+        ds = distances_from(h, s).dist
+        dist = _search(h, o, along=ds)
+        assert np.array_equal(dist, frontier_first_search(h, o, along=ds))
+        expected = np.full(h.n, UNREACHABLE)
+        expected[[o, s]] = 0, 2
+        expected[2::3] = 1
+        assert np.array_equal(dist, expected)

@@ -335,6 +335,80 @@ def test_parser_matches_reference(data):
     assert parser_verdict(text) == reference_parser(text)
 
 
+def sort_every_row_validator(n, t, rows):
+    """``hypergraph._validated_edges`` as it was when it sorted every row
+    and tested each for repeated ids, kept as a reference."""
+    table, kind = hypergraph._well_formed_rows(rows, t)
+    i = len(table)
+    if i:
+        table.sort(axis=1)
+        duplicate = np.zeros(i, dtype=bool)
+        if hypergraph._strictly_increasing(table):
+            ordered = table
+        else:
+            order = np.lexsort(table.T[::-1])
+            ordered = table[order]
+            duplicate[order[1:][np.all(ordered[1:] == ordered[:-1],
+                                       axis=1)]] = True
+        hits = np.stack([np.any(table[:, 1:] == table[:, :-1], axis=1),
+                         (table[:, 0] < 0) | (table[:, -1] >= n), duplicate])
+        if hits.any():
+            i = int(np.argmax(hits.any(axis=0)))
+            kind = ("repeated", "range", "duplicate")[np.argmax(hits[:, i])]
+        table = ordered
+    if kind is None:
+        return table
+    raw = rows[i]
+    raise EdgeError(i, kind, {
+        "type": f"edge {raw!r} has a non-integer vertex id",
+        "arity": f"edge {raw!r} does not have {t} vertices",
+        "repeated": f"edge {raw!r} has repeated vertices",
+        "range": f"edge {raw!r} has a vertex outside [0, {n})",
+        "duplicate": f"duplicate edge {tuple(sorted(map(int, raw)))!r}",
+    }[kind])
+
+
+def validator_verdict(validate, n, t, rows):
+    try:
+        table = validate(n, t, rows)
+    except EdgeError as exc:
+        return "error", exc.index, exc.kind, str(exc)
+    return "ok", table.dtype, table.shape, table.tobytes()
+
+
+@st.composite
+def _tables(draw):
+    """(n, t, rows): increasing rows, often in lexicographic order, mixed
+    with unsorted rows, rows whose ids may repeat or fall out of range,
+    and reordered copies; as a list of tuples or an int64 array."""
+    t = draw(st.integers(2, 5))
+    n = draw(st.integers(t, 9))
+    increasing = st.sets(st.integers(0, n - 1), min_size=t,
+                         max_size=t).map(lambda ids: tuple(sorted(ids)))
+    unsorted = st.permutations(range(n)).map(lambda p: tuple(p[:t]))
+    loose = st.lists(st.integers(-2, n + 1), min_size=t,
+                     max_size=t).map(tuple)
+    rows = draw(st.lists(st.one_of(increasing, increasing, increasing,
+                                   unsorted, loose), max_size=12))
+    if draw(st.booleans()):
+        rows.sort()
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        copy = tuple(draw(st.permutations(draw(st.sampled_from(rows)))))
+        rows.insert(draw(st.integers(0, len(rows))), copy)
+    if draw(st.booleans()):
+        rows = np.array(rows, dtype=np.int64).reshape(-1, t)
+    return n, t, rows
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_tables())
+def test_validator_matches_sort_every_row_reference(table):
+    # the validator sorts and searches for repeats only the rows that are
+    # not strictly increasing; the table or the error must not change
+    assert (validator_verdict(hypergraph._validated_edges, *table)
+            == validator_verdict(sort_every_row_validator, *table))
+
+
 #: ids near the int64 limit, 2**63 - 1 first
 BIG_IDS = ["9223372036854775807", "9223372036854775808",
            "9223372036854775806", "1234567890123456789",
