@@ -16,6 +16,13 @@ Families of multi-center vectors with supports more than 2t apart are
 strongly orthogonal for the adjacency tensor (images under up to t
 applications have disjoint supports), which yields lower bounds for the
 higher multilinear values mu_j.
+
+A certificate vector is zero off its balls, and its quotient is taken
+there (``forms._support_form``): products and magnitudes are formed on
+the edges at the balls and on the balls' entries only.  Over all of h
+it pays one bool gather per edge column, to find those edges, and the
+sums of an m-long array and of n-long ones that are zero off the
+balls, which have the bits of the dense sums.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 
 from .bounds import g_value, threshold
 from .errors import CertificateError, DiameterTooSmall, NotRegularError
-from .forms import (_magnitude, _power, adjacency_form, apply_adjacency,
+from .forms import (_magnitude, _power, _support_form, apply_adjacency,
                     as_vector, t_norm, t_norm_pow)
 from .hypergraph import (DistanceMap, Hypergraph, _kept_distances,
                          _require_connected, diameter_and_path)
@@ -108,12 +115,12 @@ def _analytic_slack(t: int, k: int, d: int, weights: list[float],
     return float(t * (k - 1) * num / den)
 
 
-def _radial(h: Hypergraph, o: int, radius: int | None,
-            k: int | None) -> tuple[np.ndarray, DistanceMap, int]:
+def _radial(h: Hypergraph, o: int, radius: int | None, k: int | None
+            ) -> tuple[np.ndarray, np.ndarray, DistanceMap, int]:
     """x_v = g(dist(o, v)) on the ball of ``radius`` (all of h if None).
 
-    Also returns the distance map from o and k, which is checked on the
-    ball when given and else inferred there.
+    Also returns the ball's vertex ids, the distance map from o and k,
+    which is checked on the ball when given and else inferred there.
     """
     _require_connected(h, "certificate constructions")
     if radius is not None and radius < 0:
@@ -125,7 +132,7 @@ def _radial(h: Hypergraph, o: int, radius: int | None,
     profile = _g_profile(h.t, k, horizon)
     x = np.zeros(h.n)
     x[inside] = profile[dm.dist[inside]]
-    return x, dm, k
+    return x, inside, dm, k
 
 
 def radial_vector(h: Hypergraph, o: int, radius: int | None = None) -> np.ndarray:
@@ -144,7 +151,7 @@ def verify_radial_inequality(h: Hypergraph, o: int) -> RadialCheckResult:
     minimum slack and its vertex are reported so near-tight instances
     can be inspected.
     """
-    x, _, k = _radial(h, o, None, None)
+    x, _, _, k = _radial(h, o, None, None)
     rho = threshold(h.t, k)
     slack = apply_adjacency(h, x) - rho * _power(x, h.t - 1)
     worst = int(np.argmin(slack))
@@ -165,11 +172,11 @@ def rho_lower_certificate(h: Hypergraph, o: int, radius: int,
 
     which converges up to the threshold as the radius grows.
     """
-    x, dm, k = _radial(h, o, radius, k)
+    x, inside, dm, k = _radial(h, o, radius, k)
     layer_sizes = dm.layer_sizes(radius)
     profile = _g_profile(h.t, k, radius)
     norm_pow = float(np.sum(layer_sizes * _power(profile, h.t)))
-    quotient = float(adjacency_form(h, x)) / norm_pow
+    quotient = float(_support_form(h, x, inside)) / norm_pow
     rho = threshold(h.t, k)
     floor = rho - _analytic_slack(h.t, k, radius, [1.0], [layer_sizes])
     if not quotient >= floor - SLACK_TOL:  # a NaN fails too
@@ -210,7 +217,8 @@ def _phased_ball_vector(h: Hypergraph, d: int, k: int,
     with c_j chosen so each ball's weighted sum is exactly 1.  Phases
     are kept as exact (index, s) pairs in the metadata; they only become
     floating complex numbers in the returned vector.  Real dtype when
-    s = 2 (omega = -1).
+    s = 2 (omega = -1).  Returns the vector, the vertex ids of its balls,
+    off which it is +0.0, and the metadata.
     """
     t = h.t
     s = len(dist_maps)
@@ -220,8 +228,10 @@ def _phased_ball_vector(h: Hypergraph, d: int, k: int,
     claimed = np.zeros(h.n, dtype=bool)
     weights = []
     layer_sizes = []
+    balls = []
     for j, dm in enumerate(dist_maps):
         ball = dm.ball(d)
+        balls.append(ball)
         if np.any(claimed[ball]):
             raise CertificateError("certificate balls overlap; centers are "
                                    "too close for the requested radius")
@@ -247,7 +257,7 @@ def _phased_ball_vector(h: Hypergraph, d: int, k: int,
         "phases": [(j, s) for j in range(s)],
         "layer_sizes": layer_sizes,
     }
-    return y, meta
+    return y, np.concatenate(balls), meta
 
 
 def multi_center_vector(h: Hypergraph, k: int | None = None) -> Certificate:
@@ -286,16 +296,19 @@ def multi_center_vector(h: Hypergraph, k: int | None = None) -> Certificate:
         raise DiameterTooSmall(2 * s - 2, diam)
     centers = [path[a * (2 * d + 2)] for a in range(s)]
     dist_maps = [_kept_distances(h, c, radius=d) for c in centers]
-    y, meta = _phased_ball_vector(h, d, k, dist_maps)
+    y, support, meta = _phased_ball_vector(h, d, k, dist_maps)
+    # |y| with the bits of _magnitude(y) (see forms._support_form)
+    mags = np.zeros(h.n)
+    mags[support] = _magnitude(y[support])
     entry_sum = complex(y.sum())
-    scale = float(_magnitude(y).sum())
+    scale = float(mags.sum())
     if abs(entry_sum) > EXACTNESS_TOL * scale:
         raise CertificateError(
             f"multi-center entries sum to {entry_sum} (scale {scale}); the "
             f"root-of-unity cancellation failed"
         )
-    form = adjacency_form(h, y)
-    quotient = float(abs(form)) / t_norm_pow(y, t)
+    form = _support_form(h, y, support)
+    quotient = float(abs(form)) / t_norm_pow(mags, t)
     slack = _analytic_slack(t, k, d, meta["weights"], meta["layer_sizes"])
     rho = threshold(t, k)
     meta.update({
@@ -399,7 +412,7 @@ def build_strong_orthogonal_family(h: Hypergraph, j: int,
     vectors = []
     blocks = [chosen[l * s:(l + 1) * s] for l in range(j)]
     for l in range(j):
-        y, _ = _phased_ball_vector(h, d, k, dist_maps[l * s:(l + 1) * s])
+        y, _, _ = _phased_ball_vector(h, d, k, dist_maps[l * s:(l + 1) * s])
         y = y / t_norm(y, t)
         vectors.append(y)
     verified = _verify_strong_orthogonality(h, vectors)
@@ -447,7 +460,8 @@ def mu_lower_certificate(h: Hypergraph, j: int,
         raise CertificateError("strong orthogonality verification failed")
     values = []
     for x in family.vectors:
-        form = adjacency_form(h, x)
+        # its nonzero entries are its balls, and the rest is +0.0
+        form = _support_form(h, x, np.flatnonzero(x))
         if isinstance(form, complex):
             if abs(form.imag) > EXACTNESS_TOL * max(abs(form), 1e-30):
                 raise CertificateError(

@@ -34,7 +34,8 @@ search runs over real vectors by default, over complex ones behind
 evaluates the objective; a run asks it for the gradient only at a trial
 point it accepts.
 
-Both solvers, CG included, sum with numpy's pairwise ``np.sum`` only,
+Both solvers, CG included, sum with numpy's pairwise ``np.sum`` only
+(or ``np.add.reduce``, the same reduction without its Python wrapper),
 never a BLAS dot product or norm, so a seeded run gives the same bits
 under any BLAS thread count; ``_GAIN_FLOOR`` keeps the ascent from
 taking the rounding noise of those sums for progress.  Every power of
@@ -144,11 +145,13 @@ def _newton_direction(products: _Products, size: np.ndarray, x: np.ndarray,
     one value per cell; the system maps vectors constant on the cells of
     an equitable partition to such vectors, and every inner product
     weights cell c by its vertex count ``size[c]``, so CG takes the steps
-    it would take on the n vertices.  Every reduction is ``np.sum``, and
-    every product and sum keeps one order, which fixes its bits: the size
-    leads the two sums before the loop and trails those in it.  CG stops
-    when the residual norm has fallen by the factor ``_CG_RTOL``, on a
-    nonpositive curvature, or after one step per cell.
+    it would take on the n vertices.  Every reduction is ``np.sum``, in
+    the loop as ``np.add.reduce``, the same reduction without the
+    wrapper's cost per call, which the few cells of a ball's layers make
+    count; every product and sum keeps one order, which fixes its bits:
+    the size leads the two sums before the loop and trails those in it.
+    CG stops when the residual norm has fallen by the factor
+    ``_CG_RTOL``, on a nonpositive curvature, or after one step per cell.
     """
     t, n = products.t, x.size
     r = (t - 1) * _power(x, t)
@@ -157,18 +160,19 @@ def _newton_direction(products: _Products, size: np.ndarray, x: np.ndarray,
     p = r / diag
     rz = float(np.sum(size * r * p))
     stop = _CG_RTOL ** 2 * float(np.sum(size * r * r))
+    total = np.add.reduce
     for _ in range(n):
         kp = diag * p - products.jacobian(p)
-        curvature = float(np.sum(p * kp * size))
+        curvature = float(total(p * kp * size))
         if not curvature > 0.0:
             break
         alpha = rz / curvature
         w += p * alpha
         r -= kp * alpha
-        if float(np.sum(r * r * size)) <= stop:
+        if float(total(r * r * size)) <= stop:
             break
         z = r / diag
-        rz, rz_old = float(np.sum(r * z * size)), rz
+        rz, rz_old = float(total(r * z * size)), rz
         p = p * (rz / rz_old) + z
     return w * x
 

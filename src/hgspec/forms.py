@@ -39,7 +39,12 @@ form is t times the ``np.sum`` of the x^e, so a value a solver reports
 is bit for bit the public form at its vector.  A solve keeps one
 ``_Products`` per operator and asks for A x only where it needs it; a
 one-off A x builds one per call, and a one-off form needs no more than
-the gathered (m, t) values.  The public functions are
+the gathered (m, t) values.  The form of a certificate vector, which
+is zero off a few balls, is ``_support_form``: ``_edge_products`` on
+the edges at the balls alone, written into an m-long zero array.  The
+edges it skips have only +0.0 members, so their dense x^e is +0.0
+too, and the sum of the array has the public form's bits.  The public
+functions are
 :func:`as_vector` plus a kernel.  The solvers call the kernels
 directly: they pass checked vectors, and a trace of the public
 functions would otherwise count solver steps.
@@ -49,7 +54,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hypergraph import Hypergraph, _cell_table, _Partition
+from .hypergraph import Hypergraph, _cell_table, _edges_at, _Partition
 
 #: Newton steps of ``_root``: 6 bring its start to within about 2e-16
 #: relative of the root, for k = 3 to 399
@@ -235,16 +240,20 @@ class _Products:
         For real w at a positive x this is (t - 1) X M(x) X w, where
         X = diag(x) and M(x) is the Jacobian of A x^[t-1] over t - 1; at
         w = 1 it is (t - 1) x A x^[t-1].
+
+        The columns (S_e - w_j) x^e take one broadcast subtract and one
+        multiply along the value rows, and one copy into the row-major
+        array, whose first rows entries hold S_e until then: on a cell
+        table's few rows the cost is per call, not per row.
         """
         vals, loo = self._vals, self._loo
         np.take(w, self._index, out=vals, mode="clip")
-        # S_e waits in the last column, which is written last
-        sums = np.add(vals[0], vals[1], out=loo[:, -1])
+        sums = np.add(vals[0], vals[1], out=loo.reshape(-1)[:vals.shape[1]])
         for row in vals[2:]:
             sums += row
-        for column, row in zip(loo.T, vals):
-            np.subtract(sums, row, out=column)
-            column *= self.xe
+        np.subtract(sums, vals, out=vals)
+        vals *= self.xe
+        np.copyto(loo, vals.T)
         return self._scatter(loo)
 
 
@@ -361,3 +370,22 @@ def t_norm_pow(x, t: int) -> float:
         raise ValueError(f"t-norm needs t >= 2, got {t}")
     mags = _magnitude(np.asarray(x)).astype(np.float64, copy=False)
     return float(np.sum(_power(mags, t)))
+
+
+def _support_form(h: Hypergraph, y: np.ndarray, support: np.ndarray
+                  ) -> float | complex:
+    """``adjacency_form`` of a validated y that is +0.0 off the vertex ids
+    ``support``, bit for bit, from the edges with a member there.
+
+    Their x^e (``_edge_products``) are written at their rows of an m-long
+    zero array, which is summed whole.  Every other edge has only +0.0
+    members, so its dense x^e is +0.0 too: the array holds the dense
+    one's bits, and so does its sum.  Likewise |y| on ``support``,
+    written into an n-long zero array, is bit for bit ``_magnitude(y)``.
+    """
+    inside = np.zeros(h.n, dtype=bool)
+    inside[support] = True
+    hot = _edges_at(h, inside)
+    xe = np.zeros(h.m, dtype=y.dtype)
+    xe[hot] = _edge_products(y[np.compress(hot, h._edge_index, axis=0)])
+    return h.t * _accumulate(xe)

@@ -325,6 +325,16 @@ def _incident_edges(h: Hypergraph, vertices: np.ndarray) -> np.ndarray:
     return h._indices[pos + np.repeat(starts - (ends - lengths), lengths)]
 
 
+def _edges_at(h: Hypergraph, mask: np.ndarray) -> np.ndarray:
+    """The m-long mask of the edges with a member set in the n-long
+    ``mask``: one gather per column of the edge table."""
+    columns = h._edge_index.T
+    hot = mask[columns[0]]
+    for column in columns[1:]:
+        hot |= mask[column]
+    return hot
+
+
 #: the frontier share of n from which a BFS layer is built edge-wise.
 #: Median search times in ms (2-vCPU x86 host, 100 interleaved runs)
 #: with the edge-wise step from a frontier of n / _WIDE on:
@@ -384,10 +394,7 @@ def _search(h: Hypergraph, o: int, radius: int | None = None,
         if _WIDE * frontier.size >= h.n:
             mask = np.zeros(h.n, dtype=bool)
             mask[frontier] = True
-            columns = h._edge_index.T
-            hot = mask[columns[0]]
-            for column in columns[1:]:
-                hot |= mask[column]
+            hot = _edges_at(h, mask)
             hot &= ~edge_done
             edge_done |= hot
             mask[np.compress(hot, h._edge_index, axis=0)] = True

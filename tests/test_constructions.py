@@ -1,5 +1,7 @@
 """Certificate construction and verification tests."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from hgspec import (CertificateError, DiameterTooSmall, Hypergraph,
                     random_regular_linear, rho_lower_certificate,
                     spectral_radius, t_norm, t_norm_pow, threshold,
                     verify_radial_inequality)
+
+from hgspec.forms import _power
 
 from conftest import cycle_graph, edge_tuples, petersen, tight_cycle3
 
@@ -332,3 +336,54 @@ class TestMuCertificate:
                  for r in (5, 6, 7)]
         assert all(a < b for a, b in zip(quots, quots[1:]))
         assert quots[-1] < threshold(3, 3)
+
+
+@functools.cache
+def exact_case(name):
+    """An instance of the exact-quotient tests and its decay parameter."""
+    if name.startswith("ball"):
+        t, k, r = (int(c) for c in name[4:])
+        return hypertree_ball(t, k, r), k
+    return random_regular_linear(3, 3, 3000, int(name[-1])), None
+
+
+EXACT_CASES = ["ball338", "ball436", "ball524", "rr3000_s0", "rr3000_s3"]
+
+
+class TestExactQuotients:
+    """Quotients taken on the certificate's balls equal, bit for bit, the
+    dense recomputation over all of h."""
+
+    @pytest.mark.parametrize("name", EXACT_CASES)
+    def test_multi_center_quotient_is_the_dense_one(self, name):
+        h, k = exact_case(name)
+        cert = multi_center_vector(h, k=k)
+        y = cert.vector
+        assert cert.quotient == abs(adjacency_form(h, y)) / t_norm_pow(y, h.t)
+        assert cert.metadata["form_value"] == adjacency_form(h, y)
+
+    @pytest.mark.parametrize("name,j", [
+        ("ball338", 2), ("ball436", 2), ("rr3000_s0", 1), ("rr3000_s3", 1)])
+    def test_mu_member_quotients_are_the_dense_ones(self, name, j):
+        h, k = exact_case(name)
+        cert = mu_lower_certificate(h, j, k=k)
+        family = build_strong_orthogonal_family(h, j, k=k)
+        dense = [complex(adjacency_form(h, x)).real for x in family.vectors]
+        assert cert.metadata["member_quotients"] == dense
+        for x in family.vectors:
+            # no part is -0.0: off its nonzero entries, x is +0.0
+            parts = x.view(float)
+            assert not np.any(np.signbit(parts[parts == 0.0]))
+
+    @pytest.mark.parametrize("name", ["rr3000_s0", "rr3000_s3"])
+    def test_rho_quotient_on_all_of_h_is_the_dense_one(self, name):
+        # at the eccentricity the ball is all of h: every edge is taken
+        h, _ = exact_case(name)
+        radius = distances_from(h, 0).eccentricity
+        cert = rho_lower_certificate(h, 0, radius)
+        assert np.count_nonzero(cert.vector) == h.n
+        profile = np.array([g_value(h.t, 3, i) for i in range(radius + 1)])
+        norm_pow = float(np.sum(cert.metadata["layer_sizes"]
+                                * _power(profile, h.t)))
+        form = float(adjacency_form(h, cert.vector))
+        assert cert.quotient == form / norm_pow

@@ -5,17 +5,20 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgspec import (Hypergraph, adjacency_form, apply_adjacency,
                     complete_uniform, hypertree_ball, multi_center_vector,
                     random_regular_linear, shifted_form, t_norm, t_norm_pow)
 from hgspec.forms import (_ShiftedForm, _edge_products, _magnitude,
                           _operator, _power, _product, _quotient, _root,
-                          _t_norm_of)
+                          _support_form, _t_norm_of)
 from hgspec.hypergraph import _equitable_partition
 
 from conftest import (adjacency_matrix, cycle_graph, edge_tuples, loose_path,
                       partition_of, path_graph, random_connected_graph)
+from test_properties import connected_hypergraphs
 
 SINGLE = Hypergraph(3, 3, [(0, 1, 2)])
 
@@ -72,6 +75,13 @@ class TestApply:
             apply_adjacency(SINGLE, np.ones(4))
         with pytest.raises(ValueError):
             apply_adjacency(SINGLE, np.array([1.0, np.nan, 0.0]))
+
+
+def loose_path_t(t, edges):
+    """The t-uniform loose path: consecutive edges share one vertex."""
+    step = t - 1
+    return Hypergraph(step * edges + 1, t,
+                      [range(step * e, step * e + t) for e in range(edges)])
 
 
 def cumprod_partial_products(values):
@@ -162,6 +172,42 @@ class TestColumnKernels:
         assert cells.xe.tobytes() == vertices.xe.tobytes()
         assert cells.apply().tobytes() == vertices.apply().tobytes()
         assert cells.jacobian(w).tobytes() == vertices.jacobian(w).tobytes()
+
+    @pytest.mark.parametrize("table", ["vertices", "ball", "irregular"])
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+    def test_jacobian_bits_are_the_per_column_loop(self, t, table):
+        # the Jacobian product against a restatement of a loop that forms
+        # one leave-one-out column at a time: S_e = ((w_0 + w_1) + ...),
+        # then (S_e - w_j) * x^e; the ball's layers and the loose path's
+        # cells drop the targets of their non-representative positions
+        if table == "irregular":
+            h = loose_path_t(t, 7)
+        else:
+            h = hypertree_ball(t, 3, 3)
+        if table == "vertices":
+            products = _operator(h, np.float64)
+            bins = h.n
+        else:
+            part = _equitable_partition(h)
+            products = _quotient(h, part)
+            bins = part.size.size
+            assert bins < h.n
+            assert np.any(products._targets == bins)
+        rng = np.random.default_rng(t)
+        x = rng.uniform(0.2, 2.0, bins)
+        w = rng.standard_normal(bins)
+        w[rng.random(bins) < 0.2] = -0.0
+        products.monomials(x)
+        products.apply()
+        vals = w[products._index]
+        sums = vals[0] + vals[1]
+        for row in vals[2:]:
+            sums += row
+        loo = np.empty((vals.shape[1], t))
+        for j in range(t):
+            loo[:, j] = (sums - vals[j]) * products.xe
+        want = np.bincount(products._targets, loo.ravel(), bins + 1)[:bins]
+        assert products.jacobian(w).tobytes() == want.tobytes()
 
 
 class TestShiftedFormEvaluator:
@@ -379,3 +425,53 @@ class TestTNorm:
         x, size = rng.random(30) + 0.1, rng.integers(1, 9, 30)
         got = _t_norm_of(x.copy(), t, weights=size.astype(np.float64))
         assert got == pytest.approx(t_norm(np.repeat(x, size), t), rel=1e-14)
+
+
+def value_bits(value):
+    """The bits of the real and the imaginary part of a scalar."""
+    z = complex(value)
+    return np.float64(z.real).tobytes() + np.float64(z.imag).tobytes()
+
+
+#: entries whose edge products are exact and cancel in pairs, zeros of
+#: both signs among them
+CANCELLING = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0])
+
+
+class TestSupportForm:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_bits_of_the_dense_form_and_norm(self, data):
+        # the form and the t-norm power of a vector that is +0.0 off its
+        # support, from the edges at the support, against the dense
+        # kernels on all of h: a zero total keeps its sign too
+        h = data.draw(connected_hypergraphs(t_values=(2, 3, 4, 5),
+                                            max_tree=4))
+        kind = data.draw(st.sampled_from(["empty", "one", "subset", "all"]))
+        if kind == "empty":
+            support = np.zeros(0, dtype=np.int64)
+        elif kind == "one":
+            support = np.array([data.draw(st.integers(0, h.n - 1))])
+        elif kind == "subset":
+            support = np.flatnonzero(data.draw(st.lists(
+                st.booleans(), min_size=h.n, max_size=h.n)))
+        else:
+            support = np.arange(h.n)
+        entries = CANCELLING | st.floats(-2, 2)
+        size = support.size
+        values = np.array(data.draw(st.lists(entries, min_size=size,
+                                             max_size=size)), dtype=float)
+        if data.draw(st.booleans()):
+            values = values + 1j * np.array(data.draw(st.lists(
+                entries, min_size=size, max_size=size)))
+        y = np.zeros(h.n, dtype=values.dtype)
+        y[support] = values
+        form = _support_form(h, y, support)
+        assert value_bits(form) == value_bits(adjacency_form(h, y))
+        # |y| on the support alone, as the multi-center quotient takes it
+        mags = np.zeros(h.n)
+        mags[support] = _magnitude(values)
+        assert mags.tobytes() == _magnitude(y).tobytes()
+        assert value_bits(t_norm_pow(mags, h.t)) == \
+            value_bits(t_norm_pow(y, h.t))
