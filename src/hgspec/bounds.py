@@ -32,9 +32,8 @@ G_MONOTONE_TOL = 1e-12
 
 
 def _fpow(base: float, expo: float) -> float:
-    """base**expo for base >= 0 via exp/log; 0**e = 0 for e > 0."""
-    if base < 0.0:
-        raise DomainError(f"negative base {base} in fractional power")
+    """base**expo via exp/log, 0**e = 0 for e > 0; every caller's base,
+    (t-1)(k-1), k-1, t-1 or t(1-1/k), is at least 0."""
     if base == 0.0:
         return 0.0
     return math.exp(expo * math.log(base))
@@ -61,20 +60,13 @@ def threshold(t: int, k: int) -> float:
 def friedman_alternate(t: int, k: int) -> float:
     """Same constant in its original normalization.
 
-    Evaluates (k-1)^(1/t) * t! * (t-1)^((1-t)/t) / (t-1)!; the division by
-    (t-1)! converts between the two tensor scalings.  Must agree with
-    :func:`threshold` to full precision; the test suite cross-checks the
-    two forms against 50-digit arithmetic.
+    Evaluates t * (k-1)^(1/t) * (t-1)^((1-t)/t): the scaling t!/(t-1)!
+    between the two tensor normalizations is t, so no factorial is
+    formed.  Must agree with :func:`threshold` to full precision; the
+    test suite cross-checks the two forms against 50-digit arithmetic.
     """
     _check_params(t, k)
-    if k == 1:
-        return 0.0
-    return (
-        _fpow(k - 1, 1.0 / t)
-        * math.factorial(t)
-        * _fpow(t - 1, (1.0 - t) / t)
-        / math.factorial(t - 1)
-    )
+    return t * _fpow(k - 1, 1.0 / t) * _fpow(t - 1, (1.0 - t) / t)
 
 
 def g_hat_value(t: int, k: int, n: int) -> float:

@@ -299,7 +299,7 @@ def _sweep_row(args, size: int, cfg) -> dict:
     k = regular_degree(h) if args.family == "complete" else args.k
     start = time.perf_counter()
     rho = spectral_radius(h, cfg).value
-    thr = bounds_mod.threshold(args.t, k) if k is not None else None
+    thr = bounds_mod.threshold(args.t, k)
     try:
         cert = multi_center_vector(h, k=k).quotient
     except DiameterTooSmall:
@@ -308,13 +308,13 @@ def _sweep_row(args, size: int, cfg) -> dict:
     return {
         "family": args.family,
         "t": args.t,
-        "k": k if k is not None else "",
+        "k": k,
         "param": size,
         "n": h.n,
         "m": h.m,
         "rho": rho,
         "threshold": thr,
-        "gap": (thr - rho) if thr is not None else None,
+        "gap": thr - rho,
         "lambda2_cert": cert,
         "seconds": elapsed if args.timings else 0,
     }

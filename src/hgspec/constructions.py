@@ -347,10 +347,11 @@ def lambda2_lower_certificate(h: Hypergraph, k: int | None = None) -> Certificat
 def _greedy_far_centers(h: Hypergraph, count: int):
     """Farthest-point selection of ``count`` vertices, lowest id on ties.
 
-    Returns the chosen ids, their distance maps, and the minimum pairwise
-    distance achieved, 0 for fewer than two.  Each pick's distance to the
-    centers before it is at most its predecessor's, so the least pairwise
-    distance is the last pick's.
+    Needs a connected h and count <= n, so exactly ``count`` distinct
+    ids are chosen.  Returns them, their distance maps, and the minimum
+    pairwise distance achieved, 0 for fewer than two.  Each pick's
+    distance to the centers before it is at most its predecessor's, so
+    the least pairwise distance is the last pick's.
     """
     start = int(np.argmax(_kept_distances(h, 0).dist))
     chosen = [start]
@@ -359,8 +360,6 @@ def _greedy_far_centers(h: Hypergraph, count: int):
     separation = 0
     while len(chosen) < count:
         nxt = int(np.argmax(min_dist))
-        if int(min_dist[nxt]) == 0:
-            break
         separation = int(min_dist[nxt])
         chosen.append(nxt)
         dm = _kept_distances(h, nxt)
@@ -384,7 +383,7 @@ def build_strong_orthogonal_family(h: Hypergraph, j: int,
 
     Verification computes A^p x_l for p <= t and checks that every cross
     inner product is exactly zero (integer support disjointness, not a
-    tolerance test).
+    tolerance test); a family of one has no cross products to check.
     """
     _require_connected(h, "certificate constructions")
     if j < 1:
@@ -400,12 +399,6 @@ def build_strong_orthogonal_family(h: Hypergraph, j: int,
     if k is None:
         k = _resolve_degree(h, None)
     chosen, dist_maps, separation = _greedy_far_centers(h, count)
-    if len(chosen) < count:
-        raise DiameterTooSmall(
-            2 * t + 1, 0,
-            message=f"only {len(chosen)} distinct centers available, "
-                    f"{count} needed",
-        )
     d = (separation - (2 * t + 1)) // 2
     if d < 0:
         raise DiameterTooSmall(2 * t + 1, separation)
@@ -432,6 +425,8 @@ def build_strong_orthogonal_family(h: Hypergraph, j: int,
 
 def _verify_strong_orthogonality(h: Hypergraph, vectors) -> bool:
     """All cross inner products of A^p x_l and A^q x_m are exactly zero."""
+    if len(vectors) < 2:
+        return True
     t = h.t
     towers = []
     for x in vectors:

@@ -321,7 +321,7 @@ def _incident_edges(h: Hypergraph, vertices: np.ndarray) -> np.ndarray:
     starts = h._indptr[vertices]
     lengths = h._indptr[vertices + 1] - starts
     ends = np.cumsum(lengths)
-    pos = np.arange(int(ends[-1]) if ends.size else 0)
+    pos = np.arange(int(ends[-1]))
     return h._indices[pos + np.repeat(starts - (ends - lengths), lengths)]
 
 

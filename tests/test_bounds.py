@@ -65,6 +65,14 @@ def test_threshold_at_most_k(t, k):
     assert threshold(t, k) <= k + 1e-12
 
 
+@pytest.mark.parametrize("t", [171, 1000, 2_000_000])
+@pytest.mark.parametrize("k", [2, 3, 10])
+def test_friedman_is_finite_past_the_factorial_range(t, k):
+    # t! is beyond a double from t = 171 on; the scaling t!/(t-1)! is t
+    thr = threshold(t, k)
+    assert abs(friedman_alternate(t, k) - thr) <= 1e-12 * thr
+
+
 def test_threshold_degenerates_at_k1():
     assert threshold(3, 1) == 0.0
     assert friedman_alternate(5, 1) == 0.0

@@ -110,6 +110,10 @@ class TestJsonAndCsvEmission:
         assert '"n": 3' in text
         assert '"flag": true' in text
 
+    def test_complex_and_empty_dict(self):
+        assert dumps_json(1 + 2j) == '{\n  "re": 1,\n  "im": 2\n}\n'
+        assert dumps_json({}) == "{}\n"
+
     def test_empty_sweep_is_header_only(self):
         assert emit_sweep_csv([]) == ",".join(SWEEP_COLUMNS) + "\n"
 
@@ -160,6 +164,14 @@ class TestCommands:
         payload = json.loads(text)
         assert payload["threshold"] == pytest.approx(payload["friedman_alternate"])
         assert payload["g_monotone"]["ok"] is True
+
+    def test_bounds_past_the_factorial_range(self):
+        # 171! does not convert to a float; the threshold is about 1.0408
+        code, text = run(["bounds", "--t", "171", "--k", "3"])
+        assert code == 0
+        payload = json.loads(text)
+        assert payload["threshold"] == pytest.approx(1.0408, abs=1e-4)
+        assert payload["relative_difference"] <= 1e-12
 
     def test_verify_radial_pass(self, instance_file):
         code, text = run(["verify", instance_file, "--check", "radial"])
@@ -314,6 +326,36 @@ class TestCommands:
         assert (code, text) == (1, "")
         err = capsys.readouterr().err
         assert err.startswith(f"hgspec: cannot write {path}: ")
+        assert err.count("\n") == 1
+
+    def test_exit_2_on_mu_without_j(self, capsys):
+        code, text = run(["verify", "F", "--check", "mu"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "hgspec: --check mu requires --j\n"
+
+    @pytest.mark.parametrize("text, argv, line", [
+        ("2 5 4\n0 1\n1 2\n2 3\n3 4\n", ["--check", "mu", "--j", "0"],
+         "family size j must be >= 1, got 0"),
+        ("2 1 0\n", ["--check", "mu", "--j", "1"],
+         "cannot place 2 centers on 1 vertices"),
+        ("2 5 4\n0 1\n1 2\n2 3\n3 4\n",
+         ["--check", "radial", "--origin", "5"],
+         "source vertex 5 outside [0, 5)")],
+        ids=["mu-j0", "mu-one-vertex", "radial-origin-out-of-range"])
+    def test_exit_1_on_a_bad_family_size_or_origin(self, tmp_path, capsys,
+                                                   text, argv, line):
+        path = tmp_path / "h.txt"
+        path.write_text(text)
+        code, out = run(["verify", str(path), *argv])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"hgspec: {line}\n"
+
+    def test_exit_1_on_a_missing_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, text = run(["radius", "missing.txt"])
+        assert (code, text) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("hgspec: cannot read missing.txt")
         assert err.count("\n") == 1
 
     def test_exit_2_on_usage_error(self):

@@ -1,6 +1,7 @@
 """Certificate construction and verification tests."""
 
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -134,6 +135,10 @@ class TestRhoLowerCertificate:
         assert cert.quotient == 0.0
         # floor = rho - t(k-1) = 0 exactly at (t,k) = (2,2)
         assert cert.metadata["analytic_floor"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError):
+            rho_lower_certificate(hypertree_ball(3, 3, 2), 0, -1)
 
     def test_vector_recomputes_quotient(self):
         h = random_regular_linear(3, 3, 18, 7)
@@ -328,6 +333,28 @@ class TestMuCertificate:
         form = adjacency_form(ball, cert.vector)
         value = form.real if isinstance(form, complex) else form
         assert value == pytest.approx(cert.quotient, rel=1e-10)
+
+    @pytest.mark.parametrize("ball, quotient, digest", [
+        ((3, 3, 5), 0.9862845669758202,
+         "e6588afd660a55cf47a6fa4a0fa5b018f1593b753640e17e14b8ddc8fe02b6c3"),
+        ((4, 3, 6), 0.9766263015130768,
+         "e31c497e2f5d3c0898c997b4412cdb4a57285e675d87455d96a6e67c65847bb2")],
+        ids=["ball335", "ball436"])
+    def test_j1_builds_no_tower(self, monkeypatch, ball, quotient, digest):
+        # a family of one has no cross products, so no A^p x is formed;
+        # the quotient and the vector's bytes were recorded when every
+        # member's tower was still built
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return apply_adjacency(*args, **kwargs)
+
+        monkeypatch.setattr(constructions, "apply_adjacency", counted)
+        cert = mu_lower_certificate(hypertree_ball(*ball), 1, k=3)
+        assert calls == []
+        assert cert.quotient == quotient
+        assert hashlib.sha256(cert.vector.tobytes()).hexdigest() == digest
 
     def test_certificate_improves_with_radius(self):
         # larger balls admit larger separations, hence deeper certificate

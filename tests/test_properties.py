@@ -10,9 +10,12 @@ A - (2m/n^2) J, which the real and the complex search both stay under.
 Further properties: a search to a radius is the whole BFS map with
 the vertices beyond the radius unreached; the walk back from far over
 the map from s reaches the vertices of the shortest s-far paths alone,
-each at its distance from far; emitting then parsing gives back the
-same hypergraph; the CLI ends every fuzzed edge-list text with exit
-code 0, 1 or 2 and at most one ``hgspec:`` line on stderr; every certificate
+each at its distance from far; the farthest-point selection of
+2 <= count <= n centers on a connected input returns count distinct
+vertices, and its separation is their least pairwise distance in the
+Levi-graph oracle; emitting then parsing gives back the same
+hypergraph; the CLI ends every fuzzed edge-list text with exit code 0,
+1 or 2 and at most one ``hgspec:`` line on stderr; every certificate
 quotient on a random regular instance is at least its analytic floor,
 restated here from the paper.  Hypothesis runs derandomized and without
 a database.
@@ -37,11 +40,13 @@ from hgspec import (UNREACHABLE, DiameterTooSmall, GenerationFailed,
                     random_regular_linear, rho_lower_certificate,
                     spectral_radius, threshold)
 from hgspec.cli import run_command
+from hgspec.constructions import _greedy_far_centers
 from hgspec.forms import _operator
 from hgspec.hypergraph import _equitable_partition, _search
 
 from conftest import (adjacency_matrix, edge_tuples, is_equitable,
                       same_partition)
+from test_bfs_oracle import levi_distances
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -186,6 +191,20 @@ def test_walk_back_is_the_distance_on_shortest_paths(h, data):
     ds, df = distances_from(h, s).dist, distances_from(h, far).dist
     want = np.where(ds + df == ds[far], df, UNREACHABLE)
     assert _search(h, far, along=ds).tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(h=connected_hypergraphs(), data=st.data())
+def test_far_centers_are_count_distinct_vertices(h, data):
+    # on a connected h with count <= n an unchosen vertex is at distance
+    # >= 1 from the chosen ones, so the selection never runs dry
+    assume(h.n >= 2)
+    count = data.draw(st.integers(2, h.n))
+    chosen, dist_maps, separation = _greedy_far_centers(h, count)
+    assert len(set(chosen)) == len(chosen) == count
+    assert [dm.source for dm in dist_maps] == chosen
+    assert separation == min(int(levi_distances(h, a)[b])
+                             for a, b in itertools.combinations(chosen, 2))
 
 
 @PROPERTY

@@ -278,6 +278,18 @@ def test_only_ascii_separators(tmp_path, capsys, text, line):
     assert f"hgspec: parse error: line {line}: " in capsys.readouterr().err
 
 
+def test_an_id_of_5000_digits_is_a_parse_error(tmp_path, capsys):
+    # past int()'s digit limit the field is not an integer; without the
+    # limit it is an id outside [0, n): either way line 2, no traceback
+    path = tmp_path / "input.txt"
+    path.write_text("2 3 1\n0 " + "9" * 5000 + "\n", encoding="utf-8")
+    code = run_command(["radius", str(path)], out=io.StringIO())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hgspec: parse error: line 2: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("edge", [(0, 1.5), (0, "1"), (0.0, 1.0)])
 def test_non_integer_ids_are_rejected(edge):
     with pytest.raises(EdgeError, match="non-integer") as info:
